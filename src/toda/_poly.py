@@ -140,17 +140,6 @@ def bary_eval(nodes: np.ndarray, values: np.ndarray, weights: np.ndarray, x) -> 
     return out
 
 
-def leading_coeff(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Highest divided difference: the leading coefficient of the degree
-    ``len(nodes) - 1`` interpolant.  Uses unscaled weights, so keep the node
-    count modest."""
-    x = np.asarray(nodes, dtype=float)
-    out = 0.0
-    for i in range(x.size):
-        out += values[i] / np.prod(x[i] - np.delete(x, i))
-    return float(out)
-
-
 def offspectrum_samples(avoid: np.ndarray, n: int, *, pad: float = 0.37, clearance: float = 0.02) -> np.ndarray:
     """Deterministic real sample points staying clear of the ``avoid`` set."""
     avoid = np.sort(np.asarray(avoid, dtype=float))

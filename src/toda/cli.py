@@ -260,16 +260,23 @@ def cmd_verify(args) -> tuple[str, int]:
         if name not in thresholds:
             raise InvalidData("unknown check %r in --tol" % name)
         try:
-            thresholds[name] = float(value)
+            bar = float(value)
         except ValueError as exc:
             raise InvalidData("bad tolerance value %r" % value) from exc
-    failed = [k for k in residuals if residuals[k] > thresholds[k]]
+        if not (np.isfinite(bar) and bar >= 0.0):
+            raise InvalidData("tolerance must be finite and non-negative, got %r" % value)
+        thresholds[name] = bar
+    # Written so that a NaN residual fails its check.
+    failed = [k for k in residuals if not residuals[k] <= thresholds[k]]
     for name in failed:
         print(
-            "FAIL %s: residual %.3e > tolerance %.3e"
+            "FAIL %s: residual %.3e not within tolerance %.3e"
             % (name, residuals[name], thresholds[name]),
             file=sys.stderr,
         )
+    unwritable = [k for k in failed if not np.isfinite(residuals[k])]
+    if unwritable:
+        raise TodaError("non-finite residual in %s" % ", ".join(sorted(unwritable)))
     report = {k: residuals[k] for k in sorted(residuals)}
     return serialize.dumps(report), 1 if failed else 0
 

@@ -46,7 +46,11 @@ class NoHerglotzSolution(TodaError):
 
 
 class GradientFailure(TodaError):
-    """Finite-difference derivative estimates disagree across step sizes."""
+    """Finite-difference derivative estimates disagree across step sizes.
+
+    Raised only by ``poisson.gradient`` on an observable supplied without an
+    analytic ``grad``; the chart Jacobians of the canonical and dual reports
+    are closed form and never difference."""
 
 
 class CoincidentArguments(TodaError):

@@ -7,7 +7,9 @@ chart restricted to unit total residue.  This module builds those tensors
 together with their analytic partial derivatives (for Jacobi-identity
 checks), contracts observables against them, performs the constrained
 reduction from the full chart to the restricted one, and packages the
-coordinate-bracket verifications used by the acceptance suite.
+coordinate-bracket verifications used by the acceptance suite.  The chart
+Jacobians behind those verifications are closed form; finite differences
+serve only observables supplied without an analytic gradient.
 
 Report generators are pure functions of their inputs and may be fanned out
 over sample points concurrently.
@@ -398,34 +400,52 @@ def dirac_reduce(pt: ChartPoint, f: Observable, g: Observable) -> float:
     )
 
 
-def _divisor_vector(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return zeros(RationalHerglotz(lam, rho)).gammas
+def _chart_jacobians(
+    lam: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Divisor, dual residues, and the closed-form Jacobians in (rho, lambda)
+    of the angles, divisor, quasimomenta, exponential-representation angles
+    and dual residues, all from one divisor solve on the raw arrays.
 
-
-def _theta_vector(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    diff = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(diff, 1.0)
-    logs = np.log(rho) + np.log(diff).sum(axis=1)
-    return logs[1:] - logs[0]
-
-
-def _pi_vector(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    gam = _divisor_vector(lam, rho)
-    return np.log(np.abs(gam[:, None] - lam[None, :])).sum(axis=1)
-
-
-def _theta_prime_vector(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    shift = lam[0]
-    lam0 = lam - shift
-    gam0 = _divisor_vector(lam, rho) - shift
-    xi0 = float(np.sum(np.log(gam0) - np.log(lam0[1:])))
+    The divisor moves by implicit differentiation of w(gamma) = 0, where
+    w'(gamma) = sum rho/(lambda - gamma)^2 > 0 on every gap; the other maps
+    follow from their log formulas by the chain rule through (lambda, gamma).
+    """
     n = lam.size
-    out = np.empty(n - 1)
-    for k in range(1, n):
-        gam_part = float(np.sum(np.log(np.abs(gam0 - lam0[k]))))
-        lam_part = float(np.sum(np.log(np.abs(np.delete(lam0[1:], k - 1) - lam0[k]))))
-        out[k - 1] = gam_part - lam_part - xi0 - np.log(lam0[k])
-    return out
+    gam = zeros(RationalHerglotz(lam, rho)).gammas
+    inv = _inverse_gaps(lam)
+    d = 1.0 / (lam[None, :] - gam[:, None])  # d[s, m] = 1/(lam_m - gam_s)
+    wp = (rho * d * d).sum(axis=1)
+    j_gamma = np.hstack((-d, rho * d * d)) / wp[:, None]
+    # theta_k = L_k - L_0 with L_k = log rho_k + sum_{j != k} log|lam_k - lam_j|.
+    j_l = np.hstack((np.diag(1.0 / rho), inv - np.diag(inv.sum(axis=1))))
+    j_theta = j_l[1:] - j_l[0]
+    # pi_s = sum_m log|gam_s - lam_m|.
+    j_pi = -d.sum(axis=1)[:, None] * j_gamma
+    j_pi[:, n:] += d
+    # theta'_k = A_k - A_0 with A_k = sum_s log|gam_s - lam_k|
+    # - sum_{j != k} log|lam_j - lam_k|: the divisor form of the angles, kept
+    # apart from theta so that thetaprime_lambda checks the divisor route.
+    j_a = -d.T @ j_gamma
+    j_a[:, n:] += np.diag(d.sum(axis=0) + inv.sum(axis=1)) - inv
+    j_thp = j_a[1:] - j_a[0]
+    # rho'_s = -p(gam_s) / (q0 prod_{t != s} (gam_s - gam_t)), differentiated
+    # through log|rho'_s| = pi_s - log q0 - sum_{t != s} log|gam_s - gam_t|.
+    q0 = float(np.sum(rho))
+    dg = gam[:, None] - gam[None, :]
+    np.fill_diagonal(dg, 1.0)
+    rhop = -np.prod(gam[:, None] - lam[None, :], axis=1) / (q0 * np.prod(dg, axis=1))
+    ginv = _inverse_gaps(gam)
+    j_log_rhop = j_pi + (np.diag(ginv.sum(axis=1)) - ginv) @ j_gamma
+    j_log_rhop[:, :n] -= 1.0 / q0
+    jac = {
+        "theta": j_theta,
+        "gamma": j_gamma,
+        "pi": j_pi,
+        "thetaprime": j_thp,
+        "rhoprime": rhop[:, None] * j_log_rhop,
+    }
+    return gam, rhop, jac
 
 
 def _pair(ja: np.ndarray, j: np.ndarray, jb: np.ndarray) -> np.ndarray:
@@ -446,12 +466,11 @@ def canonical_report(pt: ChartPoint) -> dict[str, float]:
     if pt.n < 2:
         raise InvalidData("needs at least two poles")
     n = pt.n
-    lam, rho = pt.lambdas, pt.rhos
     j = tensor_at(pt).j
-    j_theta = _fd_jacobian(_theta_vector, lam, rho)
-    j_gamma = _fd_jacobian(_divisor_vector, lam, rho)
-    j_pi = _fd_jacobian(_pi_vector, lam, rho)
-    j_thp = _fd_jacobian(_theta_prime_vector, lam, rho)
+    _, _, jac = _chart_jacobians(pt.lambdas, pt.rhos)
+    j_theta, j_gamma, j_pi, j_thp = (
+        jac["theta"], jac["gamma"], jac["pi"], jac["thetaprime"]
+    )
     j_lam = np.hstack((np.zeros((n, n)), np.eye(n)))
     j_rho = np.hstack((np.eye(n), np.zeros((n, n))))
     j_cas = np.concatenate((np.zeros(n), np.ones(n)))[None, :]
@@ -477,18 +496,6 @@ def canonical_report(pt: ChartPoint) -> dict[str, float]:
     return report
 
 
-def _dual_residue_vector(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Residues of the negative reciprocal pole sum at the divisor points."""
-    gam = _divisor_vector(lam, rho)
-    q0 = float(np.sum(rho))
-    out = np.empty(gam.size)
-    for k in range(gam.size):
-        num = np.prod(gam[k] - lam)
-        den = q0 * np.prod(gam[k] - np.delete(gam, k)) if gam.size > 1 else q0
-        out[k] = -num / den
-    return out
-
-
 def dual_identities(pt: ChartPoint) -> dict[str, float]:
     """Bracket identities for the dual data (divisor-side residues, the top
     quotient coefficients) on the unrestricted chart; residuals are scaled
@@ -500,11 +507,9 @@ def dual_identities(pt: ChartPoint) -> dict[str, float]:
     n = pt.n
     lam, rho = pt.lambdas, pt.rhos
     j = tensor_at(pt).j
-    gam = _divisor_vector(lam, rho)
-    rhop = _dual_residue_vector(lam, rho)
+    gam, rhop, jac = _chart_jacobians(lam, rho)
     q0_val = float(np.sum(rho))
-    j_gamma = _fd_jacobian(_divisor_vector, lam, rho)
-    j_rhop = _fd_jacobian(_dual_residue_vector, lam, rho)
+    j_gamma, j_rhop = jac["gamma"], jac["rhoprime"]
     q0 = _total_residue()
     p0 = _minus_spectral_sum()
     j_q0 = np.asarray(q0.grad(lam, rho))[None, :]

@@ -10,7 +10,9 @@ import json
 import numpy as np
 import pytest
 
+from toda import suites
 from toda.cli import main
+from toda.suites import _merge
 
 E1_MATRIX = '{"v": [1.0, 1.0], "c": [1.0]}'
 E1_SPECTRAL = '{"lambdas": [0.0, 2.0], "rhos": [0.5, 0.5]}'
@@ -185,6 +187,28 @@ def test_verify_tolerance_override_guards(capsys):
     assert rc == 2 and "error" in err
     rc, _, err = run(capsys, "verify", "--suite", "roundtrip", "--tol", "roundtrip.gluing=abc")
     assert rc == 2 and "error" in err
+    rc, _, err = run(capsys, "verify", "--suite", "roundtrip", "--tol", "roundtrip.gluing=nan")
+    assert rc == 2 and "error" in err
+    rc, _, err = run(capsys, "verify", "--suite", "roundtrip", "--tol", "roundtrip.gluing=-1e-9")
+    assert rc == 2 and "error" in err
+
+
+def test_verify_fails_on_nan_residual(capsys, monkeypatch):
+    """A NaN from any sample outranks the finite residuals merged before it
+    and fails its check."""
+
+    def suite(seed, n):
+        res = {}
+        _merge(res, "probe", 1e-12)
+        _merge(res, "probe", float("nan"))
+        _merge(res, "probe", 1e-13)
+        return res, {"probe": 1e-6}
+
+    monkeypatch.setitem(suites._SUITES, "traces", suite)
+    rc, out, err = run(capsys, "verify", "--suite", "traces")
+    assert rc == 1
+    assert out == ""
+    assert "FAIL traces.probe" in err
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 Oracles: hand-computed 2x2 tensors at the symmetric two-site point, the
 closed-form two-point bracket evaluated by hand at fixed arguments, and
-finite differences checked against analytic gradients.
+finite differences checked against analytic gradients and chart Jacobians.
 """
 
 import warnings
@@ -35,7 +35,9 @@ from toda import (
     tensor_at,
     verify_formula_vs_tensor,
     weyl_value,
+    zeros,
 )
+from toda.poisson import _chart_jacobians, _fd_jacobian
 
 E1_W = RationalHerglotz(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
 
@@ -243,3 +245,59 @@ def test_near_boundary_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bracket(f, g, ChartPoint(lam, np.array([0.5, 0.5]), CHART_RESTRICTED))
+
+
+def _chart_values(lam, rho):
+    """Values of the charts on raw (lambda, rho) arrays, from one divisor
+    solve: the oracle whose finite differences check the closed-form chart
+    Jacobians."""
+    gam = zeros(RationalHerglotz(lam, rho)).gammas
+    diff = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(diff, 1.0)
+    logs = np.log(rho) + np.log(diff).sum(axis=1)
+    shift = lam[0]
+    lam0, gam0 = lam - shift, gam - shift
+    xi0 = float(np.sum(np.log(gam0) - np.log(lam0[1:])))
+    q0 = float(np.sum(rho))
+    thp = np.empty(lam.size - 1)
+    rhop = np.empty(gam.size)
+    for k in range(1, lam.size):
+        gam_part = float(np.sum(np.log(np.abs(gam0 - lam0[k]))))
+        lam_part = float(np.sum(np.log(np.abs(np.delete(lam0[1:], k - 1) - lam0[k]))))
+        thp[k - 1] = gam_part - lam_part - xi0 - np.log(lam0[k])
+    for k in range(gam.size):
+        num = np.prod(gam[k] - lam)
+        den = q0 * np.prod(gam[k] - np.delete(gam, k)) if gam.size > 1 else q0
+        rhop[k] = -num / den
+    return {
+        "theta": logs[1:] - logs[0],
+        "gamma": gam,
+        "pi": np.log(np.abs(gam[:, None] - lam[None, :])).sum(axis=1),
+        "thetaprime": thp,
+        "rhoprime": rhop,
+    }
+
+
+def test_chart_jacobians_match_finite_differences():
+    points = []
+    for seed in (81, 82, 83):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 6):
+            for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
+                points.append(random_point(rng, n, chart))
+    # Off the unit-residue slice by less than the chart's 1e-8 tolerance.
+    rho = np.array([0.2, 0.3, 0.5]) * (1.0 + 5e-9)
+    points.append(ChartPoint(np.array([-0.4, 0.5, 1.3]), rho, CHART_RESTRICTED))
+    for pt in points:
+        lam, rho = pt.lambdas, pt.rhos
+        gam, rhop, jac = _chart_jacobians(lam, rho)
+        want = _chart_values(lam, rho)
+        np.testing.assert_array_equal(gam, want["gamma"])
+        np.testing.assert_allclose(rhop, want["rhoprime"], rtol=1e-12)
+        fd = _fd_jacobian(
+            lambda la, rh: np.concatenate(list(_chart_values(la, rh).values())), lam, rho
+        )
+        for key, block in zip(want, np.split(fd, len(want))):
+            assert jac[key].shape == block.shape, key
+            err = float(np.max(np.abs(jac[key] - block))) / max(1.0, float(np.max(np.abs(block))))
+            assert err <= 1e-6, (pt.n, pt.chart, key, err)
