@@ -3,6 +3,10 @@
 Coefficient arrays are ordered constant term first.  Root finding never goes
 through a companion matrix: every root comes out of a certified sign-change
 bracket refined by bisection, optionally polished with Newton steps.
+
+``_readonly`` (a float copy with writes disabled) lives here for every frozen
+record type in the package; this module imports only ``errors``, so any
+layer can import it without an import cycle.
 """
 
 from __future__ import annotations
@@ -13,6 +17,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceFailure, InvalidData
+
+
+def _readonly(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def bisect_roots(
@@ -105,13 +115,6 @@ def real_simple_roots(coef: np.ndarray, *, polish: int = 3) -> np.ndarray:
             max_move=0.25 * gap if np.isfinite(gap) else None,
         )
     return np.sort(roots)
-
-
-def cheb_nodes(n: int, lo: float, hi: float) -> np.ndarray:
-    """``n`` Chebyshev points of the first kind on [lo, hi], ascending."""
-    i = np.arange(n)
-    x = np.cos(np.pi * (2 * i + 1) / (2 * n))
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
 
 
 def bary_weights(nodes: np.ndarray) -> np.ndarray:

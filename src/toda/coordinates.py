@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _poly
+from ._poly import _readonly
 from .errors import (
     ConvergenceFailure,
     InterlacingViolated,
@@ -24,12 +25,6 @@ from .errors import (
     TodaError,
 )
 from .rational_weyl import Divisor, RationalHerglotz, zeros
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._poly import _readonly
 from .errors import InvalidData
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._poly import _readonly
 from .errors import (
     AtPole,
     CoincidentArguments,
@@ -34,12 +35,6 @@ from .rational_weyl import RationalHerglotz, evaluate, zeros
 
 CHART_UNRESTRICTED = "unrestricted"
 CHART_RESTRICTED = "restricted"
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,18 +18,17 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import _poly
+from ._poly import _readonly
 from .errors import AtPole, InvalidData, NotHerglotz, TodaError
 
 _NORMALIZATION_TOL = 1e-12
 
-# Working precision for the decimal coefficient payload of PolyQuotient.
+# Decimal digits of the PolyQuotient payload, and of the continued-fraction
+# division in spectral_inverse that reads it.  The division chain subtracts
+# nearly equal quantities at every level; fifty digits leave a wide margin
+# over the conditioning of the sizes the acceptance gate covers.  The count
+# is fixed, not adapted to the smallest residue of the data.
 _DEC_DIGITS = 50
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +87,15 @@ class PolyQuotient:
     """Coefficients (constant term first) of the quotient form -q/p.
 
     ``p`` is monic of degree N, ``q`` has degree N-1.  When built by
-    :func:`to_quotient` the instance also carries values of both polynomials
-    on a Chebyshev grid plus fixed-precision decimal coefficients
-    (``p_dec``/``q_dec``, 50 digits); downstream consumers prefer those,
+    :func:`to_quotient` the instance also carries fixed-precision decimal
+    coefficients (``p_dec``/``q_dec``, ``_DEC_DIGITS`` digits);
+    :func:`~toda.spectral_inverse.stieltjes_reconstruct` prefers those,
     since float64 monomial coefficients cannot represent the contribution
     of a very small residue to better than absolute rounding error.
     """
 
     p: np.ndarray
     q: np.ndarray
-    nodes: np.ndarray | None = None
-    p_nodes: np.ndarray | None = None
-    q_nodes: np.ndarray | None = None
     p_dec: tuple | None = None
     q_dec: tuple | None = None
 
@@ -116,10 +112,6 @@ class PolyQuotient:
             raise InvalidData("p must be monic")
         if self.q[-1] == 0.0:
             raise InvalidData("q must have exact degree N-1")
-        for name in ("nodes", "p_nodes", "q_nodes"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _readonly(val))
 
     @property
     def n(self) -> int:
@@ -239,22 +231,8 @@ def to_quotient(w: RationalHerglotz) -> PolyQuotient:
     q = np.zeros(n)
     for k in range(n):
         q += rho[k] * npoly.polyfromroots(np.delete(lam, k))
-    span = max(lam[-1] - lam[0], 1.0)
-    nodes = _poly.cheb_nodes(n + 1, lam[0] - 0.05 * span, lam[-1] + 0.05 * span)
-    p_nodes = np.prod(nodes[:, None] - lam[None, :], axis=1)
-    q_nodes = np.zeros(n + 1)
-    for k in range(n):
-        q_nodes += rho[k] * np.prod(nodes[:, None] - np.delete(lam, k)[None, :], axis=1)
     p_dec, q_dec = _dec_quotient(lam, rho)
-    return PolyQuotient(
-        p=p,
-        q=q,
-        nodes=nodes,
-        p_nodes=p_nodes,
-        q_nodes=q_nodes,
-        p_dec=p_dec,
-        q_dec=q_dec,
-    )
+    return PolyQuotient(p=p, q=q, p_dec=p_dec, q_dec=q_dec)
 
 
 def from_quotient(pq: PolyQuotient) -> RationalHerglotz:

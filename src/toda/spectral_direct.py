@@ -14,16 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi_core
-from ._poly import offspectrum_samples
+from ._poly import _readonly, offspectrum_samples
 from .errors import ConvergenceFailure, InvalidData, OnSpectrum
 from .jacobi_core import JacobiMatrix, eval_P, eval_Q, truncate
 from .rational_weyl import Divisor, RationalHerglotz, evaluate
-
-
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,21 +13,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from . import _poly
 from .errors import Breakdown, InvalidData, NotHerglotzInput
 from .jacobi_core import JacobiMatrix
-from .rational_weyl import PolyQuotient, to_quotient
+from .rational_weyl import _DEC_DIGITS, PolyQuotient, to_quotient
 from .spectral_direct import SpectralData, eigen, weyl_from_spectral
-
-# Monomial coefficients stay well conditioned only for modest degree; past
-# this size the division recursion runs on Chebyshev grid values instead.
-_COEFF_DEGREE_LIMIT = 12
-
-# The division chain subtracts nearly equal quantities at every level, so it
-# runs in fixed-precision decimal arithmetic; the inputs and outputs stay
-# float64.  Fifty digits leave a wide margin over the worst conditioning the
-# supported sizes can produce.
-_CF_PRECISION = 50
 
 
 def _cf_division(p: list, q: list, m: int):
@@ -52,96 +41,6 @@ def _cf_division(p: list, q: list, m: int):
     return v, csq
 
 
-def _cf_from_coefficients(p_in: np.ndarray, q_in: np.ndarray):
-    with localcontext() as ctx:
-        ctx.prec = _CF_PRECISION
-        p = [Decimal(x) for x in p_in.tolist()]
-        q = [Decimal(x) for x in q_in.tolist()]
-        return _cf_division(p, q, p_in.size - 1)
-
-
-def _dd_leading(xs: list, ys: list) -> Decimal:
-    """Highest divided difference = leading coefficient of the interpolant."""
-    ys = list(ys)
-    k = len(xs) - 1
-    for j in range(1, k + 1):
-        for i in range(k - j + 1):
-            ys[i] = (ys[i + 1] - ys[i]) / (xs[i + j] - xs[i])
-    return ys[0]
-
-
-def _cf_division_nodes(xs: list, pv: list, qv: list, m: int):
-    """Division recursion on decimal grid values (context set by caller).
-
-    Leading coefficients are extracted as highest divided differences over a
-    spread-out subset of the grid; polynomial identities make the top two
-    coefficients of each remainder vanish exactly, so only the value arrays
-    evolve.
-    """
-    n_nodes = len(xs)
-    v = np.empty(m)
-    csq = np.empty(max(m - 1, 0))
-
-    def lead(vals: list, degree: int) -> Decimal:
-        idx = np.unique(np.round(np.linspace(0, n_nodes - 1, degree + 1)).astype(int))
-        return _dd_leading([xs[i] for i in idx], [vals[i] for i in idx])
-
-    for step in range(m, 0, -1):
-        if step == 1:
-            v[m - 1] = float(sum((x - pvi for x, pvi in zip(xs, pv)), Decimal(0)) / n_nodes)
-            break
-        g = [pv[i] - xs[i] * qv[i] for i in range(n_nodes)]
-        v0 = -lead(g, step - 1)
-        v[m - step] = float(v0)
-        r = [g[i] + v0 * qv[i] for i in range(n_nodes)]
-        c2 = -lead(r, step - 2)
-        if not c2.is_finite() or c2 <= 0:
-            raise NotHerglotzInput("division produced a nonpositive coupling")
-        csq[m - step] = float(c2)
-        pv, qv = qv, [ri / (-c2) for ri in r]
-    return v, csq
-
-
-def _cf_from_nodes(nodes: np.ndarray, pv_in: np.ndarray, qv_in: np.ndarray, m: int):
-    with localcontext() as ctx:
-        ctx.prec = _CF_PRECISION
-        xs = [Decimal(x) for x in nodes.tolist()]
-        pv = [Decimal(x) for x in pv_in.tolist()]
-        qv = [Decimal(x) for x in qv_in.tolist()]
-        return _cf_division_nodes(xs, pv, qv, m)
-
-
-def _dec_horner(coeffs: list, x: Decimal) -> Decimal:
-    acc = Decimal(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _compose_shift(coeffs: np.ndarray, mu: float) -> np.ndarray:
-    """Coefficients of P(x + mu), constant term first, via Horner."""
-    from numpy.polynomial import polynomial as npoly
-
-    out = np.array([coeffs[-1]])
-    lin = np.array([mu, 1.0])
-    for a in coeffs[-2::-1]:
-        out = npoly.polymul(out, lin)
-        out[0] += a
-    return out
-
-
-def _scale_estimate(monic: np.ndarray) -> float:
-    """Root-radius estimate (Fujiwara-type) for a monic polynomial, >= 1."""
-    m = monic.size - 1
-    if m < 1:
-        return 1.0
-    mags = np.abs(monic[:-1])
-    bound = float(np.max(mags ** (1.0 / (m - np.arange(m)))))
-    if not np.isfinite(bound):
-        raise InvalidData("quotient coefficients are not finite")
-    return max(bound, 1.0)
-
-
 def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
     """Continued-fraction inversion of the quotient form.
 
@@ -150,69 +49,22 @@ def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
     input must be normalized (q monic); a nonpositive squared coupling means
     the quotient did not come from a positive spectral measure.
 
-    When the quotient carries the decimal coefficient payload (anything built
-    by ``to_quotient`` does), the recursion runs on it directly: that payload
-    resolves every residue to full relative accuracy, while rounded float64
-    coefficients lose small residues outright.  Without the payload the
-    recursion is run in a centered and rescaled variable x = (z - mu) / s so
-    the working polynomials keep their roots near the unit interval; entries
-    transform back exactly as v = s v~ + mu, c = s c~.
+    The recursion always runs on decimal coefficients at ``_DEC_DIGITS``
+    digits.  A quotient built by ``to_quotient`` supplies its exact decimal
+    payload, which resolves every residue to full relative accuracy.  A bare
+    float quotient converts to decimal exactly and takes the same recursion;
+    its accuracy is then bounded by what its rounded float64 coefficients
+    still carry, which drops quickly with the degree because small residues
+    are lost in the rounding.
     """
-    n = pq.n
     if abs(pq.q[-1] - 1.0) > 1e-8:
         raise InvalidData("quotient must be normalized: q monic")
-    if pq.p_dec is not None and pq.q_dec is not None:
-        with localcontext() as ctx:
-            ctx.prec = _CF_PRECISION
-            pd = [x / pq.p_dec[-1] for x in pq.p_dec]
-            qd = [x / pq.q_dec[-1] for x in pq.q_dec]
-            if n <= _COEFF_DEGREE_LIMIT:
-                v, csq = _cf_division(pd, qd, n)
-            else:
-                if pq.nodes is not None:
-                    grid = np.array(pq.nodes, dtype=float)
-                else:
-                    pf = np.array(pq.p, dtype=float) / pq.p[-1]
-                    center = -pf[n - 1] / n
-                    radius = _scale_estimate(_compose_shift(pf, center))
-                    grid = _poly.cheb_nodes(n + 1, center - radius, center + radius)
-                xs = [Decimal(x) for x in grid.tolist()]
-                pv = [_dec_horner(pd, x) for x in xs]
-                qv = [_dec_horner(qd, x) for x in xs]
-                v, csq = _cf_division_nodes(xs, pv, qv, n)
-        return JacobiMatrix(v, np.sqrt(csq))
-    p = np.array(pq.p, dtype=float)
-    q = np.array(pq.q, dtype=float)
-    p /= p[-1]
-    q /= q[-1]
-    if n <= _COEFF_DEGREE_LIMIT:
-        mu = -p[n - 1] / n
-        pc = _compose_shift(p, mu)
-        qc = _compose_shift(q, mu)
-        s = _scale_estimate(pc)
-        pc *= s ** (np.arange(n + 1.0) - n)
-        qc *= s ** (np.arange(float(n)) - (n - 1))
-        pc[-1] = 1.0
-        qc[-1] = 1.0
-        v, csq = _cf_from_coefficients(pc, qc)
-    else:
-        if pq.nodes is not None and pq.p_nodes is not None and pq.q_nodes is not None:
-            nodes = np.array(pq.nodes, dtype=float)
-            pv = np.array(pq.p_nodes, dtype=float) / pq.p[-1]
-            qv = np.array(pq.q_nodes, dtype=float) / pq.q[-1]
-        else:
-            center = -p[n - 1] / n
-            radius = _scale_estimate(_compose_shift(p, center))
-            nodes = _poly.cheb_nodes(n + 1, center - radius, center + radius)
-            from numpy.polynomial import polynomial as npoly
-
-            pv = npoly.polyval(nodes, p)
-            qv = npoly.polyval(nodes, q)
-        lo, hi = float(np.min(nodes)), float(np.max(nodes))
-        mu = 0.5 * (lo + hi)
-        s = max(0.5 * (hi - lo), 1e-300)
-        v, csq = _cf_from_nodes((nodes - mu) / s, pv / s**n, qv / s ** (n - 1), n)
-    return JacobiMatrix(s * v + mu, s * np.sqrt(csq))
+    with localcontext() as ctx:
+        ctx.prec = _DEC_DIGITS
+        p = [Decimal(x) for x in pq.p_dec or pq.p.tolist()]
+        q = [Decimal(x) for x in pq.q_dec or pq.q.tolist()]
+        v, csq = _cf_division([x / p[-1] for x in p], [x / q[-1] for x in q], pq.n)
+    return JacobiMatrix(v, np.sqrt(csq))
 
 
 def lanczos_reconstruct(sd: SpectralData) -> JacobiMatrix:

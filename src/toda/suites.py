@@ -52,7 +52,14 @@ from .rational_weyl import (
     trace_via_krein,
     zeros,
 )
-from .spectral_direct import eigen, gluing_check, spectral_from_weyl, weyl, weyl_solution_residual
+from .spectral_direct import (
+    eigen,
+    gluing_check,
+    spectral_from_weyl,
+    weyl,
+    weyl_from_spectral,
+    weyl_solution_residual,
+)
 from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
 
 SUITE_NAMES = ("roundtrip", "traces", "brackets", "canonical", "dual", "flows")
@@ -114,8 +121,9 @@ def suite_roundtrip(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[s
         for _ in range(4):
             m = random_jacobi(rng, size)
             sd = eigen(m)
-            w = weyl(m)
-            m_cf = stieltjes_reconstruct(to_quotient(w))
+            w = weyl_from_spectral(sd)
+            pq = to_quotient(w)
+            m_cf = stieltjes_reconstruct(pq)
             m_lz = lanczos_reconstruct(sd)
             _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf))
             _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz))
@@ -128,7 +136,6 @@ def suite_roundtrip(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[s
                     float(np.max(gam - sd.lambdas[1:])),
                 )
                 _merge(res, "interlacing", max(0.0, viol))
-                pq = to_quotient(w)
                 dp = npoly.polyder(pq.p)
                 unity = np.sum(
                     npoly.polyval(sd.lambdas, pq.q) / npoly.polyval(sd.lambdas, dp)

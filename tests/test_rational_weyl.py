@@ -106,9 +106,12 @@ def test_quotient_satisfies_residue_identity():
         np.testing.assert_allclose(
             npoly.polyval(w.poles, pq.q), dp * w.residues, rtol=1e-9, atol=1e-12
         )
-        # grid payload agrees with the coefficients it accompanies
+        # decimal payload agrees with the float coefficients it accompanies
         np.testing.assert_allclose(
-            pq.p_nodes, npoly.polyval(pq.nodes, pq.p), rtol=1e-8, atol=1e-10
+            [float(x) for x in pq.p_dec], pq.p, rtol=1e-8, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            [float(x) for x in pq.q_dec], pq.q, rtol=1e-8, atol=1e-10
         )
 
 

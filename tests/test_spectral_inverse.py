@@ -103,10 +103,10 @@ def test_both_routes_agree_with_input_and_each_other():
 
 
 def test_node_route_handles_large_sizes():
-    """Past degree 12 the division runs on grid values; the decimal payload
-    keeps it at full accuracy."""
+    """Past the sizes gate 1 covers, the decimal coefficient payload keeps
+    the division at full accuracy."""
     rng = np.random.default_rng(56)
-    for n in (13, 16):
+    for n in (13, 16, 24, 32):
         m = random_matrix(rng, n)
         cf = stieltjes_reconstruct(to_quotient(weyl(m)))
         assert entry_distance(cf, m) <= 1e-9
@@ -115,12 +115,13 @@ def test_node_route_handles_large_sizes():
 def test_reconstruction_without_decimal_payload():
     """Float64 coefficients alone still reconstruct well-separated data."""
     rng = np.random.default_rng(57)
-    w = weyl(random_matrix(rng, 5))
-    pq = to_quotient(w)
-    bare = PolyQuotient(p=pq.p, q=pq.q)
-    m = stieltjes_reconstruct(bare)
-    back = to_quotient(weyl(m))
-    np.testing.assert_allclose(back.p, pq.p, rtol=1e-7, atol=1e-9)
+    for n in (5, 2, 8):
+        w = weyl(random_matrix(rng, n))
+        pq = to_quotient(w)
+        bare = PolyQuotient(p=pq.p, q=pq.q)
+        m = stieltjes_reconstruct(bare)
+        back = to_quotient(weyl(m))
+        np.testing.assert_allclose(back.p, pq.p, rtol=1e-7, atol=1e-9)
 
 
 def test_shift_covariance():
