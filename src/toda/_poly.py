@@ -1,8 +1,8 @@
 """Polynomial plumbing shared by the transform layers.
 
 Coefficient arrays are ordered constant term first.  Root finding never goes
-through a companion matrix: every root comes out of a certified sign-change
-bracket refined by bisection, optionally polished with Newton steps.
+through a companion matrix: every root comes out of a certified bracket
+refined by ``bracketed_newton``, or by bisection if there is no derivative.
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package; this module imports only ``errors``, so any
@@ -58,34 +58,51 @@ def bisect_roots(
     return 0.5 * (lo + hi)
 
 
-def newton_polish(
-    f: Callable[[np.ndarray], np.ndarray],
-    df: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
+def bracketed_newton(
+    step_side: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: np.ndarray,
+    hi: np.ndarray,
     *,
-    steps: int = 3,
-    max_move: np.ndarray | float | None = None,
+    scale: float = 1.0,
 ) -> np.ndarray:
-    """A few guarded Newton steps from already-accurate starting points."""
-    x = np.array(x, dtype=float)
-    for _ in range(steps):
-        fx = np.asarray(f(x), dtype=float)
-        dfx = np.asarray(df(x), dtype=float)
-        safe = dfx != 0.0
-        step = np.where(safe, fx / np.where(safe, dfx, 1.0), 0.0)
-        if max_move is not None:
-            step = np.clip(step, -max_move, max_move)
-        x = x - step
-    return x
+    """Refine one root per bracket [lo_i, hi_i], starting at its midpoint.
+
+    ``step_side(x)`` returns the Newton correction at x and whether the root
+    lies below x.  The bracket shrinks to x on that side; a step that would
+    leave it, is not finite, or is more than half the move before last (a
+    crawl) becomes its midpoint.  A root is done when its step or bracket is
+    within 4 eps * max(scale, |x|) (``scale``, say a matrix norm, is the
+    floor for roots near zero), or raises ``ConvergenceFailure`` at step 200.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x = 0.5 * (lo + hi)
+    last = older = hi - lo
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(200):
+        step, below = step_side(x)
+        lo = np.where(active & ~below, x, lo)
+        hi = np.where(active & below, x, hi)
+        tol = 4.0 * np.finfo(float).eps * np.maximum(scale, np.abs(x))
+        small = np.abs(step) <= tol
+        nxt = x - step
+        # A step below the rounding of x may land on the bracket end it just set.
+        newton = small | ((nxt > lo) & (nxt < hi) & (2.0 * np.abs(step) <= older))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        older, last = last, np.abs(nxt - x)
+        x = np.where(active, nxt, x)
+        active &= ~(small | (hi - lo <= tol))
+        if not np.any(active):
+            return x
+    raise ConvergenceFailure("bracketed Newton hit the iteration cap")
 
 
-def real_simple_roots(coef: np.ndarray, *, polish: int = 3) -> np.ndarray:
+def real_simple_roots(coef: np.ndarray) -> np.ndarray:
     """All roots of a polynomial expected to have real simple roots only.
 
     Recursively locates the critical points (roots of the derivative), which
     split the line into monotone pieces; each piece is then checked for a
-    sign change and bisected.  Raises ``InvalidData`` when the polynomial
-    cannot have the full count of real simple roots.
+    sign change and refined by bracketed Newton.  Raises ``InvalidData``
+    when the polynomial cannot have the full count of real simple roots.
     """
     c = np.asarray(coef, dtype=float)
     if c.size == 0 or c[-1] == 0.0:
@@ -95,7 +112,8 @@ def real_simple_roots(coef: np.ndarray, *, polish: int = 3) -> np.ndarray:
         return np.empty(0)
     if deg == 1:
         return np.array([-c[0] / c[1]])
-    crit = np.sort(real_simple_roots(npoly.polyder(c), polish=0))
+    dc = npoly.polyder(c)
+    crit = real_simple_roots(dc)
     bound = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
     bound = max(bound, np.max(np.abs(crit)) * 1.5 + 1.0)
     edges = np.concatenate(([-bound], crit, [bound]))
@@ -103,18 +121,13 @@ def real_simple_roots(coef: np.ndarray, *, polish: int = 3) -> np.ndarray:
     change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
     if int(np.count_nonzero(change)) != deg:
         raise InvalidData("polynomial does not have %d real simple roots" % deg)
-    roots = bisect_roots(lambda x: npoly.polyval(x, c), edges[:-1][change], edges[1:][change])
-    if polish > 0:
-        dc = npoly.polyder(c)
-        gap = np.min(np.diff(roots)) if roots.size > 1 else np.inf
-        roots = newton_polish(
-            lambda x: npoly.polyval(x, c),
-            lambda x: npoly.polyval(x, dc),
-            roots,
-            steps=polish,
-            max_move=0.25 * gap if np.isfinite(gap) else None,
-        )
-    return np.sort(roots)
+    sign_hi = np.sign(vals[1:][change])
+
+    def step_side(x):  # f' vanishes at most at the ends of a monotone piece
+        fx = npoly.polyval(x, c)
+        return fx / npoly.polyval(x, dc), fx * sign_hi >= 0.0
+
+    return np.sort(bracketed_newton(step_side, edges[:-1][change], edges[1:][change]))
 
 
 def bary_weights(nodes: np.ndarray) -> np.ndarray:

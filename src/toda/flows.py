@@ -19,9 +19,9 @@ import numpy as np
 
 from .coordinates import DivisorQuasimomentum
 from .errors import InvalidData, Overflow, StepTooLarge
-from .jacobi_core import JacobiMatrix, _recurrence_with_derivative
+from .jacobi_core import JacobiMatrix
 from .rational_weyl import RationalHerglotz
-from .spectral_direct import eigen
+from .spectral_direct import _pivot_sweep, eigen
 
 # Sign convention tying the residue flow to the matrix flow: with this
 # factor, integrating the matrix equations for time t reproduces the
@@ -104,14 +104,13 @@ def _lax_rhs(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dv, dc
 
 
-def _track_newton(m: JacobiMatrix, lam: np.ndarray) -> np.ndarray:
-    """Polish reference eigenvalues against the current matrix (audits
+def _track_newton(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Polish reference eigenvalues against the current entries (audits
     per-step spectral drift without re-running full eigensolves)."""
     x = lam.copy()
     for _ in range(3):
-        y, dy = _recurrence_with_derivative(m, x, first_kind=True)
-        step = np.where(dy != 0.0, y / np.where(dy == 0.0, 1.0, dy), 0.0)
-        x = x - step
+        step = _pivot_sweep(v, c, x)[1]
+        x = x - np.where(np.isfinite(step), step, 0.0)
     return x
 
 
@@ -147,8 +146,7 @@ def lax_integrate(
             raise StepTooLarge("integration diverged; reduce the step size")
         if np.any(c <= 0.0):
             raise StepTooLarge("off-diagonal lost positivity; reduce the step size")
-        cur = JacobiMatrix(v, c)
-        tracked = _track_newton(cur, lam)
+        tracked = _track_newton(v, c, lam)
         drift = float(np.max(np.abs(np.sort(tracked) - lam)))
         scaled = drift / max(1.0, float(np.max(np.abs(lam))))
         worst = max(worst, scaled)

@@ -93,32 +93,11 @@ def _recurrence_table(m: JacobiMatrix, lam, first_kind: bool) -> np.ndarray:
     if first_kind:
         out[0] = 1.0
         out[1] = (lam - m.v[0]) / c[0]
-        start = 1
     else:
-        if n == 1:
-            out[1] = 1.0 / c[0]
-            return out
         out[1] = 1.0 / c[0]
-        start = 1
-    for k in range(start, n):
+    for k in range(1, n):
         out[k + 1] = ((lam - m.v[k]) * out[k] - c[k - 1] * out[k - 1]) / c[k]
     return out
-
-
-def _recurrence_with_derivative(m: JacobiMatrix, lam, first_kind: bool):
-    """Last table row and its derivative in the spectral argument."""
-    lam = np.asarray(lam, dtype=float)
-    n = m.n
-    c = np.concatenate((m.c, [m.closing_c]))
-    prev = np.ones_like(lam) if first_kind else np.zeros_like(lam)
-    dprev = np.zeros_like(lam)
-    cur = (lam - m.v[0]) / c[0] if first_kind else np.full_like(lam, 1.0 / c[0])
-    dcur = np.full_like(lam, 1.0 / c[0]) if first_kind else np.zeros_like(lam)
-    for k in range(1, n):
-        nxt = ((lam - m.v[k]) * cur - c[k - 1] * prev) / c[k]
-        dnxt = ((lam - m.v[k]) * dcur + cur - c[k - 1] * dprev) / c[k]
-        prev, cur, dprev, dcur = cur, nxt, dcur, dnxt
-    return cur, dcur
 
 
 def eval_P(m: JacobiMatrix, lam: float) -> PolySequence:

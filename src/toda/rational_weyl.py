@@ -158,10 +158,10 @@ def _values(w: RationalHerglotz, x: np.ndarray) -> np.ndarray:
 def zeros(w: RationalHerglotz) -> Divisor:
     """The N-1 real zeros, one in each gap between consecutive poles.
 
-    The function increases from -inf to +inf across every gap, so bisection
-    on the gap always succeeds; when a residue is so small that the zero is
-    not resolvable away from its pole in double precision, the pole-side gap
-    endpoint is returned.
+    The function increases from -inf to +inf across every gap, so its sign
+    brackets the zero for Newton steps on the numerator w * p (p with roots
+    at the poles); when a residue is so small that the zero is not
+    resolvable away from its pole, the pole-side gap endpoint is returned.
     """
     lam, rho = w.poles, w.residues
     if w.n == 1:
@@ -170,23 +170,20 @@ def zeros(w: RationalHerglotz) -> Divisor:
     eps_edge = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(lam))
     lo = lam[:-1] + np.maximum(1e-13 * gaps, eps_edge[:-1])
     hi = lam[1:] - np.maximum(1e-13 * gaps, eps_edge[1:])
-    flo = _values(w, lo)
-    fhi = _values(w, hi)
     # Degenerate sides: the zero hugs the pole closer than the edge offset.
-    left_stuck = flo >= 0.0
-    right_stuck = fhi <= 0.0
+    left_stuck = _values(w, lo) >= 0.0
+    right_stuck = _values(w, hi) <= 0.0
     out = np.where(left_stuck, lo, np.where(right_stuck, hi, 0.0))
     todo = ~(left_stuck | right_stuck)
-    if np.any(todo):
-        roots = _poly.bisect_roots(lambda x: _values(w, x), lo[todo], hi[todo])
-        roots = _poly.newton_polish(
-            lambda x: _values(w, x),
-            lambda x: (rho[None, :] / (lam[None, :] - x[..., None]) ** 2).sum(axis=-1),
-            roots,
-            steps=3,
-            max_move=0.25 * gaps[todo],
-        )
-        out[todo] = roots
+
+    def step_side(x):
+        t = 1.0 / (lam[None, :] - x[:, None])
+        val = t @ rho
+        # (w p)'/(w p) = w'/w + p'/p with w' = sum rho t^2, p'/p = -sum t.
+        return val / ((t * t) @ rho - val * t.sum(axis=1)), val > 0.0
+
+    scale = float(np.max(np.abs(lam)))
+    out[todo] = _poly.bracketed_newton(step_side, lo[todo], hi[todo], scale=scale)
     return Divisor(out)
 
 

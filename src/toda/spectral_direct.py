@@ -1,10 +1,10 @@
 """Direct spectral transform of a finite Jacobi matrix.
 
 Eigenvalues come from Sturm-count bisection (inertia counts of the shifted
-LDL^T factorization), refined by a few Newton steps on the monic
-characteristic polynomial; weights are reciprocal sums of squared
-first-kind polynomial values.  The matrix with its first row and column
-removed supplies the divisor, whose points interlace the eigenvalues.
+LDL^T factorization) until each is isolated, then bracketed Newton on the
+same pivots; weights are reciprocal sums of squared first-kind polynomial
+values.  The matrix with its first row and column removed supplies the
+divisor, whose points interlace the eigenvalues.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi_core
-from ._poly import _readonly, offspectrum_samples
+from ._poly import _readonly, bracketed_newton, offspectrum_samples
 from .errors import ConvergenceFailure, InvalidData, OnSpectrum
 from .jacobi_core import JacobiMatrix, eval_P, eval_Q, truncate
 from .rational_weyl import Divisor, RationalHerglotz, evaluate
@@ -52,60 +52,71 @@ class SpectralData:
         return self.lambdas.size
 
 
-def _count_below(m: JacobiMatrix, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each entry of x (Sturm count)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    c2 = m.c**2
-    scale = float(c2.max()) if c2.size else 1.0
-    pivmin = (np.finfo(float).tiny / np.finfo(float).eps) * max(1.0, scale)
-    d = m.v[0] - x
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    cnt = (d < 0).astype(np.int64)
-    for k in range(1, m.n):
-        d = (m.v[k] - x) - c2[k - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        cnt += d < 0
-    return cnt
+def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sturm count and Newton step at each x from one LDL^T sweep of T - x.
+
+    The negative pivots d_k count the eigenvalues below x; sum d_k'/d_k is
+    the log-derivative of det(x - T), the reciprocal of the Newton step.
+    An interior pivot at rounding level makes that sum meaningless (it may
+    overflow): the step is then NaN, a bisection step for bracketed Newton;
+    a zero sum gives an infinite step, which is one as well.
+    """
+    c2 = (c * c).tolist()
+    scale = max(c2, default=1.0)
+    eps = np.finfo(float).eps
+    pivmin = (np.finfo(float).tiny / eps) * max(1.0, scale)
+    weak = eps * (float(np.abs(v).max()) + 2.0 * scale**0.5)
+    piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
+    ratio = np.empty_like(piv)  # row k: d_k'/d_k
+    piv[0][np.abs(piv[0]) < pivmin] = -pivmin
+    np.divide(-1.0, piv[0], out=ratio[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(1, v.size):
+            r = c2[k - 1] / piv[k - 1]
+            piv[k] -= r
+            piv[k][np.abs(piv[k]) < pivmin] = -pivmin
+            np.divide(r * ratio[k - 1] - 1.0, piv[k], out=ratio[k])
+        step = np.where((np.abs(piv[:-1]) > weak).all(0), 1.0 / ratio.sum(0), np.nan)
+    return (piv < 0.0).sum(0), step
 
 
 def eigen(m: JacobiMatrix) -> SpectralData:
     """Full spectral data of the matrix.
 
-    Bisection keeps per-root brackets certified by the Sturm count until
-    they shrink to 1e-14 * max(1, |lambda|); Newton steps on the monic
-    characteristic polynomial then polish to full precision.
+    Bisection on Sturm counts stops once a bracket holds one eigenvalue (or
+    at 1e-14 * max(1, |lambda|) for a pair too close to split); bracketed
+    Newton then takes its side from the count and its step from the pivots.
     """
     n = m.n
     if n == 1:
         return SpectralData(np.array([m.v[0]]), np.array([1.0]))
-    reach = np.zeros(n)
-    reach[:-1] += m.c
-    reach[1:] += m.c
+    reach = np.concatenate((m.c, [0.0])) + np.concatenate(([0.0], m.c))
     lo0 = float(np.min(m.v - reach))
     hi0 = float(np.max(m.v + reach))
     pad = 1e-6 * max(1.0, hi0 - lo0)
-    lo0, hi0 = lo0 - pad, hi0 + pad
-    lo = np.full(n, lo0)
-    hi = np.full(n, hi0)
+    lo, hi = np.full(n, lo0 - pad), np.full(n, hi0 + pad)
+    # count(lo) < want <= count(hi): eigenvalue want - 1 lies in [lo, hi].
     want = np.arange(1, n + 1)
+    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        done = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(mid))
-        if np.all(done):
+        floor = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(mid))
+        todo = (chi - clo > 1) & ~floor
+        if not np.any(todo):
             break
-        cnt = _count_below(m, mid)
-        upper = cnt >= want
-        hi = np.where(upper & ~done, mid, hi)
-        lo = np.where(~upper & ~done, mid, lo)
+        cnt, _ = _pivot_sweep(m.v, m.c, mid)
+        upper = todo & (cnt >= want)
+        lower = todo & (cnt < want)
+        hi, chi = np.where(upper, mid, hi), np.where(upper, cnt, chi)
+        lo, clo = np.where(lower, mid, lo), np.where(lower, cnt, clo)
     else:
         raise ConvergenceFailure("eigenvalue bisection hit the iteration cap")
-    lam = 0.5 * (lo + hi)
-    width = hi - lo
-    for _ in range(4):
-        pn, dpn = jacobi_core._recurrence_with_derivative(m, lam, first_kind=True)
-        safe = dpn != 0.0
-        lam = lam - np.where(safe, pn / np.where(safe, dpn, 1.0), 0.0)
-        lam = np.clip(lam, lo - width, hi + width)
+
+    def step_side(x):
+        cnt, step = _pivot_sweep(m.v, m.c, x)
+        return step, cnt >= want
+
+    lam = bracketed_newton(step_side, lo, hi, scale=max(abs(lo0), abs(hi0)))
     table = jacobi_core._recurrence_table(m, lam, first_kind=True)
     rho = 1.0 / (table[:n] ** 2).sum(axis=0)
     # The weights satisfy sum rho = 1 identically; project the rounding

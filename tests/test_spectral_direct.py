@@ -4,6 +4,8 @@ Oracle: numpy's dense symmetric eigensolver; weights are the squared first
 components of the normalized eigenvectors.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,14 @@ from toda import (
     divisor,
     eigen,
     gluing_check,
+    random_jacobi,
+    spectral_direct,
     spectral_from_weyl,
     truncate,
     weyl,
     weyl_from_spectral,
     weyl_solution_residual,
+    zeros,
 )
 
 
@@ -31,6 +36,14 @@ def random_matrix(rng, n):
 def dense_spectrum(m):
     lam, vec = np.linalg.eigh(m.as_dense())
     return lam, vec[0, :] ** 2
+
+
+# Off-diagonal at 1e-8 with a 10% spread: the characteristic polynomial
+# underflows at bracket ends, so only the Sturm count can tell the sides.
+BADLY_SCALED = JacobiMatrix(np.zeros(30), 1e-8 + np.linspace(0.0, 1e-9, 29))
+# Wilkinson's W21+: its top two eigenvalues are about 7e-14 apart.
+WILKINSON_21 = JacobiMatrix(np.abs(np.arange(21) - 10.0), np.ones(20))
+_UNIT = random_jacobi(np.random.default_rng(49), 12)
 
 
 def test_eigen_matches_dense_solver():
@@ -168,3 +181,71 @@ def test_gluing_check_is_small():
 
 def test_gluing_check_single_site_is_zero():
     assert gluing_check(JacobiMatrix(np.array([0.3]), np.array([]))) == 0.0
+
+
+def test_eigen_matches_dense_solver_at_larger_sizes():
+    rng = np.random.default_rng(48)
+    for n in (16, 32, 64):
+        for _ in range(3):
+            m = random_jacobi(rng, n)
+            lam = np.linalg.eigvalsh(m.as_dense())
+            scale = max(1.0, float(np.max(np.abs(lam))))
+            np.testing.assert_allclose(eigen(m).lambdas, lam, atol=1e-13 * scale, rtol=0)
+
+
+def test_badly_scaled_spectrum_and_divisor_stay_increasing():
+    m = BADLY_SCALED
+    for got, dense in (
+        (eigen(m).lambdas, m.as_dense()),
+        (divisor(m).gammas, truncate(m, 1, m.n - 1).as_dense()),
+    ):
+        want = np.linalg.eigvalsh(dense)
+        assert np.all(np.diff(got) > 0.0)
+        np.testing.assert_allclose(got, want, atol=1e-13 * float(np.max(np.abs(want))), rtol=0)
+
+
+def test_wilkinson_close_pair_is_resolved():
+    sd = eigen(WILKINSON_21)
+    want = np.linalg.eigvalsh(WILKINSON_21.as_dense())
+    assert want[-1] - want[-2] < 1e-13
+    assert np.all(np.diff(sd.lambdas) > 0.0)
+    assert float(np.max(np.abs(sd.lambdas - want))) <= 1e-14
+    assert sd.conditioning
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        BADLY_SCALED,
+        WILKINSON_21,
+        # Symmetric brackets put the first midpoint on the zero eigenvalue
+        # of every odd leading block: exactly zero pivots.
+        JacobiMatrix(np.zeros(9), np.ones(8)),
+        JacobiMatrix(1e6 * _UNIT.v, 1e6 * _UNIT.c),
+    ],
+    ids=["badly-scaled", "wilkinson-21", "zero-pivots", "scale-1e6"],
+)
+def test_edge_cases_emit_no_runtime_warning(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lam = eigen(m).lambdas
+        gam = divisor(m).gammas
+        assert np.all(lam[:-1] < gam) and np.all(gam < lam[1:])
+        assert zeros(weyl(m)).n == m.n - 1
+
+
+def test_eigen_sweep_count(monkeypatch):
+    """Bisection stops once each eigenvalue is isolated, so the pivot sweeps
+    per call stay far below bisecting every bracket to full precision."""
+    calls = []
+    sweep = spectral_direct._pivot_sweep
+
+    def counting(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(spectral_direct, "_pivot_sweep", counting)
+    rng = np.random.default_rng(51)
+    for _ in range(50):
+        eigen(random_jacobi(rng, 12))
+    assert len(calls) / 50 <= 25
