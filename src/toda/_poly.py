@@ -2,7 +2,7 @@
 
 Coefficient arrays are ordered constant term first.  Root finding never goes
 through a companion matrix: every root comes out of a certified bracket
-refined by ``bracketed_newton``, or by bisection if there is no derivative.
+refined by ``bracketed_newton``.
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package; this module imports only ``errors``, so any
@@ -18,44 +18,14 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConvergenceFailure, InvalidData
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def bisect_roots(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    rtol: float = 1e-15,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Refine one root per bracket [lo_i, hi_i] by bisection.
-
-    Each bracket must carry a sign change of ``f``.  Zero function values are
-    pushed to the upper half so the loop keeps shrinking.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.asarray(f(lo), dtype=float)
-    fhi = np.asarray(f(hi), dtype=float)
-    if np.any(np.sign(flo) * np.sign(fhi) > 0):
-        raise InvalidData("bracket does not straddle a sign change")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= rtol * np.maximum(1.0, np.abs(mid))):
-            break
-        fm = np.asarray(f(mid), dtype=float)
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    else:
-        raise ConvergenceFailure("bisection did not reach tolerance")
-    return 0.5 * (lo + hi)
 
 
 def bracketed_newton(
@@ -82,7 +52,7 @@ def bracketed_newton(
         step, below = step_side(x)
         lo = np.where(active & ~below, x, lo)
         hi = np.where(active & below, x, hi)
-        tol = 4.0 * np.finfo(float).eps * np.maximum(scale, np.abs(x))
+        tol = 4.0 * _EPS * np.maximum(scale, np.abs(x))
         small = np.abs(step) <= tol
         nxt = x - step
         # A step below the rounding of x may land on the bracket end it just set.
@@ -128,32 +98,6 @@ def real_simple_roots(coef: np.ndarray) -> np.ndarray:
         return fx / npoly.polyval(x, dc), fx * sign_hi >= 0.0
 
     return np.sort(bracketed_newton(step_side, edges[:-1][change], edges[1:][change]))
-
-
-def bary_weights(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights, rescaled by the interval capacity for range safety."""
-    x = np.asarray(nodes, dtype=float)
-    n = x.size
-    scale = 4.0 / max(x.max() - x.min(), np.finfo(float).tiny)
-    w = np.ones(n)
-    for i in range(n):
-        w[i] = 1.0 / np.prod(scale * (x[i] - np.delete(x, i)))
-    return w
-
-
-def bary_eval(nodes: np.ndarray, values: np.ndarray, weights: np.ndarray, x) -> np.ndarray:
-    """Second-form barycentric interpolation, exact at the nodes."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    diff = x[:, None] - nodes[None, :]
-    hit = np.isclose(diff, 0.0, rtol=0.0, atol=0.0)
-    diff_safe = np.where(hit, 1.0, diff)
-    ratio = weights[None, :] / diff_safe
-    out = (ratio @ values) / ratio.sum(axis=1)
-    exact = hit.any(axis=1)
-    if np.any(exact):
-        idx = hit.argmax(axis=1)
-        out = np.where(exact, values[idx], out)
-    return out
 
 
 def offspectrum_samples(avoid: np.ndarray, n: int, *, pad: float = 0.37, clearance: float = 0.02) -> np.ndarray:

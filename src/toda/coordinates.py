@@ -10,6 +10,7 @@ the code asserts that instead of assuming it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 from . import _poly
 from ._poly import _readonly
 from .errors import (
-    ConvergenceFailure,
     InterlacingViolated,
     InvalidData,
     NoHerglotzSolution,
@@ -159,76 +159,46 @@ def pi_from(w: RationalHerglotz) -> DivisorQuasimomentum:
     return DivisorQuasimomentum(gam, pis, float(np.sum(lam)))
 
 
-def _divisor_poly_evaluator(dq: DivisorQuasimomentum):
-    """Callable evaluating the monic pole polynomial determined by the chart.
-
-    Writing p = (z + alpha) * Omega(z) + I(z) with Omega the monic divisor
-    polynomial and I the interpolant of the prescribed alternating values on
-    the divisor, the two coefficient conditions (monic, spectral sum) fix
-    alpha in closed form and no linear system is needed.
-    """
-    gam = dq.gammas
-    n = dq.n
-    k = np.arange(1, n)
-    signs = np.where((n + k) % 2 == 0, 1.0, -1.0)
-    if np.max(np.abs(dq.pis)) > 700.0:
-        raise Overflow("quasimomentum exponent out of double range")
-    vals = signs * np.exp(dq.pis)
-    alpha = float(np.sum(gam)) - dq.casimir
-    if gam.size == 1:
-        weights = np.array([1.0])
-    else:
-        weights = _poly.bary_weights(gam)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        omega = np.prod(x[:, None] - gam[None, :], axis=1)
-        interp = _poly.bary_eval(gam, vals, weights, x)
-        return (x + alpha) * omega + interp
-
-    return evaluate, vals
-
-
 def w_from_divisor(dq: DivisorQuasimomentum) -> RationalHerglotz:
     """Pole sum with the prescribed divisor, quasimomenta and spectral sum.
 
-    The alternating signs of the prescribed polynomial values force one sign
-    change per gap and one beyond each end, so the pole polynomial always
-    has a full set of real roots interlacing the divisor; they are found by
-    bracketed bisection on the closed-form evaluator.
+    Writing the monic pole polynomial as p = (z + alpha) Omega + I, with
+    Omega the monic divisor polynomial and I interpolating the prescribed
+    alternating values on the divisor, the spectral sum fixes alpha in
+    closed form and the poles are the roots of
+
+        g(x) = p / Omega = x + alpha - sum_k a_k / (x - gamma_k),
+        a_k = exp(pi_k) / |Omega'(gamma_k)| > 0
+
+    (the alternating signs make every a_k positive).  g increases from
+    -inf to +inf on each gap and beyond each end, so there is one pole
+    there: bracketed Newton on p finds it, the outer brackets coming from
+    the bound sum_k a_k / |x - gamma_k| <= A / d at distance d from the
+    divisor, A = sum_k a_k.
     """
     gam = dq.gammas
-    n = dq.n
-    evaluate, vals = _divisor_poly_evaluator(dq)
-    span = max(gam[-1] - gam[0], 1.0)
-    step = span
-    left = gam[0] - step
-    for _ in range(200):
-        if np.sign(evaluate(left)[0]) * np.sign(vals[0]) < 0:
-            break
-        step *= 2.0
-        left = gam[0] - step
-        if not np.isfinite(left):
-            raise NoHerglotzSolution("no pole below the divisor")
-    else:
-        raise NoHerglotzSolution("no pole below the divisor")
-    step = span
-    right = gam[-1] + step
-    for _ in range(200):
-        if evaluate(right)[0] > 0.0:
-            break
-        step *= 2.0
-        right = gam[-1] + step
-        if not np.isfinite(right):
-            raise NoHerglotzSolution("no pole above the divisor")
-    else:
-        raise NoHerglotzSolution("no pole above the divisor")
+    log_a = dq.pis - _log_abs_dp(gam)
+    if np.max(np.abs(dq.pis)) > 700.0 or np.max(log_a) > 700.0:
+        raise Overflow("quasimomentum exponent out of double range")
+    alpha = float(np.sum(gam)) - dq.casimir
+    a = np.exp(log_a)
+    root_a = float(np.sqrt(np.sum(a)))
+    first, last = float(gam[0]), float(gam[-1])
+    left = first - (abs(first + alpha) + root_a + 1.0)
+    right = last + (abs(last + alpha) + root_a + 1.0)
+    if not math.isfinite(right - left):
+        raise NoHerglotzSolution("pole brackets beyond the divisor are not finite")
+
+    def step_side(x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = 1.0 / (x[:, None] - gam[None, :])
+            g = x + alpha - t @ a
+            # p'/p = g'/g + Omega'/Omega with g' = 1 + sum a t^2, Omega'/Omega = sum t.
+            return g / (1.0 + (t * t) @ a + g * t.sum(axis=1)), g > 0.0
+
     lo = np.concatenate(([left], gam))
     hi = np.concatenate((gam, [right]))
-    try:
-        lam = _poly.bisect_roots(lambda x: evaluate(x), lo, hi)
-    except InvalidData as exc:
-        raise NoHerglotzSolution("pole brackets lost their sign changes") from exc
+    lam = _poly.bracketed_newton(step_side, lo, hi, scale=float(np.max(np.abs(gam))))
     if not (np.all(lam[:-1] < gam) and np.all(gam < lam[1:])):
         raise NoHerglotzSolution("recovered poles do not interlace the divisor")
     if abs(float(np.sum(lam)) - dq.casimir) > 1e-6 * max(1.0, abs(dq.casimir)):

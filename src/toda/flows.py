@@ -7,7 +7,9 @@ translate the angles linearly.  The transversal ("T") flows fix the divisor
 and translate the quasimomenta linearly.  The same tangent dynamics acts on
 matrix entries through a commutator equation, integrated here with
 classical fourth-order Runge-Kutta and a per-step spectrum-drift audit
-(the spectrum is conserved, so drift measures integration error).
+(the spectrum is conserved, so drift measures integration error): Newton
+on the LDL^T pivots, warm-started from the previous step's eigenvalues,
+which takes one pivot sweep per step.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._poly import _EPS
 from .coordinates import DivisorQuasimomentum
 from .errors import InvalidData, Overflow, StepTooLarge
 from .jacobi_core import JacobiMatrix
@@ -30,6 +33,7 @@ from .spectral_direct import _pivot_sweep, eigen
 HFLOW_LAX_TIME_SIGN = 1.0
 
 _EXP_LIMIT = 700.0
+_AUDIT_SWEEPS = 4
 
 
 @dataclass(frozen=True)
@@ -93,25 +97,17 @@ def flow_T(dq0: DivisorQuasimomentum, j: int, t: float) -> DivisorQuasimomentum:
     return DivisorQuasimomentum(dq0.gammas.copy(), pis, dq0.casimir)
 
 
-def _lax_rhs(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equations of motion of the first matrix flow:
+def _lax_rhs(y: np.ndarray, n: int) -> np.ndarray:
+    """Equations of motion of the first matrix flow on the state y = (v, c):
     dv_k = c_k^2 - c_{k-1}^2, dc_k = c_k (v_{k+1} - v_k) / 2."""
-    dv = np.zeros_like(v)
+    v, c = y[:n], y[n:]
     c2 = c * c
-    dv[:-1] += c2
-    dv[1:] -= c2
-    dc = 0.5 * c * (v[1:] - v[:-1])
-    return dv, dc
-
-
-def _track_newton(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Polish reference eigenvalues against the current entries (audits
-    per-step spectral drift without re-running full eigensolves)."""
-    x = lam.copy()
-    for _ in range(3):
-        step = _pivot_sweep(v, c, x)[1]
-        x = x - np.where(np.isfinite(step), step, 0.0)
-    return x
+    dy = np.empty_like(y)
+    dy[0] = c2[0]
+    dy[1 : n - 1] = c2[1:] - c2[:-1]
+    dy[n - 1] = -c2[-1]
+    dy[n:] = 0.5 * c * (v[1:] - v[:-1])
+    return dy
 
 
 def lax_integrate(
@@ -122,6 +118,19 @@ def lax_integrate(
     Returns the evolved matrix and the worst per-step eigenvalue drift; a
     drift above 1e-6 in any step (or a positivity breakdown of the
     off-diagonal) raises StepTooLarge, pointing at the step size.
+
+    The drift audit tracks each eigenvalue by Newton on the LDL^T pivots,
+    warm-started from the previous step.  From x = lambda_k + e a Newton
+    step delta leaves the error delta^2 S_k (1 + e S_k), where S_k is the
+    sum over j != k of 1/(lambda_k - lambda_j): convergence is quadratic,
+    so once |delta| <= sqrt(eps * scale / sum_j 1/|lambda_k - lambda_j|)
+    what is left is below one rounding unit of the scale.  A step moves
+    the spectrum by far less than that tolerance, so one sweep per step is
+    the rule.  A lane whose step is not finite (a pivot at rounding level)
+    restarts half a tolerance away; a step still not finite, a Sturm count
+    that puts x_k next to another eigenvalue, or no convergence within
+    four sweeps raises StepTooLarge, since the audit cannot vouch for the
+    step.
     """
     t = float(t)
     dt = float(dt)
@@ -129,30 +138,54 @@ def lax_integrate(
         raise InvalidData("step size must be positive")
     if abs(t) / dt > 1e7:
         raise InvalidData("too many integration steps requested")
+    n = m.n
+    if n == 1:
+        return JacobiMatrix(m.v.copy(), m.c.copy()), 0.0
     nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
     h = (HFLOW_LAX_TIME_SIGN * t) / nsteps
-    v = m.v.copy()
-    c = m.c.copy()
+    y = np.concatenate((m.v, m.c))
     lam = eigen(m).lambdas
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    gaps = np.abs(np.subtract.outer(lam, lam))
+    np.fill_diagonal(gaps, np.inf)
+    tol = np.sqrt(_EPS * scale / (1.0 / gaps).sum(axis=1))
+    rank = np.arange(n)
+    x = lam.copy()
     worst = 0.0
     for _ in range(nsteps):
-        k1v, k1c = _lax_rhs(v, c)
-        k2v, k2c = _lax_rhs(v + 0.5 * h * k1v, c + 0.5 * h * k1c)
-        k3v, k3c = _lax_rhs(v + 0.5 * h * k2v, c + 0.5 * h * k2c)
-        k4v, k4c = _lax_rhs(v + h * k3v, c + h * k3c)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        c = c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(c)):
+        k1 = _lax_rhs(y, n)
+        k2 = _lax_rhs(y + 0.5 * h * k1, n)
+        k3 = _lax_rhs(y + 0.5 * h * k2, n)
+        k4 = _lax_rhs(y + h * k3, n)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
             raise StepTooLarge("integration diverged; reduce the step size")
-        if np.any(c <= 0.0):
+        v, c = y[:n], y[n:]
+        if (c <= 0.0).any():
             raise StepTooLarge("off-diagonal lost positivity; reduce the step size")
-        tracked = _track_newton(v, c, lam)
-        drift = float(np.max(np.abs(np.sort(tracked) - lam)))
-        scaled = drift / max(1.0, float(np.max(np.abs(lam))))
+        for _ in range(_AUDIT_SWEEPS):
+            cnt, step = _pivot_sweep(v, c, x)
+            stuck = ~np.isfinite(step)
+            if stuck.any():
+                # A pivot at rounding level (x_k within rounding of an eigenvalue
+                # of a leading block): restart half a tolerance away.
+                x = np.where(stuck, x + 0.5 * tol, x)
+                cnt, step = _pivot_sweep(v, c, x)
+                if not np.isfinite(step).all():
+                    raise StepTooLarge("drift audit step is not finite; reduce the step size")
+            # x_k next to lambda_k has k or k + 1 eigenvalues below it.
+            if ((cnt < rank) | (cnt > rank + 1)).any():
+                raise StepTooLarge("drift audit lost an eigenvalue; reduce the step size")
+            x = x - step
+            if (np.abs(step) <= tol).all():
+                break
+        else:
+            raise StepTooLarge("drift audit did not converge; reduce the step size")
+        scaled = float(np.max(np.abs(x - lam))) / scale
         worst = max(worst, scaled)
         if scaled > 1e-6:
             raise StepTooLarge("eigenvalue drift exceeded 1e-6 in one step")
-    return JacobiMatrix(v, c), worst
+    return JacobiMatrix(y[:n], y[n:]), worst
 
 
 def flaschka(q: np.ndarray, p: np.ndarray) -> JacobiMatrix:

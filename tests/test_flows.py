@@ -6,6 +6,8 @@ flow moves the eigenvalues as 1 -+ exp(t/2)), plus RK4 integration of the
 matrix equations cross-checked against the exact spectral evolution.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,14 @@ from toda import (
     StepTooLarge,
     eigen,
     flaschka,
+    flows,
     flow_H,
     flow_T,
     lanczos_reconstruct,
     lax_integrate,
     pi_from,
+    random_jacobi,
+    spectral_direct,
     spectral_from_weyl,
     theta_flow,
     theta_from,
@@ -194,6 +199,102 @@ def test_matrix_flow_step_guards():
         lax_integrate(easy, 1.0, -0.1)
     with pytest.raises(InvalidData):
         lax_integrate(easy, 1.0, 1e-9)
+
+
+def _three_sweep_lax(m, t, dt=1e-3):
+    """Oracle: RK4 on separate (v, c) arrays, auditing every step with
+    three Newton sweeps started from the initial eigenvalues."""
+    nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
+    h = t / nsteps
+    v, c = m.v.copy(), m.c.copy()
+    lam = eigen(m).lambdas
+    scale = max(1.0, float(np.max(np.abs(lam))))
+
+    def rhs(v, c):
+        dv = np.zeros_like(v)
+        c2 = c * c
+        dv[:-1] += c2
+        dv[1:] -= c2
+        return dv, 0.5 * c * (v[1:] - v[:-1])
+
+    worst = 0.0
+    for _ in range(nsteps):
+        k1v, k1c = rhs(v, c)
+        k2v, k2c = rhs(v + 0.5 * h * k1v, c + 0.5 * h * k1c)
+        k3v, k3c = rhs(v + 0.5 * h * k2v, c + 0.5 * h * k2c)
+        k4v, k4c = rhs(v + h * k3v, c + h * k3c)
+        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        c = c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        x = lam.copy()
+        for _ in range(3):
+            x = x - spectral_direct._pivot_sweep(v, c, x)[1]
+        worst = max(worst, float(np.max(np.abs(np.sort(x) - lam))) / scale)
+    return v, c, worst
+
+
+def test_warm_started_audit_matches_three_sweep_oracle():
+    rng = np.random.default_rng(90)
+    for n in range(2, 17):
+        m = random_jacobi(rng, n)
+        t = 0.1 if n % 2 else -0.1
+        mt, drift = lax_integrate(m, t)
+        v, c, oracle_drift = _three_sweep_lax(m, t)
+        np.testing.assert_array_equal(mt.v, v)
+        np.testing.assert_array_equal(mt.c, c)
+        assert abs(drift - oracle_drift) <= 1e-15
+
+
+def test_audit_with_nan_steps_raises(monkeypatch):
+    """An audit that cannot produce a finite Newton step cannot vouch for
+    the step; it must not read as zero drift."""
+
+    def nan_steps(v, c, x):
+        cnt, step = spectral_direct._pivot_sweep(v, c, x)
+        return cnt, np.full_like(step, np.nan)
+
+    monkeypatch.setattr(flows, "_pivot_sweep", nan_steps)
+    with pytest.raises(StepTooLarge):
+        lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.1)
+
+
+def test_audit_restarts_at_rounding_level_pivots():
+    """With couplings near 1e-9 an eigenvalue sits within rounding of an
+    eigenvalue of a leading block, where one pivot is at rounding level and
+    the Newton step is not finite; the audit restarts beside it."""
+    for m in (
+        JacobiMatrix([0.0, 1.0], [1e-9]),
+        JacobiMatrix([0.0, 1.0, 0.0, 1.0], [1e-8, 1.0, 1e-8]),
+    ):
+        lam0 = eigen(m).lambdas
+        mt, drift = lax_integrate(m, 0.5)
+        assert drift <= 1e-14
+        np.testing.assert_allclose(eigen(mt).lambdas, lam0, atol=1e-14)
+
+
+def test_matrix_flow_single_site_is_static():
+    m = JacobiMatrix([0.7], [])
+    mt, drift = lax_integrate(m, 0.5)
+    np.testing.assert_array_equal(mt.v, m.v)
+    assert drift == 0.0
+
+
+def test_audit_takes_one_sweep_per_step(monkeypatch):
+    """Performance guard: the warm-started audit averages at most 1.2
+    pivot sweeps per RK4 step (the old audit took three)."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return spectral_direct._pivot_sweep(*args)
+
+    monkeypatch.setattr(flows, "_pivot_sweep", counting)
+    rng = np.random.default_rng(91)
+    steps = 0
+    for n in (4, 8, 16):
+        for _ in range(2):
+            lax_integrate(random_jacobi(rng, n), 0.5)
+            steps += 500
+    assert calls[0] / steps <= 1.2
 
 
 def test_flaschka_change_of_variables():

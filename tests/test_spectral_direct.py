@@ -179,6 +179,19 @@ def test_gluing_check_is_small():
         assert gluing_check(random_matrix(rng, n)) <= 1e-9
 
 
+def test_gluing_check_catches_a_moved_pole(monkeypatch):
+    """Moving any one pole of the Weyl function by 1e-6 fails the 1e-9 bar;
+    for the lowest pole here only the pole half of the check sees it."""
+    m = random_jacobi(np.random.default_rng(5), 6)
+    w = weyl(m)
+    for k in range(m.n):
+        poles = w.poles.copy()
+        poles[k] += 1e-6
+        moved = RationalHerglotz(poles, w.residues)
+        monkeypatch.setattr(spectral_direct, "weyl", lambda _m, moved=moved: moved)
+        assert gluing_check(m) > 1e-9
+
+
 def test_gluing_check_single_site_is_zero():
     assert gluing_check(JacobiMatrix(np.array([0.3]), np.array([]))) == 0.0
 
