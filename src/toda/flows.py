@@ -24,7 +24,7 @@ from .coordinates import DivisorQuasimomentum
 from .errors import InvalidData, Overflow, StepTooLarge
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import RationalHerglotz
-from .spectral_direct import _pivot_sweep, eigen
+from .spectral_direct import _eigenvalues, _pivot_sweep, eigen
 
 # Sign convention tying the residue flow to the matrix flow: with this
 # factor, integrating the matrix equations for time t reproduces the
@@ -124,13 +124,27 @@ def lax_integrate(
     step delta leaves the error delta^2 S_k (1 + e S_k), where S_k is the
     sum over j != k of 1/(lambda_k - lambda_j): convergence is quadratic,
     so once |delta| <= sqrt(eps * scale / sum_j 1/|lambda_k - lambda_j|)
-    what is left is below one rounding unit of the scale.  A step moves
-    the spectrum by far less than that tolerance, so one sweep per step is
-    the rule.  A lane whose step is not finite (a pivot at rounding level)
-    restarts half a tolerance away; a step still not finite, a Sturm count
-    that puts x_k next to another eigenvalue, or no convergence within
-    four sweeps raises StepTooLarge, since the audit cannot vouch for the
-    step.
+    what is left is below one rounding unit of the scale.  The pivots
+    resolve no step below their own rounding, so that tolerance never goes
+    under 4 eps * scale, the stopping rule of ``bracketed_newton``.  A step
+    moves the spectrum by far less than the tolerance, so one sweep per
+    step is the rule.
+
+    ``eigen`` does not split eigenvalues closer than 1e-14 * scale; chains
+    of such gaps form clusters, inside which Newton steps are rounding noise
+    and the Sturm counts cannot order the lanes.  A cluster's lanes stop at
+    a 1e-14 * scale tolerance, may count any eigenvalue of their cluster,
+    and are compared with the spectrum in sorted order.  A pivot at
+    rounding level (x_k within rounding of an eigenvalue of a leading
+    block) gives no finite step at x_k; that lane takes the Newton step
+    from 8 eps * scale above instead, which lifts the pivot clear of
+    rounding since every pivot falls with slope at least one in x.
+
+    Where Newton still cannot vouch for a step (no finite step from above
+    either, a Sturm count outside x_k's cluster, or no convergence within
+    four sweeps), the step is audited by the Sturm-certified solve behind
+    ``eigen`` instead, and tracking goes on from its eigenvalues.  NaN
+    steps are never read as a drift.
     """
     t = float(t)
     dt = float(dt)
@@ -146,10 +160,18 @@ def lax_integrate(
     y = np.concatenate((m.v, m.c))
     lam = eigen(m).lambdas
     scale = max(1.0, float(np.max(np.abs(lam))))
-    gaps = np.abs(np.subtract.outer(lam, lam))
+    floor = 4.0 * _EPS * scale
+    gaps = np.maximum(np.abs(np.subtract.outer(lam, lam)), floor)
     np.fill_diagonal(gaps, np.inf)
-    tol = np.sqrt(_EPS * scale / (1.0 / gaps).sum(axis=1))
-    rank = np.arange(n)
+    tol = np.maximum(np.sqrt(_EPS * scale / (1.0 / gaps).sum(axis=1)), floor)
+    nudge = 2.0 * floor
+    # Lane k may see any count from the first to one past the last index of
+    # its cluster; a lone eigenvalue is a cluster of one (k or k + 1).
+    split = 1e-14 * scale
+    first = np.flatnonzero(np.diff(lam, prepend=-np.inf) > split)
+    size = np.diff(first, append=n)
+    rank_lo, rank_hi = np.repeat(first, size), np.repeat(first + size, size)
+    tol = np.where(rank_hi - rank_lo > 1, np.maximum(tol, split), tol)
     x = lam.copy()
     worst = 0.0
     for _ in range(nsteps):
@@ -163,25 +185,23 @@ def lax_integrate(
         v, c = y[:n], y[n:]
         if (c <= 0.0).any():
             raise StepTooLarge("off-diagonal lost positivity; reduce the step size")
+        settled = False
         for _ in range(_AUDIT_SWEEPS):
             cnt, step = _pivot_sweep(v, c, x)
             stuck = ~np.isfinite(step)
             if stuck.any():
-                # A pivot at rounding level (x_k within rounding of an eigenvalue
-                # of a leading block): restart half a tolerance away.
-                x = np.where(stuck, x + 0.5 * tol, x)
-                cnt, step = _pivot_sweep(v, c, x)
-                if not np.isfinite(step).all():
-                    raise StepTooLarge("drift audit step is not finite; reduce the step size")
-            # x_k next to lambda_k has k or k + 1 eigenvalues below it.
-            if ((cnt < rank) | (cnt > rank + 1)).any():
-                raise StepTooLarge("drift audit lost an eigenvalue; reduce the step size")
-            x = x - step
-            if (np.abs(step) <= tol).all():
+                # A pivot at rounding level: take the Newton step from beside x.
+                _, beside = _pivot_sweep(v, c, x + nudge)
+                step = np.where(stuck, beside - nudge, step)
+            if not np.isfinite(step).all() or ((cnt < rank_lo) | (cnt > rank_hi)).any():
                 break
-        else:
-            raise StepTooLarge("drift audit did not converge; reduce the step size")
-        scaled = float(np.max(np.abs(x - lam))) / scale
+            x = x - step
+            settled = bool((np.abs(step) <= tol).all())
+            if settled:
+                break
+        if not settled:
+            x = _eigenvalues(v, c)
+        scaled = float(np.max(np.abs(np.sort(x) - lam))) / scale
         worst = max(worst, scaled)
         if scaled > 1e-6:
             raise StepTooLarge("eigenvalue drift exceeded 1e-6 in one step")

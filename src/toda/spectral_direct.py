@@ -79,19 +79,18 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     return (piv < 0.0).sum(0), step
 
 
-def eigen(m: JacobiMatrix) -> SpectralData:
-    """Full spectral data of the matrix.
+def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Jacobi matrix with diagonal v and off-diagonal c
+    (at least 2x2), one per rank; not checked to be strictly increasing.
 
     Bisection on Sturm counts stops once a bracket holds one eigenvalue (or
     at 1e-14 * max(1, |lambda|) for a pair too close to split); bracketed
     Newton then takes its side from the count and its step from the pivots.
     """
-    n = m.n
-    if n == 1:
-        return SpectralData(np.array([m.v[0]]), np.array([1.0]))
-    reach = np.concatenate((m.c, [0.0])) + np.concatenate(([0.0], m.c))
-    lo0 = float(np.min(m.v - reach))
-    hi0 = float(np.max(m.v + reach))
+    n = v.size
+    reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
+    lo0 = float(np.min(v - reach))
+    hi0 = float(np.max(v + reach))
     pad = 1e-6 * max(1.0, hi0 - lo0)
     lo, hi = np.full(n, lo0 - pad), np.full(n, hi0 + pad)
     # count(lo) < want <= count(hi): eigenvalue want - 1 lies in [lo, hi].
@@ -103,7 +102,7 @@ def eigen(m: JacobiMatrix) -> SpectralData:
         todo = (chi - clo > 1) & ~floor
         if not np.any(todo):
             break
-        cnt, _ = _pivot_sweep(m.v, m.c, mid)
+        cnt, _ = _pivot_sweep(v, c, mid)
         upper = todo & (cnt >= want)
         lower = todo & (cnt < want)
         hi, chi = np.where(upper, mid, hi), np.where(upper, cnt, chi)
@@ -112,10 +111,18 @@ def eigen(m: JacobiMatrix) -> SpectralData:
         raise ConvergenceFailure("eigenvalue bisection hit the iteration cap")
 
     def step_side(x):
-        cnt, step = _pivot_sweep(m.v, m.c, x)
+        cnt, step = _pivot_sweep(v, c, x)
         return step, cnt >= want
 
-    lam = bracketed_newton(step_side, lo, hi, scale=max(abs(lo0), abs(hi0)))
+    return bracketed_newton(step_side, lo, hi, scale=max(abs(lo0), abs(hi0)))
+
+
+def eigen(m: JacobiMatrix) -> SpectralData:
+    """Full spectral data of the matrix: ``_eigenvalues`` and their weights."""
+    n = m.n
+    if n == 1:
+        return SpectralData(np.array([m.v[0]]), np.array([1.0]))
+    lam = _eigenvalues(m.v, m.c)
     table = jacobi_core._recurrence_table(m, lam, first_kind=True)
     rho = 1.0 / (table[:n] ** 2).sum(axis=0)
     # The weights satisfy sum rho = 1 identically; project the rounding
@@ -164,24 +171,42 @@ def weyl_solution_residual(m: JacobiMatrix, lam: float) -> float:
     return float(np.max(np.abs(r)))
 
 
+def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
+    """Worst Newton correction |P_N / P_N'| at the poles, over
+    max(1, max |pole|): about the distance to the nearest eigenvalue, read
+    off the LDL^T pivots (ratios of consecutive P_k).
+
+    It stays at rounding level for every N; the residual |P_N| /
+    ||(P_0, ..., P_{N-1})|| does not, since forward-recurrence rounding
+    grows with N.  A pole within rounding of an eigenvalue of a leading
+    block has a pivot at rounding level and no finite step; it takes the
+    step from 8 eps * scale above instead, as the ``lax_integrate`` audit
+    does.
+    """
+    n = poles.size
+    top = max(1.0, float(np.max(np.abs(poles))))
+    nudge = 8.0 * _EPS * top
+    _, step = _pivot_sweep(m.v, m.c, np.concatenate((poles, poles + nudge)))
+    step = np.where(np.isfinite(step[:n]), step[:n], step[n:] - nudge)
+    return float(np.max(np.abs(step))) / top
+
+
 def gluing_check(m: JacobiMatrix) -> float:
     """Consistency of the pole sum with the recurrence polynomials.
 
-    Each pole of the Weyl function is an eigenvalue, so the first-kind
-    polynomials there form an eigenvector and P_N must vanish: the pole
-    check is |P_N| / ||(P_0, ..., P_{N-1})|| at every pole.  Off the
-    spectrum the defining identity Q_N + w P_N = 0 is sampled at 16 points,
-    with the deviation taken relative to the larger participating term (the
-    recurrence values grow rapidly off the spectrum, so an absolute deviation
-    would only measure their float64 magnitude).  Returns the worst deviation
-    over both checks; 0.0 for a 1x1 matrix.
+    Each pole of the Weyl function is an eigenvalue, so P_N must vanish
+    there: the pole check is ``_pole_residual``.  Off the spectrum the
+    defining identity Q_N + w P_N = 0 is sampled at 16 points, with the
+    deviation taken relative to the larger participating term (the
+    recurrence values grow rapidly off the spectrum, so an absolute
+    deviation would only measure their float64 magnitude).  Returns the
+    worst deviation over both checks; 0.0 for a 1x1 matrix.
     """
     if m.n == 1:
         return 0.0
     w = weyl(m)
     n = m.n
-    table_p = jacobi_core._recurrence_table(m, w.poles, first_kind=True)
-    resid = float(np.max(np.abs(table_p[n]) / np.linalg.norm(table_p[:n], axis=0)))
+    resid = _pole_residual(m, w.poles)
     pts = offspectrum_samples(w.poles, 16)
     wv = (w.residues[None, :] / (w.poles[None, :] - pts[:, None])).sum(axis=1)
     pn = jacobi_core._recurrence_table(m, pts, first_kind=True)[n]

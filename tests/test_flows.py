@@ -38,6 +38,7 @@ from toda import (
 )
 
 E1_W = RationalHerglotz(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+WILKINSON_21 = JacobiMatrix(np.abs(np.arange(21) - 10.0), np.ones(20))
 
 
 def random_w(rng, n):
@@ -244,23 +245,44 @@ def test_warm_started_audit_matches_three_sweep_oracle():
         assert abs(drift - oracle_drift) <= 1e-15
 
 
-def test_audit_with_nan_steps_raises(monkeypatch):
-    """An audit that cannot produce a finite Newton step cannot vouch for
-    the step; it must not read as zero drift."""
+def test_audit_never_reads_nan_steps_as_drift(monkeypatch):
+    """An audit without a single finite Newton step falls back to the
+    Sturm-certified solve: it returns the true drift (about 9e-10 at this
+    coarse step), not a zero read off NaN steps, and a step too large for
+    the 1e-6 bar still raises."""
+    m = JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1])
+    _, want = lax_integrate(m, 0.5, 0.02)
 
     def nan_steps(v, c, x):
         cnt, step = spectral_direct._pivot_sweep(v, c, x)
         return cnt, np.full_like(step, np.nan)
 
     monkeypatch.setattr(flows, "_pivot_sweep", nan_steps)
+    _, drift = lax_integrate(m, 0.5, 0.02)
+    assert want > 1e-10
+    assert drift == pytest.approx(want, rel=1e-9)
     with pytest.raises(StepTooLarge):
-        lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.1)
+        lax_integrate(m, 0.5, 0.25)
 
 
-def test_audit_restarts_at_rounding_level_pivots():
+def _count_fallbacks(monkeypatch):
+    """Count the steps whose drift audit goes to the Sturm-certified solve."""
+    calls = [0]
+
+    def counting(v, c):
+        calls[0] += 1
+        return spectral_direct._eigenvalues(v, c)
+
+    monkeypatch.setattr(flows, "_eigenvalues", counting)
+    return calls
+
+
+def test_audit_steps_beside_rounding_level_pivots(monkeypatch):
     """With couplings near 1e-9 an eigenvalue sits within rounding of an
     eigenvalue of a leading block, where one pivot is at rounding level and
-    the Newton step is not finite; the audit restarts beside it."""
+    the Newton step is not finite; the audit takes the step from beside it
+    and needs no fallback."""
+    fallbacks = _count_fallbacks(monkeypatch)
     for m in (
         JacobiMatrix([0.0, 1.0], [1e-9]),
         JacobiMatrix([0.0, 1.0, 0.0, 1.0], [1e-8, 1.0, 1e-8]),
@@ -269,6 +291,44 @@ def test_audit_restarts_at_rounding_level_pivots():
         mt, drift = lax_integrate(m, 0.5)
         assert drift <= 1e-14
         np.testing.assert_allclose(eigen(mt).lambdas, lam0, atol=1e-14)
+    assert fallbacks[0] == 0
+
+
+def test_audit_on_close_eigenvalues(monkeypatch):
+    """Wilkinson W21+ has pairs about 7e-14 apart; the weakly coupled
+    chains have eigenvalues 1e-15..1e-14 apart, closer than eigen splits
+    them, so their lanes form clusters.  No step size is at fault here,
+    and Newton settles every step without the fallback."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    c1, c2 = 10.0**-7.75, 10.0**-7.25
+    for m in (
+        WILKINSON_21,
+        JacobiMatrix([0.0, 1.0, 0.0], [c1, c1]),
+        JacobiMatrix([0.0, 1.0, 0.0], [c2, c2]),
+        JacobiMatrix([0.0, 1.0, 0.0], [10.0**-7.5, 2.0 * 10.0**-7.5]),
+        JacobiMatrix([0.0, 1.0, 0.0, 1.0, 0.0], [c2] * 4),
+    ):
+        lam0 = eigen(m).lambdas
+        for t in (0.5, -0.5):
+            mt, drift = lax_integrate(m, t)
+            assert drift <= 1e-14
+            np.testing.assert_allclose(eigen(mt).lambdas, lam0, rtol=0, atol=1e-14)
+    assert fallbacks[0] == 0
+
+
+def test_audit_falls_back_inside_tight_clusters(monkeypatch):
+    """Six sites with couplings 1e-10..1e-6 put pairs of eigenvalues
+    3e-14..5e-12 apart near 0, 1 and 2, where Newton does not always settle
+    within four sweeps; those steps go to the Sturm-certified solve, whose
+    1e-14 bisection floor bounds the drift it reads."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    m = JacobiMatrix([0.0, 2.0, 1.0, 0.0, 2.0, 1.0], [9.3e-11, 2.1e-7, 2.2e-6, 1.6e-7, 1.2e-8])
+    lam0 = eigen(m).lambdas
+    for t in (0.5, -0.5):
+        mt, drift = lax_integrate(m, t)
+        assert drift <= 2e-14
+        np.testing.assert_allclose(eigen(mt).lambdas, lam0, rtol=0, atol=4e-14)
+    assert fallbacks[0] > 0
 
 
 def test_matrix_flow_single_site_is_static():
