@@ -42,7 +42,7 @@ from .errors import (
     TodaError,
 )
 from .flows import flow_H, flow_T
-from .jacobi_core import JacobiMatrix
+from .jacobi_core import JacobiMatrix, _matrix_distance
 from .poisson import ah_formula
 from .rational_weyl import (
     Divisor,
@@ -53,7 +53,7 @@ from .rational_weyl import (
     to_quotient,
     zeros,
 )
-from .spectral_direct import SpectralData, eigen, spectral_from_weyl, weyl, weyl_from_spectral
+from .spectral_direct import SpectralData, spectral_from_weyl, weyl, weyl_from_spectral
 from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
 from .suites import SUITE_NAMES, random_jacobi, run_suites
 
@@ -142,10 +142,7 @@ def cmd_reconstruct(args) -> tuple[str, int]:
         return serialize.dumps({"v": m_cf.v, "c": m_cf.c}), 0
     if method == "lanczos":
         return serialize.dumps({"v": m_lz.v, "c": m_lz.c}), 0
-    disc = max(
-        float(np.max(np.abs(m_cf.v - m_lz.v))),
-        float(np.max(np.abs(m_cf.c - m_lz.c))) if m_cf.c.size else 0.0,
-    )
+    disc = _matrix_distance(m_cf, m_lz)
     return serialize.dumps({"v": m_cf.v, "c": m_cf.c, "discrepancy": disc}), 0
 
 

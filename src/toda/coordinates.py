@@ -24,7 +24,7 @@ from .errors import (
     Overflow,
     TodaError,
 )
-from .rational_weyl import Divisor, RationalHerglotz, zeros
+from .rational_weyl import RationalHerglotz, zeros
 
 
 @dataclass(frozen=True, eq=False)

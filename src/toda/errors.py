@@ -69,3 +69,8 @@ class Overflow(TodaError):
 
 class StepTooLarge(TodaError):
     """Integration step produced a spectral drift above the safety bound."""
+
+
+class PrecisionLimit(TodaError):
+    """Valid data beyond float64: distinct eigenvalues closer than the
+    rounding of their magnitude, which the computation cannot hold apart."""

@@ -62,6 +62,14 @@ class JacobiMatrix:
         return y
 
 
+def _matrix_distance(a: JacobiMatrix, b: JacobiMatrix) -> float:
+    """Worst entrywise distance between two matrices of the same size."""
+    return max(
+        float(np.max(np.abs(a.v - b.v))),
+        float(np.max(np.abs(a.c - b.c))) if a.c.size else 0.0,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PolySequence:
     """Values of the recurrence polynomials of one kind at a fixed argument,

@@ -31,7 +31,7 @@ from .errors import (
     GradientFailure,
     InvalidData,
 )
-from .rational_weyl import RationalHerglotz, evaluate, zeros
+from .rational_weyl import RationalHerglotz, _exp_values, _shifted, _values, evaluate, zeros
 
 CHART_UNRESTRICTED = "unrestricted"
 CHART_RESTRICTED = "restricted"
@@ -110,7 +110,6 @@ class Observable:
 
 def _inverse_gaps(lam: np.ndarray) -> np.ndarray:
     """Matrix inv[k, n] = 1/(lam_n - lam_k) with zero diagonal."""
-    n = lam.size
     d = lam[None, :] - lam[:, None]
     np.fill_diagonal(d, 1.0)
     inv = 1.0 / d
@@ -309,14 +308,12 @@ def ah_formula_xi(w: RationalHerglotz, lam: float, mu: float) -> float:
         raise CoincidentArguments("bracket arguments closer than 1e-6")
     if not w.normalized:
         raise InvalidData("exponent form requires unit total residue")
-    shift = float(w.poles[0])
-    poles0 = w.poles - shift
-    gam0 = zeros(w).gammas - shift
+    shift, poles0, gam0 = _shifted(w)
 
     def value(x: float) -> float:
         if np.min(np.abs(np.concatenate((poles0, gam0)) - x)) < 1e-14:
             raise AtPole("evaluation point coincides with a pole or zero")
-        return float(-np.prod(gam0 - x) / np.prod(poles0[1:] - x) / x)
+        return float(_exp_values(poles0, gam0, x))
 
     wl = value(lam - shift)
     wm = value(mu - shift)
@@ -329,7 +326,7 @@ def weyl_value(x: float) -> Observable:
     x = float(x)
 
     def fn(lam: np.ndarray, rho: np.ndarray) -> float:
-        return float(np.sum(rho / (lam - x)))
+        return float(_values(lam, rho, x))
 
     def grad(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return np.concatenate((1.0 / (lam - x), -rho / (lam - x) ** 2))
@@ -382,7 +379,6 @@ def dirac_reduce(pt: ChartPoint, f: Observable, g: Observable) -> float:
     """
     if pt.chart != CHART_UNRESTRICTED:
         raise InvalidData("reduction starts from the unrestricted chart")
-    q0 = _total_residue()
     logq0 = _log_total_residue()
     p0 = _minus_spectral_sum()
     pairing = bracket(p0, logq0, pt)

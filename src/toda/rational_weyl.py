@@ -88,10 +88,10 @@ class PolyQuotient:
 
     ``p`` is monic of degree N, ``q`` has degree N-1.  When built by
     :func:`to_quotient` the instance also carries fixed-precision decimal
-    coefficients (``p_dec``/``q_dec``, ``_DEC_DIGITS`` digits);
-    :func:`~toda.spectral_inverse.stieltjes_reconstruct` prefers those,
-    since float64 monomial coefficients cannot represent the contribution
-    of a very small residue to better than absolute rounding error.
+    coefficients (``p_dec``/``q_dec``, ``_DEC_DIGITS`` digits), of which
+    ``p``, ``q`` are the correctly rounded values; stieltjes_reconstruct
+    prefers the payload, since float64 monomial coefficients cannot carry a
+    very small residue to better than absolute rounding error.
     """
 
     p: np.ndarray
@@ -144,15 +144,23 @@ def evaluate(w: RationalHerglotz, z) -> complex | float:
     zc = complex(z)
     if np.min(np.abs(zc - w.poles)) < 1e-14:
         raise AtPole("evaluation point coincides with a pole")
-    val = np.sum(w.residues / (w.poles - zc))
+    val = _values(w.poles, w.residues, zc)
     if isinstance(z, complex):
         return complex(val)
     return float(val.real)
 
 
-def _values(w: RationalHerglotz, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return (w.residues[None, :] / (w.poles[None, :] - x[..., None])).sum(axis=-1)
+def _values(poles: np.ndarray, residues: np.ndarray, x) -> np.ndarray:
+    """The pole sum sum_k residue_k / (pole_k - x), over the shape of ``x``."""
+    x = np.asarray(x)
+    return (residues / (poles - x[..., None])).sum(axis=-1)
+
+
+def _exp_values(lam0: np.ndarray, gam0: np.ndarray, x) -> np.ndarray:
+    """The exponential form -(1/x) prod_s (gam0_s - x)/(lam0_{s+1} - x) on the
+    shifted spectrum (``lam0[0]`` = 0), over the shape of ``x``."""
+    x = np.asarray(x)
+    return -np.prod((gam0 - x[..., None]) / (lam0[1:] - x[..., None]), axis=-1) / x
 
 
 def zeros(w: RationalHerglotz) -> Divisor:
@@ -171,8 +179,8 @@ def zeros(w: RationalHerglotz) -> Divisor:
     lo = lam[:-1] + np.maximum(1e-13 * gaps, eps_edge[:-1])
     hi = lam[1:] - np.maximum(1e-13 * gaps, eps_edge[1:])
     # Degenerate sides: the zero hugs the pole closer than the edge offset.
-    left_stuck = _values(w, lo) >= 0.0
-    right_stuck = _values(w, hi) <= 0.0
+    left_stuck = _values(lam, rho, lo) >= 0.0
+    right_stuck = _values(lam, rho, hi) <= 0.0
     out = np.where(left_stuck, lo, np.where(right_stuck, hi, 0.0))
     todo = ~(left_stuck | right_stuck)
 
@@ -221,15 +229,10 @@ def _dec_quotient(lam: np.ndarray, rho: np.ndarray):
 
 def to_quotient(w: RationalHerglotz) -> PolyQuotient:
     """Quotient form: p monic with roots at the poles, q the unique
-    polynomial of degree N-1 with q(pole_k) = p'(pole_k) * residue_k."""
-    lam, rho = w.poles, w.residues
-    n = w.n
-    p = npoly.polyfromroots(lam)
-    q = np.zeros(n)
-    for k in range(n):
-        q += rho[k] * npoly.polyfromroots(np.delete(lam, k))
-    p_dec, q_dec = _dec_quotient(lam, rho)
-    return PolyQuotient(p=p, q=q, p_dec=p_dec, q_dec=q_dec)
+    polynomial of degree N-1 with q(pole_k) = p'(pole_k) * residue_k; the
+    float coefficients round the one (decimal) expansion, ``_dec_quotient``."""
+    p_dec, q_dec = _dec_quotient(w.poles, w.residues)
+    return PolyQuotient(np.array(p_dec, dtype=float), np.array(q_dec, dtype=float), p_dec, q_dec)
 
 
 def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
@@ -251,6 +254,20 @@ def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
     return RationalHerglotz(roots, rho)
 
 
+def _shifted(w: RationalHerglotz) -> tuple[float, np.ndarray, np.ndarray]:
+    """Shift moving the leftmost pole to the origin, with the shifted poles
+    and divisor: one ``zeros`` solve."""
+    shift = float(w.poles[0])
+    return shift, w.poles - shift, zeros(w).gammas - shift
+
+
+def _exp_residual(lam0: np.ndarray, gam0: np.ndarray, rho: np.ndarray, n_points: int) -> float:
+    """Max gap between the pole sum and the exponential form, both on the
+    shifted spectrum, at off-spectrum sample points."""
+    pts = _poly.offspectrum_samples(np.concatenate((lam0, gam0)), n_points)
+    return float(np.max(np.abs(_values(lam0, rho, pts) - _exp_values(lam0, gam0, pts))))
+
+
 def exp_representation_residual(w: RationalHerglotz, n_points: int = 32) -> float:
     """Max deviation of w from its exponential (shift-function) form.
 
@@ -258,19 +275,7 @@ def exp_representation_residual(w: RationalHerglotz, n_points: int = 32) -> floa
     -(1/z) times the product of (gamma_s - z)/(lambda_s - z) over the gaps.
     Sampled at off-spectrum points.
     """
-    shift = w.poles[0]
-    lam0 = w.poles - shift
-    gam0 = zeros(w).gammas - shift
-    avoid = np.concatenate((lam0, gam0)) if gam0.size else lam0
-    pts = _poly.offspectrum_samples(avoid, n_points)
-    wv = (w.residues[None, :] / (lam0[None, :] - pts[:, None])).sum(axis=1)
-    if gam0.size:
-        prod = np.prod(
-            (gam0[None, :] - pts[:, None]) / (lam0[None, 1:] - pts[:, None]), axis=1
-        )
-    else:
-        prod = np.ones_like(pts)
-    return float(np.max(np.abs(wv + prod / pts)))
+    return _exp_residual(*_shifted(w)[1:], w.residues, n_points)
 
 
 def krein(w: RationalHerglotz, n_moments: int = 4) -> KreinData:
@@ -279,20 +284,14 @@ def krein(w: RationalHerglotz, n_moments: int = 4) -> KreinData:
     Entry k of ``f`` is the integral of z^k over the union of gap intervals
     [lambda_s, gamma_s] (shifted spectrum), i.e. the k-th moment of the
     shift function.  The exponential representation is verified on sample
-    points before returning.
+    points, from the same divisor solve, before returning.
     """
     if not w.normalized:
         raise InvalidData("exponential representation requires unit total residue")
-    shift = float(w.poles[0])
-    lam0 = w.poles - shift
-    lam0[0] = 0.0
-    gam0 = zeros(w).gammas - shift
+    shift, lam0, gam0 = _shifted(w)
     k = np.arange(1, n_moments + 1, dtype=float)
-    if gam0.size:
-        f = (np.sum(gam0[None, :] ** k[:, None], axis=1) - np.sum(lam0[None, 1:] ** k[:, None], axis=1)) / k
-    else:
-        f = np.zeros(n_moments)
-    resid = exp_representation_residual(w)
+    f = (np.sum(gam0[None, :] ** k[:, None], axis=1) - np.sum(lam0[None, 1:] ** k[:, None], axis=1)) / k
+    resid = _exp_residual(lam0, gam0, w.residues, 32)
     if resid > 1e-8:
         raise TodaError("exponential representation failed self-check: %.3e" % resid)
     return KreinData(lambdas0=lam0, gammas=gam0, f=f, shift=shift)

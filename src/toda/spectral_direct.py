@@ -15,9 +15,9 @@ import numpy as np
 
 from . import jacobi_core
 from ._poly import _EPS, _TINY, _readonly, bracketed_newton, offspectrum_samples
-from .errors import ConvergenceFailure, InvalidData, OnSpectrum
+from .errors import ConvergenceFailure, InvalidData, OnSpectrum, PrecisionLimit
 from .jacobi_core import JacobiMatrix, eval_P, eval_Q, truncate
-from .rational_weyl import Divisor, RationalHerglotz, evaluate
+from .rational_weyl import Divisor, RationalHerglotz, _values, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +118,15 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def eigen(m: JacobiMatrix) -> SpectralData:
-    """Full spectral data of the matrix: ``_eigenvalues`` and their weights."""
+    """Full spectral data of the matrix: ``_eigenvalues`` and their weights.
+    Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
+    raise ``PrecisionLimit``."""
     n = m.n
     if n == 1:
         return SpectralData(np.array([m.v[0]]), np.array([1.0]))
     lam = _eigenvalues(m.v, m.c)
+    if not np.all(np.diff(lam) > 0.0):
+        raise PrecisionLimit("eigenvalues closer than float64 can separate")
     table = jacobi_core._recurrence_table(m, lam, first_kind=True)
     rho = 1.0 / (table[:n] ** 2).sum(axis=0)
     # The weights satisfy sum rho = 1 identically; project the rounding
@@ -141,8 +145,7 @@ def divisor(m: JacobiMatrix) -> Divisor:
 
 def weyl(m: JacobiMatrix) -> RationalHerglotz:
     """Weyl function: the (0, 0) resolvent entry as a pole sum."""
-    sd = eigen(m)
-    return RationalHerglotz(sd.lambdas, sd.rhos)
+    return weyl_from_spectral(eigen(m))
 
 
 def weyl_from_spectral(sd: SpectralData) -> RationalHerglotz:
@@ -208,7 +211,7 @@ def gluing_check(m: JacobiMatrix) -> float:
     n = m.n
     resid = _pole_residual(m, w.poles)
     pts = offspectrum_samples(w.poles, 16)
-    wv = (w.residues[None, :] / (w.poles[None, :] - pts[:, None])).sum(axis=1)
+    wv = _values(w.poles, w.residues, pts)
     pn = jacobi_core._recurrence_table(m, pts, first_kind=True)[n]
     qn = jacobi_core._recurrence_table(m, pts, first_kind=False)[n]
     scale = np.maximum(1.0, np.maximum(np.abs(qn), np.abs(wv * pn)))

@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .errors import Breakdown, InvalidData, NotHerglotzInput
-from .jacobi_core import JacobiMatrix
+from .jacobi_core import JacobiMatrix, _matrix_distance
 from .rational_weyl import _DEC_DIGITS, PolyQuotient, to_quotient
 from .spectral_direct import SpectralData, eigen, weyl_from_spectral
 
@@ -110,9 +110,4 @@ def roundtrip_error(m: JacobiMatrix) -> float:
     sd = eigen(m)
     cf = stieltjes_reconstruct(to_quotient(weyl_from_spectral(sd)))
     lz = lanczos_reconstruct(sd)
-    err = 0.0
-    for rec in (cf, lz):
-        err = max(err, float(np.max(np.abs(rec.v - m.v))))
-        if m.c.size:
-            err = max(err, float(np.max(np.abs(rec.c - m.c))))
-    return err
+    return max(_matrix_distance(cf, m), _matrix_distance(lz, m))

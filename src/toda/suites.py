@@ -25,7 +25,7 @@ from .coordinates import (
 )
 from .errors import InvalidData
 from .flows import flow_H, flow_T, lax_integrate, theta_flow
-from .jacobi_core import JacobiMatrix, moments
+from .jacobi_core import JacobiMatrix, _matrix_distance, moments
 from .poisson import (
     CHART_RESTRICTED,
     CHART_UNRESTRICTED,
@@ -95,13 +95,6 @@ def random_interlacing(rng: np.random.Generator, lambdas: np.ndarray) -> np.ndar
     lam = np.asarray(lambdas, dtype=float)
     u = rng.uniform(0.1, 0.9, lam.size - 1)
     return lam[:-1] + u * np.diff(lam)
-
-
-def _matrix_distance(a: JacobiMatrix, b: JacobiMatrix) -> float:
-    return max(
-        float(np.max(np.abs(a.v - b.v))),
-        float(np.max(np.abs(a.c - b.c))) if a.c.size else 0.0,
-    )
 
 
 def _merge(acc: dict[str, float], name: str, value: float) -> None:

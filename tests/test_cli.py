@@ -239,6 +239,13 @@ def test_exit_code_three_on_herglotz_failure(capsys):
     assert rc == 3 and "error" in err
 
 
+def test_exit_code_one_on_precision_limit(capsys):
+    """Wilkinson's W23: valid, but two eigenvalues round together."""
+    w23 = json.dumps({"v": np.abs(np.arange(23) - 11.0).tolist(), "c": [1.0] * 22})
+    rc, out, err = run(capsys, "spectrum", "--in", w23)
+    assert rc == 1 and out == "" and "float64" in err
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -22,6 +22,8 @@ from toda import (
     from_quotient,
     krein,
     moments,
+    random_jacobi,
+    rational_weyl,
     to_quotient,
     trace_moments,
     trace_via_delta,
@@ -106,13 +108,34 @@ def test_quotient_satisfies_residue_identity():
         np.testing.assert_allclose(
             npoly.polyval(w.poles, pq.q), dp * w.residues, rtol=1e-9, atol=1e-12
         )
-        # decimal payload agrees with the float coefficients it accompanies
-        np.testing.assert_allclose(
-            [float(x) for x in pq.p_dec], pq.p, rtol=1e-8, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            [float(x) for x in pq.q_dec], pq.q, rtol=1e-8, atol=1e-10
-        )
+        # the float coefficients are the rounded decimal payload, exactly
+        np.testing.assert_array_equal(pq.p, [float(x) for x in pq.p_dec])
+        np.testing.assert_array_equal(pq.q, [float(x) for x in pq.q_dec])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_quotient_coefficients_are_correctly_rounded(n):
+    """Within one ulp of an 80-digit expansion of p and q."""
+    mpmath = pytest.importorskip("mpmath")
+    w = weyl(random_jacobi(np.random.default_rng(60 + n), n))
+    pq = to_quotient(w)
+    with mpmath.workdps(80):
+        lam = [mpmath.mpf(x) for x in w.poles]
+
+        def expand(roots):
+            c = [mpmath.mpf(1)]
+            for r in roots:
+                c = [-r * c[0]] + [c[i - 1] - r * c[i] for i in range(1, len(c))] + [c[-1]]
+            return c
+
+        p = expand(lam)
+        q = [mpmath.mpf(0)] * n
+        for k in range(n):
+            for i, ci in enumerate(expand(lam[:k] + lam[k + 1:])):
+                q[i] += mpmath.mpf(w.residues[k]) * ci
+        for got, want in ((pq.p, p), (pq.q, q)):
+            for g, e in zip(got, want):
+                assert abs(mpmath.mpf(g) - e) <= np.spacing(abs(float(e)))
 
 
 def test_quotient_roundtrip_recovers_poles_and_residues():
@@ -144,6 +167,23 @@ def test_exp_representation_residual_is_small():
     for n in (1, 2, 4, 7):
         w = random_w(rng, n)
         assert exp_representation_residual(w) < 1e-10
+
+
+def test_divisor_is_solved_once(monkeypatch):
+    """``krein`` checks its exponential form on the divisor it already has."""
+    calls = []
+    solve = rational_weyl.zeros
+
+    def counting(w):
+        calls.append(1)
+        return solve(w)
+
+    monkeypatch.setattr(rational_weyl, "zeros", counting)
+    w = random_w(np.random.default_rng(37), 5)
+    for fn in (krein, exp_representation_residual):
+        calls.clear()
+        fn(w)
+        assert len(calls) == 1
 
 
 def test_krein_two_site_moments():

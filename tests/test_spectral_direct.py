@@ -13,6 +13,7 @@ from toda import (
     InvalidData,
     JacobiMatrix,
     OnSpectrum,
+    PrecisionLimit,
     RationalHerglotz,
     SpectralData,
     divisor,
@@ -244,6 +245,24 @@ def test_wilkinson_close_pair_is_resolved():
     assert np.all(np.diff(sd.lambdas) > 0.0)
     assert float(np.max(np.abs(sd.lambdas - want))) <= 1e-14
     assert sd.conditioning
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        JacobiMatrix(np.abs(np.arange(23) - 11.0), np.ones(22)),
+        # two copies of W21 glued by a 1e-6 coupling
+        JacobiMatrix(np.tile(WILKINSON_21.v, 2), np.r_[WILKINSON_21.c, 1e-6, WILKINSON_21.c]),
+        JacobiMatrix(np.array([0.0, 1.0, 0.0]), np.full(2, 1e-8)),
+    ],
+    ids=["wilkinson-23", "glued-wilkinson-21", "weak-chain-1e-8"],
+)
+def test_eigenvalues_float64_cannot_separate(m):
+    """Distinct eigenvalues that round together raise the precision-limit
+    class, not the invalid-data one that would blame the matrix."""
+    with pytest.raises(PrecisionLimit) as exc:
+        eigen(m)
+    assert not isinstance(exc.value, InvalidData)
 
 
 @pytest.mark.parametrize(
