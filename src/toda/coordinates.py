@@ -135,10 +135,8 @@ def w_from_gamma(lambdas: np.ndarray, gammas: np.ndarray) -> RationalHerglotz:
     if not (np.all(lam[:-1] < gam) and np.all(gam < lam[1:])):
         raise InterlacingViolated("divisor must interlace the poles")
     n = lam.size
-    rho = np.empty(n)
-    for k in range(n):
-        others = np.delete(lam, k)
-        rho[k] = np.prod((lam[k] - gam) / (lam[k] - others))
+    gaps = (lam[:, None] - lam)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    rho = np.prod((lam[:, None] - gam) / gaps, axis=1)
     if not np.all(rho > 0.0):
         raise InterlacingViolated("interlacing failed to produce positive residues")
     return RationalHerglotz(lam, rho)

@@ -15,7 +15,6 @@ which takes one pivot sweep per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,27 +33,6 @@ HFLOW_LAX_TIME_SIGN = 1.0
 
 _EXP_LIMIT = 700.0
 _AUDIT_SWEEPS = 4
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """A flow of the hierarchy: ``family`` "H" (moves residues/angles, index
-    1..N) or "T" (moves quasimomenta, index 1..N-1), power index ``j``
-    (1-based), and flow time ``t``."""
-
-    family: str
-    j: int
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("H", "T"):
-            raise InvalidData("flow family must be 'H' or 'T'")
-        if int(self.j) != self.j or self.j < 1:
-            raise InvalidData("flow index must be a positive integer")
-        if not math.isfinite(self.t):
-            raise InvalidData("flow time must be finite")
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "t", float(self.t))
 
 
 def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:

@@ -4,12 +4,13 @@ The bracket of two evaluations of the function at distinct points is a
 quadratic expression in the two values; in pole-residue coordinates this
 becomes an explicit antisymmetric tensor, in either the full chart or the
 chart restricted to unit total residue.  This module builds those tensors
-together with their analytic partial derivatives (for Jacobi-identity
-checks), contracts observables against them, performs the constrained
-reduction from the full chart to the restricted one, and packages the
-coordinate-bracket verifications used by the acceptance suite.  The chart
-Jacobians behind those verifications are closed form; finite differences
-serve only observables supplied without an analytic gradient.
+from one raw-array formula, together with their analytic partial
+derivatives as whole-array expressions (for Jacobi-identity checks).
+Every report contracts gradient rows against one tensor build: the
+constrained reduction from the full chart to the restricted one reads all
+its brackets off one Gram matrix, and the coordinate-bracket verifications
+used by the acceptance suite pair closed-form chart Jacobians.  Finite
+differences serve only observables supplied without an analytic gradient.
 
 Report generators are pure functions of their inputs and may be fanned out
 over sample points concurrently.
@@ -117,80 +118,67 @@ def _inverse_gaps(lam: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _chart_gaps(
+    lam: np.ndarray, rho: np.ndarray, restricted: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gap matrix inv (see ``_inverse_gaps``) and the restricted chart's
+    correction s_k = sum_m rho_m / (lam_m - lam_k), zero on the full chart."""
+    inv = _inverse_gaps(lam)
+    s = (rho[None, :] * inv).sum(axis=1) if restricted else np.zeros(lam.size)
+    return inv, s
+
+
+def _tensor(lam: np.ndarray, rho: np.ndarray, restricted: bool) -> np.ndarray:
+    """Bracket matrix on raw arrays, so that finite differences may step off
+    the unit-residue slice: residue block A_kq = 2 rho_k rho_q (inv_kq + s_q
+    - s_k) and mixed block B = diag(rho), minus rho rho^T when restricted."""
+    inv, s = _chart_gaps(lam, rho, restricted)
+    rr = np.outer(rho, rho)
+    a = 2.0 * rr * inv + 2.0 * rr * (s[None, :] - s[:, None])
+    np.fill_diagonal(a, 0.0)
+    b = np.diag(rho) - rr if restricted else np.diag(rho)
+    j = np.block([[a, b], [-b.T, np.zeros_like(a)]])
+    return 0.5 * (j - j.T)  # exact antisymmetry down to signed zeros
+
+
 def tensor_at(pt: ChartPoint) -> PoissonTensor:
     """Bracket tensor of the chart at the given point."""
-    lam, rho = pt.lambdas, pt.rhos
-    n = pt.n
-    inv = _inverse_gaps(lam)
-    rr = np.outer(rho, rho)
-    a = 2.0 * rr * inv
-    if pt.chart == CHART_RESTRICTED:
-        s = (rho[None, :] * inv).sum(axis=1)
-        a = a + 2.0 * rr * (s[None, :] - s[:, None])
-        np.fill_diagonal(a, 0.0)
-        b = np.diag(rho) - rr
-    else:
-        b = np.diag(rho)
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, :n] = a
-    j[:n, n:] = b
-    j[n:, :n] = -b.T
-    j = 0.5 * (j - j.T)  # exact antisymmetry down to signed zeros
-    return PoissonTensor(j)
+    return PoissonTensor(_tensor(pt.lambdas, pt.rhos, pt.chart == CHART_RESTRICTED))
 
 
 def _tensor_partials(pt: ChartPoint) -> np.ndarray:
-    """Analytic partials dJ[l, i, j] = d J_ij / d x_l, x = (rho, lambda)."""
+    """Analytic partials dJ[l, i, j] = d J_ij / d x_l, x = (rho, lambda).
+
+    Each block is one array expression indexed [m, k, q], the partial along
+    rho_m or lambda_m of entry (k, q).  With d the Kronecker symbol, base =
+    inv + s_q - s_k and ds_x[m, k] = d s_k / d x_m (zero on the full chart):
+      dA/drho_m = 2 (d_mk rho_q + d_mq rho_k) base + 2 rho_k rho_q (ds_rho[m, q] - ds_rho[m, k]),
+      dA/dlam_m = 2 rho_k rho_q ((d_mk - d_mq) inv^2 + ds_lam[m, q] - ds_lam[m, k]),
+      dB/drho_m = E_mm, minus (e_m rho^T + rho e_m^T) on the restricted chart.
+    The diagonal k = q is zero, as base, inv and the ds differences are.
+    """
     lam, rho = pt.lambdas, pt.rhos
     n = pt.n
-    inv = _inverse_gaps(lam)
-    inv2 = inv * inv
     restricted = pt.chart == CHART_RESTRICTED
-    dj = np.zeros((2 * n, 2 * n, 2 * n))
+    inv, s = _chart_gaps(lam, rho, restricted)
+    inv2 = inv * inv
+    eye = np.eye(n)
+    rr = np.outer(rho, rho)
+    d_rho = eye[:, :, None] * rho + eye[:, None, :] * rho[:, None]
+    base = inv + (s[None, :] - s[:, None])
+    db = eye[:, :, None] * eye[:, None, :]
+    ds_rho = ds_lam = np.zeros((n, n))
     if restricted:
-        s = (rho[None, :] * inv).sum(axis=1)
-        # dS[k, m] wrt rho_m and lambda_m
-        ds_rho = inv.copy()  # dS_k/drho_m = 1/(lam_m - lam_k), zero at m = k
-        ds_lam = -rho[None, :] * inv2
-        np.fill_diagonal(ds_lam, (rho[None, :] * inv2).sum(axis=1))
-    for m in range(n):
-        # partials of the rho-rho block
-        da = np.zeros((n, n))
-        for k in range(n):
-            for q in range(n):
-                if k == q:
-                    continue
-                base = inv[k, q]
-                if restricted:
-                    base = base + (s[q] - s[k])
-                term = 0.0
-                if m == k:
-                    term += 2.0 * rho[q] * base
-                if m == q:
-                    term += 2.0 * rho[k] * base
-                if restricted:
-                    term += 2.0 * rho[k] * rho[q] * (ds_rho[q, m] - ds_rho[k, m])
-                da[k, q] = term
-        dj[m, :n, :n] = da
-        # partials of the rho-lambda block
-        db = np.zeros((n, n))
-        db[m, m] = 1.0
-        if restricted:
-            db[m, :] -= rho
-            db[:, m] -= rho
-        dj[m, :n, n:] = db
-        dj[m, n:, :n] = -db.T
-    for m in range(n):
-        da = np.zeros((n, n))
-        for k in range(n):
-            for q in range(n):
-                if k == q:
-                    continue
-                dbase = ((m == k) - (m == q)) * inv2[k, q]
-                if restricted:
-                    dbase = dbase + (ds_lam[q, m] - ds_lam[k, m])
-                da[k, q] = 2.0 * rho[k] * rho[q] * dbase
-        dj[n + m, :n, :n] = da
+        ds_rho = inv.T
+        ds_lam = (np.diag((rho * inv2).sum(axis=1)) - rho * inv2).T
+        db = db - d_rho
+    dj = np.zeros((2 * n, 2 * n, 2 * n))
+    dj[:n, :n, :n] = 2.0 * d_rho * base + 2.0 * rr * (ds_rho[:, None, :] - ds_rho[:, :, None])
+    dj[:n, :n, n:] = db
+    dj[:n, n:, :n] = -db.transpose(0, 2, 1)
+    dj[n:, :n, :n] = 2.0 * rr * (
+        (eye[:, :, None] - eye[:, None, :]) * inv2 + (ds_lam[:, None, :] - ds_lam[:, :, None])
+    )
     return dj
 
 
@@ -261,14 +249,18 @@ def gradient(obs: Observable, pt: ChartPoint) -> np.ndarray:
     return _fd_jacobian(obs.fn, pt.lambdas, pt.rhos)[0]
 
 
-def bracket(f: Observable, g: Observable, pt: ChartPoint) -> float:
-    """Poisson bracket {f, g} at the point, via the chart tensor."""
+def _warn_near_boundary(pt: ChartPoint) -> None:
     if pt.near_boundary:
         warnings.warn(
             "bracket evaluated near a chart boundary (tiny residue)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def bracket(f: Observable, g: Observable, pt: ChartPoint) -> float:
+    """Poisson bracket {f, g} at the point, via the chart tensor."""
+    _warn_near_boundary(pt)
     j = tensor_at(pt).j
     return float(gradient(f, pt) @ j @ gradient(g, pt))
 
@@ -343,32 +335,6 @@ def verify_formula_vs_tensor(pt: ChartPoint, lam: float, mu: float) -> float:
     return abs(formula - tens) / max(1.0, abs(formula))
 
 
-def _total_residue() -> Observable:
-    return Observable(
-        lambda lam, rho: float(np.sum(rho)),
-        lambda lam, rho: np.concatenate((np.ones(lam.size), np.zeros(lam.size))),
-        name="q0",
-    )
-
-
-def _log_total_residue() -> Observable:
-    return Observable(
-        lambda lam, rho: float(np.log(np.sum(rho))),
-        lambda lam, rho: np.concatenate(
-            (np.full(lam.size, 1.0 / float(np.sum(rho))), np.zeros(lam.size))
-        ),
-        name="log q0",
-    )
-
-
-def _minus_spectral_sum() -> Observable:
-    return Observable(
-        lambda lam, rho: -float(np.sum(lam)),
-        lambda lam, rho: np.concatenate((np.zeros(lam.size), -np.ones(lam.size))),
-        name="p0",
-    )
-
-
 def dirac_reduce(pt: ChartPoint, f: Observable, g: Observable) -> float:
     """Constrained bracket on the full chart.
 
@@ -376,19 +342,23 @@ def dirac_reduce(pt: ChartPoint, f: Observable, g: Observable) -> float:
     the total residue (whose log is the first constraint) and minus the
     spectral sum.  Their pairing is constant, but it is checked anyway; on
     the unit-residue slice the result equals the restricted-chart bracket.
+    All brackets are read off one Gram matrix of the gradients of f, g,
+    log q0 and p0 against one tensor build.
     """
     if pt.chart != CHART_UNRESTRICTED:
         raise InvalidData("reduction starts from the unrestricted chart")
-    logq0 = _log_total_residue()
-    p0 = _minus_spectral_sum()
-    pairing = bracket(p0, logq0, pt)
-    if abs(pairing) < 1e-8:
+    _warn_near_boundary(pt)
+    zero, one = np.zeros(pt.n), np.ones(pt.n)
+    rows = np.stack((
+        gradient(f, pt),
+        gradient(g, pt),
+        np.concatenate((one / float(np.sum(pt.rhos)), zero)),  # log q0
+        np.concatenate((zero, -one)),  # p0
+    ))
+    m = rows @ tensor_at(pt).j @ rows.T
+    if abs(m[3, 2]) < 1e-8:
         raise ConstraintDegenerate("constraint pairing vanished")
-    return (
-        bracket(f, g, pt)
-        + bracket(logq0, g, pt) * bracket(f, p0, pt)
-        - bracket(p0, g, pt) * bracket(f, logq0, pt)
-    )
+    return float(m[0, 1] + m[2, 1] * m[0, 3] - m[3, 1] * m[0, 2])
 
 
 def _chart_jacobians(
@@ -465,10 +435,7 @@ def canonical_report(pt: ChartPoint) -> dict[str, float]:
     j_lam = np.hstack((np.zeros((n, n)), np.eye(n)))
     j_rho = np.hstack((np.eye(n), np.zeros((n, n))))
     j_cas = np.concatenate((np.zeros(n), np.ones(n)))[None, :]
-    expect_tl = np.zeros((n - 1, n))
-    for k in range(1, n):
-        expect_tl[k - 1, k] = 1.0
-        expect_tl[k - 1, 0] -= 1.0
+    expect_tl = np.eye(n)[1:] - np.eye(n)[0]
     eye = np.eye(n - 1)
     report = {
         "theta_lambda": float(np.max(np.abs(_pair(j_theta, j, j_lam) - expect_tl))),
@@ -501,10 +468,8 @@ def dual_identities(pt: ChartPoint) -> dict[str, float]:
     gam, rhop, jac = _chart_jacobians(lam, rho)
     q0_val = float(np.sum(rho))
     j_gamma, j_rhop = jac["gamma"], jac["rhoprime"]
-    q0 = _total_residue()
-    p0 = _minus_spectral_sum()
-    j_q0 = np.asarray(q0.grad(lam, rho))[None, :]
-    j_p0 = np.asarray(p0.grad(lam, rho))[None, :]
+    j_q0 = np.concatenate((np.ones(n), np.zeros(n)))[None, :]
+    j_p0 = np.concatenate((np.zeros(n), -np.ones(n)))[None, :]
 
     def rel(x: np.ndarray, expected: np.ndarray) -> float:
         return float(np.max(np.abs(x - expected) / np.maximum(1.0, np.abs(expected))))
@@ -529,26 +494,10 @@ def entry_bracket_residual(pt: ChartPoint) -> float:
     with v_0 and c_0 expressed through the first two moments."""
     if pt.chart != CHART_RESTRICTED:
         raise InvalidData("matrix-entry brackets live on the restricted chart")
-
-    def s1(lam, rho):
-        return float(np.sum(rho * lam))
-
-    def s1_grad(lam, rho):
-        return np.concatenate((lam, rho))
-
-    def c0(lam, rho):
-        m1 = float(np.sum(rho * lam))
-        var = float(np.sum(rho * lam**2)) - m1 * m1
-        return float(np.sqrt(var))
-
-    def c0_grad(lam, rho):
-        m1 = float(np.sum(rho * lam))
-        root = c0(lam, rho)
-        dvar = np.concatenate((lam**2 - 2 * m1 * lam, 2 * rho * (lam - m1)))
-        return dvar / (2.0 * root)
-
-    v0_obs = Observable(s1, s1_grad, name="v0")
-    c0_obs = Observable(c0, c0_grad, name="c0")
-    lhs = bracket(c0_obs, v0_obs, pt)
-    rhs = -0.5 * c0_obs.value(pt)
-    return abs(lhs - rhs)
+    _warn_near_boundary(pt)
+    lam, rho = pt.lambdas, pt.rhos
+    m1 = float(np.sum(rho * lam))
+    c0 = float(np.sqrt(float(np.sum(rho * lam**2)) - m1 * m1))
+    grad_v0 = np.concatenate((lam, rho))
+    grad_c0 = np.concatenate((lam**2 - 2 * m1 * lam, 2 * rho * (lam - m1))) / (2.0 * c0)
+    return abs(float(grad_c0 @ tensor_at(pt).j @ grad_v0) + 0.5 * c0)

@@ -247,7 +247,8 @@ def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
         raise NotHerglotz("denominator does not have real simple roots") from exc
     if roots.size > 1 and np.min(np.diff(roots)) <= 0.0:
         raise NotHerglotz("denominator roots are not separated")
-    dp = np.array([np.prod(roots[k] - np.delete(roots, k)) for k in range(roots.size)])
+    n = roots.size
+    dp = np.prod((roots[:, None] - roots)[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
     rho = npoly.polyval(roots, pq.q) / dp
     if not np.all(rho > 0.0):
         raise NotHerglotz("quotient has a nonpositive residue")

@@ -14,7 +14,6 @@ import pytest
 from toda import (
     HFLOW_LAX_TIME_SIGN,
     DivisorQuasimomentum,
-    FlowSpec,
     InvalidData,
     JacobiMatrix,
     Overflow,
@@ -49,19 +48,6 @@ def random_w(rng, n):
 
 def matrix_of(w):
     return lanczos_reconstruct(spectral_from_weyl(w))
-
-
-def test_flow_spec_validation():
-    FlowSpec("H", 2, 0.5)
-    FlowSpec("T", 1)
-    with pytest.raises(InvalidData):
-        FlowSpec("X", 1, 0.0)
-    with pytest.raises(InvalidData):
-        FlowSpec("H", 0, 0.0)
-    with pytest.raises(InvalidData):
-        FlowSpec("H", 1.5, 0.0)
-    with pytest.raises(InvalidData):
-        FlowSpec("H", 1, float("inf"))
 
 
 def test_tangent_flow_identities():

@@ -16,6 +16,7 @@ from toda import (
     AtPole,
     ChartPoint,
     CoincidentArguments,
+    ConstraintDegenerate,
     GradientFailure,
     InvalidData,
     Observable,
@@ -37,7 +38,8 @@ from toda import (
     weyl_value,
     zeros,
 )
-from toda.poisson import _chart_jacobians, _fd_jacobian
+from toda import poisson
+from toda.poisson import _chart_jacobians, _fd_jacobian, _tensor, _tensor_partials
 
 E1_W = RationalHerglotz(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
 
@@ -96,9 +98,26 @@ def test_antisymmetry_is_exact():
 def test_jacobi_identity():
     rng = np.random.default_rng(72)
     for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 8, 16):
             for _ in range(5):
                 assert jacobi_residual(random_point(rng, n, chart)) <= 1e-10
+
+
+def test_tensor_partials_match_finite_differences():
+    """The broadcast partials against differences of the raw-array tensor
+    formula; restricted points are differenced off the unit-residue slice."""
+    for seed in (81, 82, 83):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 6):
+            for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
+                pt = random_point(rng, n, chart)
+                restricted = chart == CHART_RESTRICTED
+                fd = _fd_jacobian(
+                    lambda la, rh: _tensor(la, rh, restricted).ravel(), pt.lambdas, pt.rhos
+                )
+                dj = _tensor_partials(pt).reshape(2 * n, -1).T
+                err = float(np.max(np.abs(dj - fd))) / max(1.0, float(np.max(np.abs(fd))))
+                assert err <= 1e-6, (seed, n, chart, err)
 
 
 def test_gradient_analytic_matches_finite_difference():
@@ -175,6 +194,24 @@ def test_dirac_reduction_recovers_restricted_bracket():
         dirac_reduce(slim, f, g)
 
 
+def test_dirac_reduction_builds_one_tensor(monkeypatch):
+    rng = np.random.default_rng(77)
+    full = random_point(rng, 4, CHART_UNRESTRICTED)
+    f, g = weyl_value(full.lambdas[0] - 0.8), weyl_value(full.lambdas[-1] + 1.1)
+    built = []
+
+    def counting(pt):
+        built.append(pt)
+        return tensor_at(pt)
+
+    monkeypatch.setattr(poisson, "tensor_at", counting)
+    dirac_reduce(full, f, g)
+    assert built == [full]
+    monkeypatch.setattr(poisson, "tensor_at", lambda pt: PoissonTensor(np.zeros((8, 8))))
+    with pytest.raises(ConstraintDegenerate):
+        dirac_reduce(full, f, g)
+
+
 def test_canonical_relations():
     rng = np.random.default_rng(78)
     for n in (2, 4, 6):
@@ -242,6 +279,9 @@ def test_near_boundary_warning():
     f, g = weyl_value(-1.0), weyl_value(3.0)
     with pytest.warns(RuntimeWarning):
         bracket(f, g, tiny)
+    with pytest.warns(RuntimeWarning) as caught:
+        dirac_reduce(ChartPoint(lam, tiny.rhos, CHART_UNRESTRICTED), f, g)
+    assert len(caught) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bracket(f, g, ChartPoint(lam, np.array([0.5, 0.5]), CHART_RESTRICTED))
