@@ -121,6 +121,15 @@ def w_from_theta(lambdas: np.ndarray, thetas: np.ndarray) -> RationalHerglotz:
     return RationalHerglotz(lam, weights / weights.sum())
 
 
+def _check_interlacing(lam: np.ndarray, gam: np.ndarray) -> None:
+    """Raise unless ``gam`` holds one point strictly inside each gap of the
+    increasing poles ``lam``."""
+    if lam.ndim != 1 or gam.shape != (lam.size - 1,):
+        raise InvalidData("need one divisor point per spectral gap")
+    if not (np.all(lam[:-1] < gam) and np.all(gam < lam[1:])):
+        raise InterlacingViolated("divisor must interlace the poles")
+
+
 def w_from_gamma(lambdas: np.ndarray, gammas: np.ndarray) -> RationalHerglotz:
     """Pole sum with prescribed poles and zeros.
 
@@ -130,10 +139,7 @@ def w_from_gamma(lambdas: np.ndarray, gammas: np.ndarray) -> RationalHerglotz:
     """
     lam = np.asarray(lambdas, dtype=float)
     gam = np.asarray(gammas, dtype=float)
-    if lam.ndim != 1 or gam.shape != (lam.size - 1,):
-        raise InvalidData("need one divisor point per spectral gap")
-    if not (np.all(lam[:-1] < gam) and np.all(gam < lam[1:])):
-        raise InterlacingViolated("divisor must interlace the poles")
+    _check_interlacing(lam, gam)
     n = lam.size
     gaps = (lam[:, None] - lam)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     rho = np.prod((lam[:, None] - gam) / gaps, axis=1)

@@ -8,8 +8,8 @@ and translate the quasimomenta linearly.  The same tangent dynamics acts on
 matrix entries through a commutator equation, integrated here with
 classical fourth-order Runge-Kutta and a per-step spectrum-drift audit
 (the spectrum is conserved, so drift measures integration error): Newton
-on the LDL^T pivots, warm-started from the previous step's eigenvalues,
-which takes one pivot sweep per step.
+on the LDL^T pivots started from the initial eigenvalues, run on a whole
+block of steps at once, which takes one pivot sweep per block.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ HFLOW_LAX_TIME_SIGN = 1.0
 
 _EXP_LIMIT = 700.0
 _AUDIT_SWEEPS = 4
+_AUDIT_BLOCK = 64  # RK4 steps per drift audit
 
 
 def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:
@@ -95,18 +96,23 @@ def lax_integrate(
 
     Returns the evolved matrix and the worst per-step eigenvalue drift; a
     drift above 1e-6 in any step (or a positivity breakdown of the
-    off-diagonal) raises StepTooLarge, pointing at the step size.
+    off-diagonal) raises StepTooLarge, pointing at the step size.  Errors
+    keep the order of the steps: a drift raises before a later step that
+    diverges or loses positivity.
 
-    The drift audit tracks each eigenvalue by Newton on the LDL^T pivots,
-    warm-started from the previous step.  From x = lambda_k + e a Newton
-    step delta leaves the error delta^2 S_k (1 + e S_k), where S_k is the
-    sum over j != k of 1/(lambda_k - lambda_j): convergence is quadratic,
-    so once |delta| <= sqrt(eps * scale / sum_j 1/|lambda_k - lambda_j|)
-    what is left is below one rounding unit of the scale.  The pivots
-    resolve no step below their own rounding, so that tolerance never goes
-    under 4 eps * scale, the stopping rule of ``bracketed_newton``.  A step
-    moves the spectrum by far less than the tolerance, so one sweep per
-    step is the rule.
+    The audit does not feed back into the integration, so the steps run in
+    blocks of ``_AUDIT_BLOCK`` and each block is audited at once, by Newton
+    on the LDL^T pivots of all its states, every lane started from the
+    initial eigenvalues lambda_k (the spectrum is conserved).  From
+    x = lambda_k + e a Newton step delta leaves the error
+    delta^2 S_k (1 + e S_k), where S_k is the sum over j != k of
+    1/(lambda_k - lambda_j): convergence is quadratic, so once
+    |delta| <= sqrt(eps * scale / sum_j 1/|lambda_k - lambda_j|) what is
+    left is below one rounding unit of the scale.  The pivots resolve no
+    step below their own rounding, so that tolerance never goes under
+    4 eps * scale, the stopping rule of ``bracketed_newton``.  The drift of
+    an accurate integration is far below the tolerance, so one pivot sweep
+    per block is the rule.
 
     ``eigen`` does not split eigenvalues closer than 1e-14 * scale; chains
     of such gaps form clusters, inside which Newton steps are rounding noise
@@ -120,9 +126,8 @@ def lax_integrate(
 
     Where Newton still cannot vouch for a step (no finite step from above
     either, a Sturm count outside x_k's cluster, or no convergence within
-    four sweeps), the step is audited by the Sturm-certified solve behind
-    ``eigen`` instead, and tracking goes on from its eigenvalues.  NaN
-    steps are never read as a drift.
+    four sweeps), that step is audited by the Sturm-certified solve behind
+    ``eigen`` instead.  NaN steps are never read as a drift.
     """
     t = float(t)
     dt = float(dt)
@@ -142,48 +147,77 @@ def lax_integrate(
     gaps = np.maximum(np.abs(np.subtract.outer(lam, lam)), floor)
     np.fill_diagonal(gaps, np.inf)
     tol = np.maximum(np.sqrt(_EPS * scale / (1.0 / gaps).sum(axis=1)), floor)
-    nudge = 2.0 * floor
     # Lane k may see any count from the first to one past the last index of
     # its cluster; a lone eigenvalue is a cluster of one (k or k + 1).
     split = 1e-14 * scale
     first = np.flatnonzero(np.diff(lam, prepend=-np.inf) > split)
     size = np.diff(first, append=n)
-    rank_lo, rank_hi = np.repeat(first, size), np.repeat(first + size, size)
-    tol = np.where(rank_hi - rank_lo > 1, np.maximum(tol, split), tol)
-    x = lam.copy()
+    ranks = np.repeat(first, size), np.repeat(first + size, size)
+    tol = np.where(ranks[1] - ranks[0] > 1, np.maximum(tol, split), tol)
     worst = 0.0
-    for _ in range(nsteps):
-        k1 = _lax_rhs(y, n)
-        k2 = _lax_rhs(y + 0.5 * h * k1, n)
-        k3 = _lax_rhs(y + 0.5 * h * k2, n)
-        k4 = _lax_rhs(y + h * k3, n)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise StepTooLarge("integration diverged; reduce the step size")
-        v, c = y[:n], y[n:]
-        if (c <= 0.0).any():
+    for start in range(0, nsteps, _AUDIT_BLOCK):
+        ys = np.empty((min(_AUDIT_BLOCK, nsteps - start), y.size))
+        # A step that diverges is caught below; the rest of its block only
+        # carries the non-finite values along.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in ys:
+                k1 = _lax_rhs(y, n)
+                k2 = _lax_rhs(y + 0.5 * h * k1, n)
+                k3 = _lax_rhs(y + 0.5 * h * k2, n)
+                k4 = _lax_rhs(y + h * k3, n)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                row[:] = y
+        finite = np.isfinite(ys).all(axis=1)
+        bad = np.flatnonzero(~finite | (ys[:, n:] <= 0.0).any(axis=1))
+        good = bad[0] if bad.size else ys.shape[0]
+        if good:
+            drift = _block_drift(ys[:good, :n], ys[:good, n:], lam, tol, ranks, 2.0 * floor)
+            scaled = drift / scale
+            worst = max(worst, scaled)
+            if scaled > 1e-6:
+                raise StepTooLarge("eigenvalue drift exceeded 1e-6 in one step")
+        if bad.size:
+            if not finite[good]:
+                raise StepTooLarge("integration diverged; reduce the step size")
             raise StepTooLarge("off-diagonal lost positivity; reduce the step size")
-        settled = False
-        for _ in range(_AUDIT_SWEEPS):
-            cnt, step = _pivot_sweep(v, c, x)
-            stuck = ~np.isfinite(step)
-            if stuck.any():
-                # A pivot at rounding level: take the Newton step from beside x.
-                _, beside = _pivot_sweep(v, c, x + nudge)
-                step = np.where(stuck, beside - nudge, step)
-            if not np.isfinite(step).all() or ((cnt < rank_lo) | (cnt > rank_hi)).any():
-                break
-            x = x - step
-            settled = bool((np.abs(step) <= tol).all())
-            if settled:
-                break
-        if not settled:
-            x = _eigenvalues(v, c)
-        scaled = float(np.max(np.abs(np.sort(x) - lam))) / scale
-        worst = max(worst, scaled)
-        if scaled > 1e-6:
-            raise StepTooLarge("eigenvalue drift exceeded 1e-6 in one step")
     return JacobiMatrix(y[:n], y[n:]), worst
+
+
+def _block_drift(
+    v: np.ndarray,
+    c: np.ndarray,
+    lam: np.ndarray,
+    tol: np.ndarray,
+    ranks: tuple[np.ndarray, np.ndarray],
+    nudge: float,
+) -> float:
+    """Largest |eigenvalue - lambda| over the matrices with diagonals v[b]
+    and off-diagonals c[b], by Newton sweeps over the whole stack started
+    from ``lam``; rows Newton cannot vouch for go to ``_eigenvalues``."""
+    x = np.tile(lam, (v.shape[0], 1))
+    live = np.arange(v.shape[0])  # rows still iterating
+    lost = np.zeros(v.shape[0], dtype=bool)
+    for _ in range(_AUDIT_SWEEPS):
+        cnt, step = _pivot_sweep(v[live], c[live], x[live])
+        stuck = ~np.isfinite(step)
+        rows = np.flatnonzero(stuck.any(axis=1))
+        if rows.size:
+            # A pivot at rounding level: take the Newton step from beside x.
+            at = live[rows]
+            _, beside = _pivot_sweep(v[at], c[at], x[at] + nudge)
+            step[rows] = np.where(stuck[rows], beside - nudge, step[rows])
+        failed = ~np.isfinite(step).all(axis=1) | (
+            (cnt < ranks[0]) | (cnt > ranks[1])
+        ).any(axis=1)
+        x[live] -= step
+        lost[live[failed]] = True
+        live = live[~failed & (np.abs(step) > tol).any(axis=1)]
+        if not live.size:
+            break
+    lost[live] = True
+    for b in np.flatnonzero(lost):
+        x[b] = _eigenvalues(v[b], c[b])
+    return float(np.max(np.abs(np.sort(x, axis=1) - lam)))
 
 
 def flaschka(q: np.ndarray, p: np.ndarray) -> JacobiMatrix:

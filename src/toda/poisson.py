@@ -186,11 +186,9 @@ def jacobi_residual(pt: ChartPoint) -> float:
     """Max cyclic-sum residual of the Jacobi identity with analytic partials."""
     j = tensor_at(pt).j
     dj = _tensor_partials(pt)
-    t = (
-        np.einsum("il,ljk->ijk", j, dj)
-        + np.einsum("jl,lki->ijk", j, dj)
-        + np.einsum("kl,lij->ijk", j, dj)
-    )
+    # a[i, j, k] = sum_l J_il dJ_jk/dx_l; the cyclic sum permutes it.
+    a = (j @ dj.reshape(j.shape[0], -1)).reshape(dj.shape)
+    t = a + a.transpose(2, 0, 1) + a.transpose(1, 2, 0)
     return float(np.max(np.abs(t)))
 
 

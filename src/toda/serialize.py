@@ -2,7 +2,9 @@
 
 Floats are rendered with the ``.17g`` format (full double round-trip
 precision) so identical inputs always produce byte-identical output.
-Input documents are recognized by their exact key set.
+Input documents are recognized by their exact key set.  The spectrum
+document of ``toda spectrum`` (eigenvalues, weights and the divisor) reads
+as its spectral data once the divisor is checked to interlace.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from .coordinates import ActionAngle, DivisorQuasimomentum
+from .coordinates import ActionAngle, DivisorQuasimomentum, _check_interlacing
 from .errors import InvalidData
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import Divisor, PolyQuotient, RationalHerglotz
@@ -69,6 +71,7 @@ def _scalar(raw, name: str) -> float:
 _SCHEMAS = (
     ("matrix", frozenset(("v", "c"))),
     ("spectral", frozenset(("lambdas", "rhos"))),
+    ("spectrum", frozenset(("lambdas", "rhos", "gammas"))),
     ("action_angle", frozenset(("lambdas", "thetas"))),
     ("divisor_quasimomentum", frozenset(("gammas", "pis", "casimir"))),
     ("divisor", frozenset(("gammas",))),
@@ -95,8 +98,11 @@ def from_dict(d: dict):
     kind = detect(d)
     if kind == "matrix":
         return JacobiMatrix(_vector(d["v"], "v"), _vector(d["c"], "c"))
-    if kind == "spectral":
-        return SpectralData(_vector(d["lambdas"], "lambdas"), _vector(d["rhos"], "rhos"))
+    if kind in ("spectral", "spectrum"):
+        sd = SpectralData(_vector(d["lambdas"], "lambdas"), _vector(d["rhos"], "rhos"))
+        if kind == "spectrum":
+            _check_interlacing(sd.lambdas, Divisor(_vector(d["gammas"], "gammas")).gammas)
+        return sd
     if kind == "action_angle":
         return ActionAngle(_vector(d["lambdas"], "lambdas"), _vector(d["thetas"], "thetas"))
     if kind == "divisor_quasimomentum":

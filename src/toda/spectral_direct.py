@@ -60,17 +60,30 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     An interior pivot at rounding level makes that sum meaningless (it may
     overflow): the step is then NaN, a bisection step for bracketed Newton;
     a zero sum gives an infinite step, which is one as well.
+
+    A stack of B matrices (v of shape (B, N), c of shape (B, N - 1)) is
+    swept in one pass at points x of shape (B, K), matrix b at x[b]; counts
+    and steps then have shape (B, K), and the pivot floor is set by the
+    largest coupling in the stack.
     """
-    c2 = (c * c).tolist()
-    scale = max(c2, default=1.0)
+    if v.ndim == 1:
+        c2 = (c * c).tolist()  # Python floats keep the site loop cheap
+        scale = max(c2, default=1.0)
+        weak = _EPS * (float(np.abs(v).max()) + 2.0 * scale**0.5)
+        piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
+    else:
+        c2 = c * c
+        top = c2.max(1, keepdims=True, initial=0.0)
+        weak = _EPS * (np.abs(v).max(1, keepdims=True) + 2.0 * np.sqrt(top))
+        c2 = c2.T[:, :, None]  # c2[k]: column of c_k^2 over the stack
+        scale = float(top.max())
+        piv = v.T[:, :, None] - x  # piv[k, b]: v_bk - x[b]
     pivmin = (_TINY / _EPS) * max(1.0, scale)
-    weak = _EPS * (float(np.abs(v).max()) + 2.0 * scale**0.5)
-    piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
     ratio = np.empty_like(piv)  # row k: d_k'/d_k
     piv[0][np.abs(piv[0]) < pivmin] = -pivmin
     np.divide(-1.0, piv[0], out=ratio[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(1, v.size):
+        for k in range(1, v.shape[-1]):
             r = c2[k - 1] / piv[k - 1]
             piv[k] -= r
             piv[k][np.abs(piv[k]) < pivmin] = -pivmin

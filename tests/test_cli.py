@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from toda import suites
+from toda import random_jacobi, suites
 from toda.cli import main
 from toda.suites import _merge
 
@@ -74,6 +74,26 @@ def test_reconstruct_both_methods(capsys):
         doc = run_json(capsys, "reconstruct", "--in", E1_SPECTRAL, "--method", method)
         assert "discrepancy" not in doc
         np.testing.assert_allclose(doc["v"], [1.0, 1.0], atol=1e-12)
+
+
+def test_spectrum_output_feeds_reconstruct(capsys):
+    """`toda spectrum | toda reconstruct --method both` rebuilds the matrix;
+    a divisor that does not interlace is rejected with exit 3, one of the
+    wrong length with exit 2."""
+    for seed, n in ((3, 1), (3, 5), (11, 8)):
+        m = random_jacobi(np.random.default_rng(seed), n)
+        rc, spectrum, _ = run(capsys, "spectrum", "--seed", str(seed), "--N", str(n))
+        assert rc == 0
+        doc = run_json(capsys, "reconstruct", "--in", spectrum, "--method", "both")
+        assert doc["discrepancy"] <= 1e-8
+        np.testing.assert_allclose(doc["v"], m.v, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(doc["c"], m.c, rtol=0, atol=1e-8)
+    outside = '{"lambdas": [0.0, 2.0], "rhos": [0.5, 0.5], "gammas": [2.5]}'
+    rc, _, err = run(capsys, "reconstruct", "--in", outside)
+    assert rc == 3 and "interlace" in err
+    extra = '{"lambdas": [0.0, 2.0], "rhos": [0.5, 0.5], "gammas": [0.5, 1.5]}'
+    rc, _, _ = run(capsys, "reconstruct", "--in", extra)
+    assert rc == 2
 
 
 def test_reconstruct_rejects_matrix_input(capsys):

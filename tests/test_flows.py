@@ -231,6 +231,49 @@ def test_warm_started_audit_matches_three_sweep_oracle():
         assert abs(drift - oracle_drift) <= 1e-15
 
 
+def test_block_audit_matches_oracle_at_block_boundaries():
+    """Step counts around the audit block length: the matrix is bitwise the
+    oracle's and the drift within 1e-15 of its three-sweep reading."""
+    block = flows._AUDIT_BLOCK
+    rng = np.random.default_rng(92)
+    for nsteps in (1, block - 1, block, block + 1, 500):
+        for n in (2, 5, 9):
+            m = random_jacobi(rng, n)
+            t = 1e-3 * nsteps * (1 if n % 2 else -1)
+            mt, drift = lax_integrate(m, t)
+            v, c, oracle_drift = _three_sweep_lax(m, t)
+            np.testing.assert_array_equal(mt.v, v)
+            np.testing.assert_array_equal(mt.c, c)
+            assert abs(drift - oracle_drift) <= 1e-15
+
+
+def test_step_errors_keep_step_order(monkeypatch):
+    """A block's steps fail in the order they were taken.  At dt = 1 the
+    first step of this pair drifts past 1e-6 and the third diverges, all in
+    one block: the drift is named.  A first step that loses positivity is
+    named as such, and so is a later step made to lose it after accurate
+    steps of the same block."""
+    pair = JacobiMatrix([4.73, -2.35], [1.9148])
+    with pytest.raises(StepTooLarge, match="drift exceeded"):
+        lax_integrate(pair, 4.0, 1.0)
+    with pytest.raises(StepTooLarge, match="lost positivity"):
+        lax_integrate(JacobiMatrix([3.07, 2.87], [2.4745]), 4.0, 1.0)
+
+    calls = [0]
+    rhs = flows._lax_rhs
+
+    def flips_on_step_five(y, n):
+        calls[0] += 1
+        dy = rhs(y, n)
+        if calls[0] == 4 * 5:
+            dy[n:] = -1e6
+        return dy
+
+    monkeypatch.setattr(flows, "_lax_rhs", flips_on_step_five)
+    with pytest.raises(StepTooLarge, match="lost positivity"):
+        lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.02)
+
+
 def test_audit_never_reads_nan_steps_as_drift(monkeypatch):
     """An audit without a single finite Newton step falls back to the
     Sturm-certified solve: it returns the true drift (about 9e-10 at this
@@ -325,22 +368,25 @@ def test_matrix_flow_single_site_is_static():
 
 
 def test_audit_takes_one_sweep_per_step(monkeypatch):
-    """Performance guard: the warm-started audit averages at most 1.2
-    pivot sweeps per RK4 step (the old audit took three)."""
-    calls = [0]
+    """Performance guard: the block audit takes at most two pivot sweeps per
+    block of RK4 steps, plus one beside each sweep that met a rounding-level
+    pivot (a per-step audit took one to three sweeps per step)."""
+    calls, stuck = [0], [0]
 
     def counting(*args):
         calls[0] += 1
-        return spectral_direct._pivot_sweep(*args)
+        cnt, step = spectral_direct._pivot_sweep(*args)
+        stuck[0] += int(not np.isfinite(step).all())
+        return cnt, step
 
     monkeypatch.setattr(flows, "_pivot_sweep", counting)
     rng = np.random.default_rng(91)
-    steps = 0
+    blocks = 0
     for n in (4, 8, 16):
         for _ in range(2):
             lax_integrate(random_jacobi(rng, n), 0.5)
-            steps += 500
-    assert calls[0] / steps <= 1.2
+            blocks += math.ceil(500 / flows._AUDIT_BLOCK)
+    assert calls[0] <= 2 * blocks + stuck[0]
 
 
 def test_flaschka_change_of_variables():

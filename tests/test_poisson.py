@@ -33,6 +33,7 @@ from toda import (
     evaluate,
     gradient,
     jacobi_residual,
+    random_chart_point,
     tensor_at,
     verify_formula_vs_tensor,
     weyl_value,
@@ -101,6 +102,22 @@ def test_jacobi_identity():
         for n in (2, 3, 4, 8, 16):
             for _ in range(5):
                 assert jacobi_residual(random_point(rng, n, chart)) <= 1e-10
+
+
+def test_jacobi_residual_matches_einsum_contractions():
+    """The one matrix product and its cyclic permutations against the three
+    index contractions they replace, relative to the largest contraction
+    entry: the residual itself is rounding noise of that entry."""
+    rng = np.random.default_rng(73)
+    for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
+        for n in (2, 4, 8, 16):
+            for _ in range(3):
+                pt = random_chart_point(rng, n, chart)
+                j, dj = tensor_at(pt).j, _tensor_partials(pt)
+                a = np.einsum("il,ljk->ijk", j, dj)
+                t = a + np.einsum("jl,lki->ijk", j, dj) + np.einsum("kl,lij->ijk", j, dj)
+                size = max(1.0, float(np.max(np.abs(a))))
+                assert abs(jacobi_residual(pt) - float(np.max(np.abs(t)))) <= 1e-15 * size
 
 
 def test_tensor_partials_match_finite_differences():

@@ -14,6 +14,7 @@ from toda import (
     ActionAngle,
     Divisor,
     DivisorQuasimomentum,
+    InterlacingViolated,
     InvalidData,
     JacobiMatrix,
     PolyQuotient,
@@ -105,3 +106,22 @@ def test_loads_validates_payload():
         loads('{"v": [0.0, 1.0], "c": [-1.0]}')
     with pytest.raises(InvalidData):
         loads('{"lambdas": [0.0, 1.0], "rhos": [0.5, 0.6]}')
+
+
+def test_spectrum_document_reads_as_spectral_data():
+    """The eigenvalues, weights and divisor that `toda spectrum` writes load
+    as the spectral data.  An increasing finite divisor that does not
+    strictly interlace raises InterlacingViolated; one that is not a divisor
+    at all (wrong length, unordered, non-finite) raises InvalidData."""
+    doc = {"lambdas": [0.0, 2.0, 3.0], "rhos": [0.25, 0.5, 0.25], "gammas": [1.0, 2.5]}
+    assert detect(doc) == "spectrum"
+    sd = from_dict(doc)
+    assert type(sd) is SpectralData
+    np.testing.assert_array_equal(sd.lambdas, doc["lambdas"])
+    np.testing.assert_array_equal(sd.rhos, doc["rhos"])
+    for gammas in ([1.0, 3.0], [0.5, 1.5], [-1.0, 2.5]):
+        with pytest.raises(InterlacingViolated):
+            from_dict(dict(doc, gammas=gammas))
+    for gammas in ([1.0], [2.5, 1.0], [1.0, float("nan")], [[1.0, 2.5]]):
+        with pytest.raises(InvalidData):
+            from_dict(dict(doc, gammas=gammas))

@@ -301,3 +301,23 @@ def test_eigen_sweep_count(monkeypatch):
     for _ in range(50):
         eigen(random_jacobi(rng, 12))
     assert len(calls) / 50 <= 25
+
+
+def test_stacked_sweep_matches_row_by_row_sweeps():
+    """A stack of matrices swept at once gives each matrix's own counts and
+    Newton steps, bitwise, including a point on a rounding-level pivot and
+    one on a small pivot well above rounding."""
+    rng = np.random.default_rng(52)
+    for n in (2, 3, 5, 9):
+        ms = [random_jacobi(rng, n) for _ in range(6)]
+        v = np.array([m.v for m in ms])
+        c = np.array([m.c for m in ms])
+        x = np.array([eigen(m).lambdas + rng.uniform(-1e-3, 1e-3, n) for m in ms])
+        x[0, 0] = ms[0].v[0]
+        x[1, 0] = ms[1].v[0] + 1e-9
+        cnt, step = spectral_direct._pivot_sweep(v, c, x)
+        assert cnt.shape == step.shape == (6, n)
+        for b in range(6):
+            want_cnt, want_step = spectral_direct._pivot_sweep(v[b], c[b], x[b])
+            np.testing.assert_array_equal(cnt[b], want_cnt)
+            np.testing.assert_array_equal(step[b], want_step)
