@@ -78,10 +78,15 @@ def _load_document(args) -> object:
         return serialize.loads(text)
     seed = getattr(args, "seed", None)
     if seed is not None:
-        n = getattr(args, "N", None) or 4
-        log.info("generating random matrix: seed=%d N=%d", seed, n)
-        return random_jacobi(np.random.default_rng(seed), n)
+        _check_seed(seed)
+        log.info("generating random matrix: seed=%d N=%d", seed, args.N)
+        return random_jacobi(np.random.default_rng(seed), args.N)
     raise InvalidData("no input: pass --in, or --seed (with optional --N)")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidData("seed must be non-negative, got %d" % seed)
 
 
 def _as_weyl(obj) -> RationalHerglotz:
@@ -247,6 +252,7 @@ def cmd_flow(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    _check_seed(args.seed)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     log.info("running suites: %s (seed=%d N=%d)", ", ".join(names), args.seed, args.N)
     residuals, thresholds = run_suites(names, args.seed, args.N)
@@ -293,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             p.add_argument("--seed", type=int,
                            help="generate a random matrix instead of --in")
-            p.add_argument("--N", type=int, help="size of the generated matrix")
+            p.add_argument("--N", type=int, default=4,
+                           help="size of the generated matrix (default 4)")
 
     p = sub.add_parser("spectrum", help="eigenvalues, weights, and divisor")
     add_io(p)

@@ -175,7 +175,7 @@ def zeros(w: RationalHerglotz) -> Divisor:
     if w.n == 1:
         return Divisor(np.empty(0))
     gaps = np.diff(lam)
-    eps_edge = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(lam))
+    eps_edge = 8 * _poly._EPS * np.maximum(1.0, np.abs(lam))
     lo = lam[:-1] + np.maximum(1e-13 * gaps, eps_edge[:-1])
     hi = lam[1:] - np.maximum(1e-13 * gaps, eps_edge[1:])
     # Degenerate sides: the zero hugs the pole closer than the edge offset.

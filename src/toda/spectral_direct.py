@@ -174,8 +174,12 @@ def spectral_from_weyl(w: RationalHerglotz) -> SpectralData:
 def weyl_solution_residual(m: JacobiMatrix, lam: float) -> float:
     """Max-norm residual of (L - lam) u = e_0 for the Weyl solution
     u_n = Q_n + w(lam) P_n, built purely from recurrences and the pole sum."""
+    return _weyl_solution_residual(m, weyl(m), lam)
+
+
+def _weyl_solution_residual(m: JacobiMatrix, w: RationalHerglotz, lam: float) -> float:
+    """``weyl_solution_residual`` with w = weyl(m) already at hand."""
     lam = float(lam)
-    w = weyl(m)
     if np.min(np.abs(lam - w.poles)) < 1e-12:
         raise OnSpectrum("the Weyl solution has a pole on the spectrum")
     wv = evaluate(w, lam)
@@ -218,10 +222,14 @@ def gluing_check(m: JacobiMatrix) -> float:
     deviation would only measure their float64 magnitude).  Returns the
     worst deviation over both checks; 0.0 for a 1x1 matrix.
     """
-    if m.n == 1:
-        return 0.0
-    w = weyl(m)
+    return _gluing_check(m, weyl(m))
+
+
+def _gluing_check(m: JacobiMatrix, w: RationalHerglotz) -> float:
+    """``gluing_check`` with w = weyl(m) already at hand."""
     n = m.n
+    if n == 1:
+        return 0.0
     resid = _pole_residual(m, w.poles)
     pts = offspectrum_samples(w.poles, 16)
     wv = _values(w.poles, w.residues, pts)

@@ -5,11 +5,15 @@ name.  A check passes when its residual does not exceed its threshold.
 The suites mirror the package's invariants: reconstruction roundtrips,
 trace-formula agreement, bracket closed forms against the tensor route,
 canonical coordinate relations, the dual-data identities, and the flow
-cross-validations.  Checks are independent and could run concurrently;
-they are kept sequential here for deterministic accumulation.
+cross-validations.  The roundtrip and traces suites check the same seeded
+matrices: they share one memoized draw (``_samples``), so each spectrum
+and Weyl function is computed once per seed and size.  Checks run
+sequentially, for deterministic accumulation.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -44,8 +48,8 @@ from .poisson import (
 )
 from .rational_weyl import (
     RationalHerglotz,
+    _exp_residual,
     evaluate,
-    exp_representation_residual,
     krein,
     to_quotient,
     trace_via_delta,
@@ -53,18 +57,26 @@ from .rational_weyl import (
     zeros,
 )
 from .spectral_direct import (
+    SpectralData,
+    _gluing_check,
+    _weyl_solution_residual,
     eigen,
-    gluing_check,
     spectral_from_weyl,
     weyl,
     weyl_from_spectral,
-    weyl_solution_residual,
 )
 from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
 
 SUITE_NAMES = ("roundtrip", "traces", "brackets", "canonical", "dual", "flows")
 
 _E1 = JacobiMatrix([1.0, 1.0], [1.0])
+
+
+@lru_cache(maxsize=1)
+def _e1_weyl() -> RationalHerglotz:
+    """weyl(_E1), built on first use rather than at import, and shared by
+    the suites that check its closed forms."""
+    return weyl(_E1)
 
 
 def random_jacobi(rng: np.random.Generator, n: int) -> JacobiMatrix:
@@ -104,38 +116,51 @@ def _merge(acc: dict[str, float], name: str, value: float) -> None:
     acc[name] = value if np.isnan(value) or value > prev else prev
 
 
-def suite_roundtrip(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
-    """Reconstruction roundtrips, normalization, interlacing, and the
-    partition-of-unity identity for the quotient numerator."""
+@lru_cache(maxsize=1)
+def _samples(
+    seed: int, n: int
+) -> tuple[tuple[JacobiMatrix, SpectralData, RationalHerglotz], ...]:
+    """The matrices that the roundtrip and traces suites check, four at each
+    size in {2, 3, max(2, n)} drawn from ``seed``, each with its spectral
+    data and Weyl function.
+
+    Only the last (seed, n) is kept, so a ``verify`` run computes each
+    spectrum once.  The records are frozen and their arrays read-only, so
+    the suites can share them.
+    """
     rng = np.random.default_rng(seed)
-    res: dict[str, float] = {}
-    sizes = sorted({2, 3, max(2, n)})
-    for size in sizes:
+    out = []
+    for size in sorted({2, 3, max(2, n)}):
         for _ in range(4):
             m = random_jacobi(rng, size)
             sd = eigen(m)
-            w = weyl_from_spectral(sd)
-            pq = to_quotient(w)
-            m_cf = stieltjes_reconstruct(pq)
-            m_lz = lanczos_reconstruct(sd)
-            _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf))
-            _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz))
-            _merge(res, "methods_agree", _matrix_distance(m_cf, m_lz))
-            _merge(res, "residue_normalization", abs(float(np.sum(sd.rhos)) - 1.0))
-            if size > 1:
-                gam = zeros(w).gammas
-                viol = max(
-                    float(np.max(sd.lambdas[:-1] - gam)),
-                    float(np.max(gam - sd.lambdas[1:])),
-                )
-                _merge(res, "interlacing", max(0.0, viol))
-                dp = npoly.polyder(pq.p)
-                unity = np.sum(
-                    npoly.polyval(sd.lambdas, pq.q) / npoly.polyval(sd.lambdas, dp)
-                )
-                _merge(res, "partition_of_unity", abs(float(unity) - 1.0))
-            _merge(res, "weyl_solution", weyl_solution_residual(m, _offpoint(sd.lambdas)))
-            _merge(res, "gluing", gluing_check(m))
+            out.append((m, sd, weyl_from_spectral(sd)))
+    return tuple(out)
+
+
+def suite_roundtrip(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+    """Reconstruction roundtrips, normalization, interlacing, and the
+    partition-of-unity identity for the quotient numerator."""
+    res: dict[str, float] = {}
+    for m, sd, w in _samples(seed, n):
+        pq = to_quotient(w)
+        m_cf = stieltjes_reconstruct(pq)
+        m_lz = lanczos_reconstruct(sd)
+        _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf))
+        _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz))
+        _merge(res, "methods_agree", _matrix_distance(m_cf, m_lz))
+        _merge(res, "residue_normalization", abs(float(np.sum(sd.rhos)) - 1.0))
+        gam = zeros(w).gammas
+        viol = max(
+            float(np.max(sd.lambdas[:-1] - gam)),
+            float(np.max(gam - sd.lambdas[1:])),
+        )
+        _merge(res, "interlacing", max(0.0, viol))
+        dp = npoly.polyder(pq.p)
+        unity = np.sum(npoly.polyval(sd.lambdas, pq.q) / npoly.polyval(sd.lambdas, dp))
+        _merge(res, "partition_of_unity", abs(float(unity) - 1.0))
+        _merge(res, "weyl_solution", _weyl_solution_residual(m, w, _offpoint(sd.lambdas)))
+        _merge(res, "gluing", _gluing_check(m, w))
     thr = {
         "stieltjes_roundtrip": 1e-8,
         "lanczos_roundtrip": 1e-8,
@@ -156,30 +181,27 @@ def _offpoint(lambdas: np.ndarray) -> float:
 def suite_traces(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
     """Three-way agreement of the spectral power sums and the leading
     matrix-entry identities, plus the exponential-representation residual."""
-    rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
-    for size in sorted({2, 3, max(2, n)}):
-        for _ in range(4):
-            m = random_jacobi(rng, size)
-            w = weyl(m)
-            shift = float(w.poles[0])
-            kd = krein(w)
-            s_delta = trace_via_delta(kd, 3)
-            s_krein = trace_via_krein(kd)
-            m_shifted = JacobiMatrix(m.v - shift, m.c)
-            s_direct = moments(m_shifted, 3)
-            _merge(res, "delta_vs_direct", float(np.max(np.abs(s_delta - s_direct))))
-            _merge(res, "krein_vs_direct", float(np.max(np.abs(s_krein - s_direct))))
-            mom = moments(m, 2)
-            _merge(res, "first_moment_is_v0", abs(float(mom[1]) - float(m.v[0])))
-            c0sq = float(m.c[0]) ** 2 if m.c.size else 0.0
-            _merge(
-                res,
-                "second_moment_entries",
-                abs(float(mom[2]) - (float(m.v[0]) ** 2 + c0sq)),
-            )
-            _merge(res, "exp_representation", exp_representation_residual(w))
-    w1 = weyl(_E1)
+    for m, _, w in _samples(seed, n):
+        shift = float(w.poles[0])
+        kd = krein(w)
+        s_delta = trace_via_delta(kd, 3)
+        s_krein = trace_via_krein(kd)
+        m_shifted = JacobiMatrix(m.v - shift, m.c)
+        s_direct = moments(m_shifted, 3)
+        _merge(res, "delta_vs_direct", float(np.max(np.abs(s_delta - s_direct))))
+        _merge(res, "krein_vs_direct", float(np.max(np.abs(s_krein - s_direct))))
+        mom = moments(m, 2)
+        _merge(res, "first_moment_is_v0", abs(float(mom[1]) - float(m.v[0])))
+        c0sq = float(m.c[0]) ** 2
+        _merge(
+            res,
+            "second_moment_entries",
+            abs(float(mom[2]) - (float(m.v[0]) ** 2 + c0sq)),
+        )
+        # exp_representation_residual(w), read off krein's divisor solve.
+        _merge(res, "exp_representation", _exp_residual(kd.lambdas0, kd.gammas, w.residues, 32))
+    w1 = _e1_weyl()
     kd1 = krein(w1)
     target = np.array([1.0, 1.0, 2.0, 4.0])
     spot = max(
@@ -246,7 +268,7 @@ def suite_brackets(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[st
     _merge(res, "entry_bracket", entry_bracket_residual(pt_r))
     # Fixed two-pole spot value: poles (0, 2) with equal residues, bracket of
     # the values at -1 and 3 equals 4/27 restricted and -4/9 unrestricted.
-    w1 = weyl(_E1)
+    w1 = _e1_weyl()
     res["e1_spot_restricted"] = abs(ah_formula(w1, -1.0, 3.0, restricted=True) - 4.0 / 27.0)
     res["e1_spot_unrestricted"] = abs(ah_formula(w1, -1.0, 3.0) + 4.0 / 9.0)
     pt1 = ChartPoint(w1.poles, w1.residues, CHART_RESTRICTED)
@@ -343,7 +365,7 @@ def suite_flows(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, 
     res["hflow_vs_lax"] = _matrix_distance(m_spectral, m_lax)
     res["lax_drift"] = drift
     res["isospectral"] = float(
-        np.max(np.abs(eigen(m_lax).lambdas - eigen(m).lambdas))
+        np.max(np.abs(eigen(m_lax).lambdas - w.poles))
     )
     # Commutativity of two hierarchy members.
     ja, jb = (2, 3) if size >= 3 else (1, 2)
@@ -378,7 +400,7 @@ def suite_flows(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, 
     res["tflow_fixes_divisor"] = float(np.max(np.abs(dq_t.gammas - dq.gammas)))
     # Two-pole closed forms: residue and angle growth under the quadratic
     # flow, and the off-diagonal exponential under the first transversal flow.
-    w1 = weyl(_E1)
+    w1 = _e1_weyl()
     t1 = 0.7
     w1t = flow_H(w1, 2, t1)
     res["e1_residue_closed_form"] = abs(

@@ -251,6 +251,24 @@ def test_exit_code_two_on_bad_input(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_negative_seed_and_zero_size_exit_two(capsys):
+    """Argument errors exit 2 with a message, never a traceback; only an
+    absent --N defaults to 4."""
+    for argv in (
+        ("spectrum", "--seed", "-3", "--N", "3"),
+        ("weyl", "--seed", "-1"),
+        ("verify", "--suite", "all", "--seed", "-1"),
+        ("verify", "--suite", "flows", "--seed", "-2", "--N", "3"),
+        ("spectrum", "--seed", "1", "--N", "0"),
+        ("spectrum", "--seed", "1", "--N", "-2"),
+        ("coords", "--seed", "0", "--N", "0"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("error: "), argv
+    assert len(run_json(capsys, "spectrum", "--seed", "1")["lambdas"]) == 4
+    assert len(run_json(capsys, "spectrum", "--seed", "0", "--N", "1")["lambdas"]) == 1
+
+
 def test_exit_code_three_on_herglotz_failure(capsys):
     rc, _, err = run(capsys, "reconstruct", "--in",
                      '{"p": [0.0, -2.0, 1.0], "q": [1.0, 1.0]}', "--method", "cf")

@@ -213,6 +213,22 @@ def test_gluing_check_catches_a_moved_pole(monkeypatch):
         assert gluing_check(m) > 1e-9
 
 
+def test_public_checks_equal_their_forms_on_a_given_weyl_function():
+    """gluing_check and weyl_solution_residual build weyl(m) once and hand
+    it to the private forms that the verification suites call directly."""
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(4):
+            m = random_jacobi(rng, n)
+            w = weyl(m)
+            assert gluing_check(m) == spectral_direct._gluing_check(m, w)
+            lam = w.poles
+            for x in (lam[0] - 0.3, lam[-1] + 1.1, 0.5 * (lam[0] + lam[-1]) + 1e-3):
+                assert weyl_solution_residual(m, x) == spectral_direct._weyl_solution_residual(
+                    m, w, x
+                )
+
+
 def test_gluing_check_single_site_is_zero():
     assert gluing_check(JacobiMatrix(np.array([0.3]), np.array([]))) == 0.0
 

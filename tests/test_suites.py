@@ -8,11 +8,19 @@ from toda import (
     CHART_UNRESTRICTED,
     InvalidData,
     SUITE_NAMES,
+    cli,
+    coordinates,
+    flows,
+    poisson,
     random_chart_point,
     random_interlacing,
     random_jacobi,
+    rational_weyl,
     run_suite,
     run_suites,
+    spectral_direct,
+    spectral_inverse,
+    suites,
 )
 
 
@@ -76,3 +84,60 @@ def test_random_interlacing_stays_inside_cells():
         width = np.diff(lam)
         assert np.all(gam >= lam[:-1] + 0.1 * width - 1e-12)
         assert np.all(gam <= lam[1:] - 0.1 * width + 1e-12)
+
+
+def test_each_suite_alone_equals_its_keys_in_a_full_run():
+    """The roundtrip and traces suites share one memoized draw; run alone on
+    a fresh memo, every suite reports what it reports inside a full run."""
+    for n in (2, 3, 4):
+        for seed in (0, 5, 12):
+            full, full_thr = run_suites(SUITE_NAMES, seed=seed, n=n)
+            for name in SUITE_NAMES:
+                suites._samples.cache_clear()
+                alone, alone_thr = run_suite(name, seed=seed, n=n)
+                prefix = name + "."
+                assert {prefix + k: v for k, v in alone.items()} == {
+                    k: v for k, v in full.items() if k.startswith(prefix)
+                }, (name, seed, n)
+                assert {prefix + k: v for k, v in alone_thr.items()} == {
+                    k: v for k, v in full_thr.items() if k.startswith(prefix)
+                }
+
+
+def test_memoized_draw_is_never_stale():
+    """Seed 1, then seed 2, then seed 1 again (and a change of size between)
+    give the reports of runs on a fresh memo."""
+    order = ((1, 4), (2, 4), (1, 3), (1, 4), (2, 4))
+    reports = [run_suites(SUITE_NAMES, seed=seed, n=n) for seed, n in order]
+    assert reports[3] == reports[0] and reports[4] == reports[1]
+    assert reports[1][0] != reports[0][0]
+    for (seed, n), report in zip(order, reports):
+        suites._samples.cache_clear()
+        assert run_suites(SUITE_NAMES, seed=seed, n=n) == report, (seed, n)
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every toda module that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for module in (cli, coordinates, flows, poisson, rational_weyl, spectral_direct,
+                   spectral_inverse, suites):
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+def test_verify_all_computes_each_spectrum_once(monkeypatch, capsys):
+    """verify --suite all --N 4 made 55 eigen and 47 zeros calls before the
+    suites shared their draws, spectra and divisor solves."""
+    eigen_calls = _count_calls(monkeypatch, spectral_direct.eigen)
+    zeros_calls = _count_calls(monkeypatch, rational_weyl.zeros)
+    suites._samples.cache_clear()
+    assert cli.main(["verify", "--suite", "all", "--seed", "7", "--N", "4"]) == 0
+    capsys.readouterr()
+    assert len(eigen_calls) <= 16
+    assert len(zeros_calls) <= 36
