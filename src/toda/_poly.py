@@ -1,8 +1,10 @@
-"""Polynomial plumbing shared by the transform layers.
+"""Root kernel and sampling plumbing shared by the transform layers.
 
-Coefficient arrays are ordered constant term first.  Root finding never goes
-through a companion matrix: every root comes out of a certified bracket
-refined by ``bracketed_newton``.
+Root finding never goes through a companion matrix: every root in the
+package (eigenvalues, Weyl zeros, the divisor inversion) comes out of a
+certified bracket refined by ``bracketed_newton``.  No layer finds the
+roots of a coefficient array: the quotient form is read through its
+continued fraction (``spectral_inverse``).
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package; this module imports only ``errors``, so any
@@ -14,12 +16,17 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .errors import ConvergenceFailure, InvalidData
+from .errors import ConvergenceFailure
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+# offspectrum_samples: the samples span the avoided set padded by _SAMPLE_PAD
+# of its width on each side, and keep _SAMPLE_CLEARANCE of that width from
+# every avoided point.
+_SAMPLE_PAD = 0.37
+_SAMPLE_CLEARANCE = 0.02
 
 
 def _readonly(a) -> np.ndarray:
@@ -66,46 +73,12 @@ def bracketed_newton(
     raise ConvergenceFailure("bracketed Newton hit the iteration cap")
 
 
-def real_simple_roots(coef: np.ndarray) -> np.ndarray:
-    """All roots of a polynomial expected to have real simple roots only.
-
-    Recursively locates the critical points (roots of the derivative), which
-    split the line into monotone pieces; each piece is then checked for a
-    sign change and refined by bracketed Newton.  Raises ``InvalidData``
-    when the polynomial cannot have the full count of real simple roots.
-    """
-    c = np.asarray(coef, dtype=float)
-    if c.size == 0 or c[-1] == 0.0:
-        raise InvalidData("leading coefficient must be nonzero")
-    deg = c.size - 1
-    if deg == 0:
-        return np.empty(0)
-    if deg == 1:
-        return np.array([-c[0] / c[1]])
-    dc = npoly.polyder(c)
-    crit = real_simple_roots(dc)
-    bound = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
-    bound = max(bound, np.max(np.abs(crit)) * 1.5 + 1.0)
-    edges = np.concatenate(([-bound], crit, [bound]))
-    vals = npoly.polyval(edges, c)
-    change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
-    if int(np.count_nonzero(change)) != deg:
-        raise InvalidData("polynomial does not have %d real simple roots" % deg)
-    sign_hi = np.sign(vals[1:][change])
-
-    def step_side(x):  # f' vanishes at most at the ends of a monotone piece
-        fx = npoly.polyval(x, c)
-        return fx / npoly.polyval(x, dc), fx * sign_hi >= 0.0
-
-    return np.sort(bracketed_newton(step_side, edges[:-1][change], edges[1:][change]))
-
-
-def offspectrum_samples(avoid: np.ndarray, n: int, *, pad: float = 0.37, clearance: float = 0.02) -> np.ndarray:
+def offspectrum_samples(avoid: np.ndarray, n: int) -> np.ndarray:
     """Deterministic real sample points staying clear of the ``avoid`` set."""
     avoid = np.sort(np.asarray(avoid, dtype=float))
     span = max(avoid[-1] - avoid[0], 1.0)
-    pts = np.linspace(avoid[0] - pad * span, avoid[-1] + pad * span, n)
-    floor = clearance * span
+    pts = np.linspace(avoid[0] - _SAMPLE_PAD * span, avoid[-1] + _SAMPLE_PAD * span, n)
+    floor = _SAMPLE_CLEARANCE * span
     step = 0.61 * floor
     for i in range(pts.size):
         guard = 0

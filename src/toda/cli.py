@@ -49,12 +49,11 @@ from .rational_weyl import (
     PolyQuotient,
     RationalHerglotz,
     evaluate,
-    from_quotient,
     to_quotient,
     zeros,
 )
 from .spectral_direct import SpectralData, spectral_from_weyl, weyl, weyl_from_spectral
-from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
+from .spectral_inverse import from_quotient, lanczos_reconstruct, stieltjes_reconstruct
 from .suites import SUITE_NAMES, random_jacobi, run_suites
 
 log = logging.getLogger("toda")

@@ -73,4 +73,5 @@ class StepTooLarge(TodaError):
 
 class PrecisionLimit(TodaError):
     """Valid data beyond float64: distinct eigenvalues closer than the
-    rounding of their magnitude, which the computation cannot hold apart."""
+    rounding of their magnitude, which the computation cannot hold apart,
+    or spectral weights whose recurrence sums overflow."""

@@ -37,6 +37,9 @@ from .rational_weyl import RationalHerglotz, _exp_values, _shifted, _values, eva
 CHART_UNRESTRICTED = "unrestricted"
 CHART_RESTRICTED = "restricted"
 
+# Step of ``_fd_jacobian`` in component x: _FD_REL_STEP * max(1, |x|).
+_FD_REL_STEP = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
@@ -202,8 +205,6 @@ def _fd_jacobian(
     vfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lam: np.ndarray,
     rho: np.ndarray,
-    *,
-    rel_step: float = 1e-6,
 ) -> np.ndarray:
     """Richardson-extrapolated central differences with a two-step
     consistency guard on every component."""
@@ -217,7 +218,7 @@ def _fd_jacobian(
         return np.atleast_1d(np.asarray(vfn(x[n:], x[:n]), dtype=float))
 
     for i in range(2 * n):
-        h = rel_step * max(1.0, abs(x0[i]))
+        h = _FD_REL_STEP * max(1.0, abs(x0[i]))
         xp, xm = x0.copy(), x0.copy()
         xp[i] += h
         xm[i] -= h

@@ -4,9 +4,12 @@ A function here is a finite sum of simple poles on the real line with
 positive residues.  It can equally be written as a quotient -q(z)/p(z) of
 real polynomials with interlacing roots, or through the exponential of a
 spectral-shift integral once the leftmost pole is moved to the origin.
-This module converts between the representations and evaluates the moment
-(trace) sums in all of them; agreement of the routes is a core consistency
-check used by the test suite.
+This module builds the quotient from the pole sum (``to_quotient``), the
+exponential form from either, and evaluates the moment (trace) sums in all
+of them; agreement of the routes is a core consistency check used by the
+test suite.  The quotient is read back through its continued fraction,
+in ``spectral_inverse`` (``stieltjes_reconstruct``, ``from_quotient``):
+no root finder runs on its float coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _poly
 from ._poly import _readonly
@@ -89,9 +91,10 @@ class PolyQuotient:
     ``p`` is monic of degree N, ``q`` has degree N-1.  When built by
     :func:`to_quotient` the instance also carries fixed-precision decimal
     coefficients (``p_dec``/``q_dec``, ``_DEC_DIGITS`` digits), of which
-    ``p``, ``q`` are the correctly rounded values; stieltjes_reconstruct
-    prefers the payload, since float64 monomial coefficients cannot carry a
-    very small residue to better than absolute rounding error.
+    ``p``, ``q`` are the correctly rounded values.  Both inverse transforms,
+    ``stieltjes_reconstruct`` and ``from_quotient``, read the payload when
+    there is one, since float64 monomial coefficients cannot carry a very
+    small residue to better than absolute rounding error.
     """
 
     p: np.ndarray
@@ -233,26 +236,6 @@ def to_quotient(w: RationalHerglotz) -> PolyQuotient:
     float coefficients round the one (decimal) expansion, ``_dec_quotient``."""
     p_dec, q_dec = _dec_quotient(w.poles, w.residues)
     return PolyQuotient(np.array(p_dec, dtype=float), np.array(q_dec, dtype=float), p_dec, q_dec)
-
-
-def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
-    """Recover poles and residues from the quotient form.
-
-    Residues are q(root)/p'(root) with p' in product form; any nonpositive
-    residue means the quotient is not a positive pole sum.
-    """
-    try:
-        roots = _poly.real_simple_roots(np.asarray(pq.p, dtype=float))
-    except InvalidData as exc:
-        raise NotHerglotz("denominator does not have real simple roots") from exc
-    if roots.size > 1 and np.min(np.diff(roots)) <= 0.0:
-        raise NotHerglotz("denominator roots are not separated")
-    n = roots.size
-    dp = np.prod((roots[:, None] - roots)[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
-    rho = npoly.polyval(roots, pq.q) / dp
-    if not np.all(rho > 0.0):
-        raise NotHerglotz("quotient has a nonpositive residue")
-    return RationalHerglotz(roots, rho)
 
 
 def _shifted(w: RationalHerglotz) -> tuple[float, np.ndarray, np.ndarray]:

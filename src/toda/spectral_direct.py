@@ -133,18 +133,22 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
 def eigen(m: JacobiMatrix) -> SpectralData:
     """Full spectral data of the matrix: ``_eigenvalues`` and their weights.
     Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
-    raise ``PrecisionLimit``."""
+    raise ``PrecisionLimit``, and so do weights whose recurrence sums
+    overflow (the documented random family from N of about 300)."""
     n = m.n
     if n == 1:
         return SpectralData(np.array([m.v[0]]), np.array([1.0]))
     lam = _eigenvalues(m.v, m.c)
     if not np.all(np.diff(lam) > 0.0):
         raise PrecisionLimit("eigenvalues closer than float64 can separate")
-    table = jacobi_core._recurrence_table(m, lam, first_kind=True)
-    rho = 1.0 / (table[:n] ** 2).sum(axis=0)
-    # The weights satisfy sum rho = 1 identically; project the rounding
-    # drift of the recurrence sums back onto that constraint.
-    rho = rho / float(np.sum(rho))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = jacobi_core._recurrence_table(m, lam, first_kind=True)
+        rho = 1.0 / (table[:n] ** 2).sum(axis=0)
+        # The weights satisfy sum rho = 1 identically; project the rounding
+        # drift of the recurrence sums back onto that constraint.
+        rho = rho / float(np.sum(rho))
+    if not np.all(np.isfinite(rho) & (rho > 0.0)):
+        raise PrecisionLimit("weights beyond float64: the recurrence sums overflow")
     flag = bool(np.min(np.diff(lam)) < 1e-10)
     return SpectralData(lam, rho, conditioning=flag)
 

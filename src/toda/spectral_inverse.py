@@ -5,6 +5,8 @@ cross-check each other.  The continued-fraction route peels one diagonal
 entry at a time from the quotient form by polynomial division; the
 orthogonalization route runs the discrete Stieltjes procedure (Lanczos with
 full reorthogonalization) against the spectral measure.
+
+The division is also the one reader of the quotient form (``from_quotient``).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .errors import Breakdown, InvalidData, NotHerglotzInput
+from .errors import Breakdown, InvalidData, NotHerglotz, NotHerglotzInput
 from .jacobi_core import JacobiMatrix, _matrix_distance
-from .rational_weyl import _DEC_DIGITS, PolyQuotient, to_quotient
+from .rational_weyl import _DEC_DIGITS, PolyQuotient, RationalHerglotz, to_quotient
 from .spectral_direct import SpectralData, eigen, weyl_from_spectral
 
 
@@ -41,30 +43,56 @@ def _cf_division(p: list, q: list, m: int):
     return v, csq
 
 
+def _cf_matrix(pq: PolyQuotient) -> tuple[JacobiMatrix, float]:
+    """The continued-fraction matrix of -q/p over its total residue
+    q_top/p_top, and that total.
+
+    The division runs at ``_DEC_DIGITS`` digits on the decimal payload of a
+    ``to_quotient`` quotient, which resolves every residue to full relative
+    accuracy, or else on the exact decimal values of the float coefficients.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DEC_DIGITS
+        p = [Decimal(x) for x in pq.p_dec or pq.p.tolist()]
+        q = [Decimal(x) for x in pq.q_dec or pq.q.tolist()]
+        v, csq = _cf_division([x / p[-1] for x in p], [x / q[-1] for x in q], pq.n)
+        total = float(q[-1] / p[-1])
+    return JacobiMatrix(v, np.sqrt(csq)), total
+
+
 def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
     """Continued-fraction inversion of the quotient form.
 
     Each division step p = (z - v0) q - c0^2 q~ reads off one diagonal entry
     and one squared coupling; the recursion then descends to (q, q~).  The
     input must be normalized (q monic); a nonpositive squared coupling means
-    the quotient did not come from a positive spectral measure.
-
-    The recursion always runs on decimal coefficients at ``_DEC_DIGITS``
-    digits.  A quotient built by ``to_quotient`` supplies its exact decimal
-    payload, which resolves every residue to full relative accuracy.  A bare
-    float quotient converts to decimal exactly and takes the same recursion;
-    its accuracy is then bounded by what its rounded float64 coefficients
-    still carry, which drops quickly with the degree because small residues
-    are lost in the rounding.
+    the quotient did not come from a positive spectral measure.  The
+    division reads the decimal payload when there is one (``_cf_matrix``);
+    the accuracy of a bare float quotient drops quickly with the degree,
+    because small residues are lost in the rounding of its coefficients.
     """
     if abs(pq.q[-1] - 1.0) > 1e-8:
         raise InvalidData("quotient must be normalized: q monic")
-    with localcontext() as ctx:
-        ctx.prec = _DEC_DIGITS
-        p = [Decimal(x) for x in pq.p_dec or pq.p.tolist()]
-        q = [Decimal(x) for x in pq.q_dec or pq.q.tolist()]
-        v, csq = _cf_division([x / p[-1] for x in p], [x / q[-1] for x in q], pq.n)
-    return JacobiMatrix(v, np.sqrt(csq))
+    return _cf_matrix(pq)[0]
+
+
+def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
+    """Recover poles and residues from the quotient form.
+
+    They are the spectral data of the continued-fraction matrix
+    (``_cf_matrix``), with the weights scaled by the total residue.  A
+    nonpositive total residue or squared coupling means the quotient is not
+    a positive pole sum; poles that float64 cannot separate raise
+    ``PrecisionLimit`` from ``eigen``.
+    """
+    if not pq.q[-1] > 0.0:
+        raise NotHerglotz("quotient has a nonpositive total residue")
+    try:
+        m, total = _cf_matrix(pq)
+    except NotHerglotzInput as exc:
+        raise NotHerglotz("quotient is not a positive pole sum: %s" % exc) from exc
+    sd = eigen(m)
+    return RationalHerglotz(sd.lambdas, sd.rhos * total)
 
 
 def lanczos_reconstruct(sd: SpectralData) -> JacobiMatrix:

@@ -121,7 +121,7 @@ def _samples(
     seed: int, n: int
 ) -> tuple[tuple[JacobiMatrix, SpectralData, RationalHerglotz], ...]:
     """The matrices that the roundtrip and traces suites check, four at each
-    size in {2, 3, max(2, n)} drawn from ``seed``, each with its spectral
+    size in {2, 3, n} drawn from ``seed``, each with its spectral
     data and Weyl function.
 
     Only the last (seed, n) is kept, so a ``verify`` run computes each
@@ -130,7 +130,7 @@ def _samples(
     """
     rng = np.random.default_rng(seed)
     out = []
-    for size in sorted({2, 3, max(2, n)}):
+    for size in sorted({2, 3, n}):
         for _ in range(4):
             m = random_jacobi(rng, size)
             sd = eigen(m)
@@ -226,7 +226,7 @@ def suite_brackets(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[st
     health, the constrained reduction, and the leading-entry bracket."""
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
-    size = min(max(2, n), 6)
+    size = min(n, 6)
     for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
         pt = random_chart_point(rng, size, chart)
         pts = offspectrum_samples(pt.lambdas, 4)
@@ -294,7 +294,7 @@ def suite_canonical(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[s
     the normalized contour periods."""
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
-    size = min(max(2, n), 6)
+    size = min(n, 6)
     pt = random_chart_point(rng, size, CHART_RESTRICTED)
     report = canonical_report(pt)
     for name, value in report.items():
@@ -340,7 +340,7 @@ def suite_dual(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, f
     """Bracket identities of the dual (divisor-side) data."""
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
-    size = min(max(2, n), 4)
+    size = min(n, 4)
     for _ in range(2):
         pt = random_chart_point(rng, size, CHART_UNRESTRICTED)
         for name, value in dual_identities(pt).items():
@@ -354,7 +354,7 @@ def suite_flows(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, 
     integration cross-check."""
     rng = np.random.default_rng(seed)
     res: dict[str, float] = {}
-    size = min(max(2, n), 6)
+    size = min(n, 6)
     m = random_jacobi(rng, size)
     w = weyl(m)
     t = 0.35
@@ -440,9 +440,12 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
-    """Run one named suite; raises InvalidData for unknown names."""
+    """Run one named suite; raises InvalidData for unknown names and for
+    sizes below 2."""
     if name not in _SUITES:
         raise InvalidData("unknown suite %r" % (name,))
+    if n < 2:
+        raise InvalidData("suite size must be at least 2, got %d" % n)
     return _SUITES[name](seed, n)
 
 

@@ -6,6 +6,7 @@ quotient, charts, brackets, and flows are all known in closed form.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,9 @@ def test_negative_seed_and_zero_size_exit_two(capsys):
         ("spectrum", "--seed", "1", "--N", "0"),
         ("spectrum", "--seed", "1", "--N", "-2"),
         ("coords", "--seed", "0", "--N", "0"),
+        ("verify", "--suite", "all", "--seed", "0", "--N", "1"),
+        ("verify", "--suite", "all", "--seed", "0", "--N", "0"),
+        ("verify", "--suite", "all", "--seed", "0", "--N", "-5"),
     ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "" and err.startswith("error: "), argv
@@ -278,10 +282,15 @@ def test_exit_code_three_on_herglotz_failure(capsys):
 
 
 def test_exit_code_one_on_precision_limit(capsys):
-    """Wilkinson's W23: valid, but two eigenvalues round together."""
+    """Valid data beyond float64, with no warning escaping: Wilkinson's W23,
+    where two eigenvalues round together, and N = 400, where the weight
+    sums overflow."""
     w23 = json.dumps({"v": np.abs(np.arange(23) - 11.0).tolist(), "c": [1.0] * 22})
-    rc, out, err = run(capsys, "spectrum", "--in", w23)
-    assert rc == 1 and out == "" and "float64" in err
+    for argv in (("--in", w23), ("--seed", "0", "--N", "400")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "spectrum", *argv)
+        assert rc == 1 and out == "" and "float64" in err, argv
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toda import ConvergenceFailure
-from toda._poly import bracketed_newton, real_simple_roots
+from toda._poly import bracketed_newton
 
 
 def test_bracketed_newton_takes_newton_steps_inside_the_bracket():
@@ -74,9 +74,3 @@ def test_bracketed_newton_floor_follows_scale():
     fine = bracketed_newton(step_side, [0.0], [1e-8], scale=1e-8)[0]
     assert abs(fine - 1e-9) <= 4e-24
     assert abs(coarse - 1e-9) <= 1e-15
-
-
-def test_real_simple_roots_of_a_known_polynomial():
-    want = np.array([-3.0, -0.5, 0.25, 2.0, 7.0])
-    coef = np.polynomial.polynomial.polyfromroots(want)
-    np.testing.assert_allclose(real_simple_roots(coef), want, atol=1e-13, rtol=0)

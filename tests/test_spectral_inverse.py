@@ -1,8 +1,10 @@
 """Tests for the two inverse spectral transforms.
 
 Oracles: hand-performed polynomial division for the small closed-form
-quotients, moment identities for the orthogonalization route, and the two
-routes cross-checking each other on random matrices.
+quotients, moment identities for the orthogonalization route, the two
+routes cross-checking each other on random matrices, the forward transform
+for the quotient reader, and ``mpmath`` roots and residues of bare float
+quotients.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from toda import (
     RationalHerglotz,
     SpectralData,
     eigen,
+    from_quotient,
     lanczos_reconstruct,
     roundtrip_error,
     stieltjes_reconstruct,
@@ -143,3 +146,43 @@ def test_stieltjes_couplings_are_positive_for_valid_input():
         w = RationalHerglotz(poles, residues / residues.sum())
         rec = stieltjes_reconstruct(to_quotient(w))
         assert np.all(rec.c > 0.0)
+
+
+def test_from_quotient_reads_the_payload_at_large_sizes():
+    """Valid quotients with their decimal payload invert past the sizes the
+    gate covers: no positivity error, poles at rounding level and residues
+    to 1e-9 relative up to N = 20."""
+    for n in (16, 20, 24):
+        rng = np.random.default_rng(31000 + n)
+        for _ in range(40):
+            w = weyl(random_matrix(rng, n))
+            back = from_quotient(to_quotient(w))
+            np.testing.assert_array_less(
+                np.abs(back.poles - w.poles), 1e-12 * np.maximum(1.0, np.abs(w.poles))
+            )
+            if n <= 20:
+                np.testing.assert_allclose(back.residues, w.residues, rtol=1e-9, atol=0)
+
+
+def test_from_quotient_of_bare_floats_matches_mpmath_oracle():
+    """A bare float quotient (what ``toda weyl`` prints) inverts to the
+    roots and residues of exactly those float coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    for n in (8, 12):
+        rng = np.random.default_rng(32000 + n)
+        for _ in range(10):
+            pq = to_quotient(weyl(random_matrix(rng, n)))
+            back = from_quotient(PolyQuotient(p=pq.p, q=pq.q))
+            with mpmath.workdps(80):
+                coef = [mpmath.mpf(x) for x in pq.p[::-1]]
+                roots = sorted(mpmath.re(r) for r in mpmath.polyroots(coef, maxsteps=200, extraprec=200))
+                num = [mpmath.mpf(x) for x in pq.q[::-1]]
+                lam = np.array([float(r) for r in roots])
+                rho = np.array([
+                    float(mpmath.polyval(num, r) / mpmath.fprod(r - s for s in roots if s is not r))
+                    for r in roots
+                ])
+            np.testing.assert_array_less(
+                np.abs(back.poles - lam), 1e-12 * np.maximum(1.0, np.abs(lam))
+            )
+            np.testing.assert_allclose(back.residues, rho, rtol=1e-12, atol=0)
