@@ -40,7 +40,7 @@ def bracketed_newton(
     lo: np.ndarray,
     hi: np.ndarray,
     *,
-    scale: float = 1.0,
+    scale: float | np.ndarray = 1.0,
 ) -> np.ndarray:
     """Refine one root per bracket [lo_i, hi_i], starting at its midpoint.
 
@@ -50,11 +50,13 @@ def bracketed_newton(
     crawl) becomes its midpoint.  A root is done when its step or bracket is
     within 4 eps * max(scale, |x|) (``scale``, say a matrix norm, is the
     floor for roots near zero), or raises ``ConvergenceFailure`` at step 200.
+    A zero-width bracket is its own root.  ``scale`` may be an array that
+    broadcasts against stacked brackets, so each row stops where it would alone.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x = 0.5 * (lo + hi)
     last = older = hi - lo
-    active = np.ones(x.shape, dtype=bool)
+    active = lo != hi
     for _ in range(200):
         step, below = step_side(x)
         lo = np.where(active & ~below, x, lo)
@@ -68,9 +70,18 @@ def bracketed_newton(
         older, last = last, np.abs(nxt - x)
         x = np.where(active, nxt, x)
         active &= ~(small | (hi - lo <= tol))
-        if not np.any(active):
+        if not active.any():
             return x
     raise ConvergenceFailure("bracketed Newton hit the iteration cap")
+
+
+def _raise_lowest(*checks) -> None:
+    """Raise what the lowest failing row of a stack raises on its own; ``checks``
+    are (bad rows, error class, message) in the order one row is checked."""
+    failing = [(int(bad.argmax()), i) for i, (bad, _, _) in enumerate(checks) if bad.any()]
+    if failing:
+        error, message = checks[min(failing)[1]][1:]
+        raise error(message)
 
 
 def offspectrum_samples(avoid: np.ndarray, n: int) -> np.ndarray:
@@ -80,11 +91,9 @@ def offspectrum_samples(avoid: np.ndarray, n: int) -> np.ndarray:
     pts = np.linspace(avoid[0] - _SAMPLE_PAD * span, avoid[-1] + _SAMPLE_PAD * span, n)
     floor = _SAMPLE_CLEARANCE * span
     step = 0.61 * floor
-    for i in range(pts.size):
-        guard = 0
-        while np.min(np.abs(pts[i] - avoid)) < floor:
-            pts[i] += step
-            guard += 1
-            if guard > 200:
-                raise ConvergenceFailure("could not place sample away from the spectrum")
-    return pts
+    for _ in range(201):
+        close = np.abs(pts[:, None] - avoid).min(axis=1) < floor
+        if not close.any():
+            return pts
+        pts[close] += step
+    raise ConvergenceFailure("could not place sample away from the spectrum")

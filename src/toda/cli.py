@@ -14,6 +14,7 @@ logging on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -25,6 +26,9 @@ from . import serialize
 from .coordinates import (
     ActionAngle,
     DivisorQuasimomentum,
+    _poles_from_divisor,
+    _quasimomenta,
+    _thetas,
     pi_from,
     theta_from,
     w_from_divisor,
@@ -53,7 +57,7 @@ from .rational_weyl import (
     zeros,
 )
 from .spectral_direct import SpectralData, spectral_from_weyl, weyl, weyl_from_spectral
-from .spectral_inverse import from_quotient, lanczos_reconstruct, stieltjes_reconstruct
+from .spectral_inverse import _lanczos, from_quotient, lanczos_reconstruct, stieltjes_reconstruct
 from .suites import SUITE_NAMES, random_jacobi, run_suites
 
 log = logging.getLogger("toda")
@@ -107,14 +111,6 @@ def _as_weyl(obj) -> RationalHerglotz:
     raise InvalidData("unsupported input document")
 
 
-def _divisor_chart(w: RationalHerglotz):
-    """Divisor-chart fields, tolerating the one-pole case (empty chart)."""
-    if w.n < 2:
-        return np.empty(0), np.empty(0), float(np.sum(w.poles))
-    dq = pi_from(w)
-    return dq.gammas, dq.pis, dq.casimir
-
-
 def cmd_spectrum(args) -> tuple[str, int]:
     obj = _load_document(args)
     w = _as_weyl(obj)
@@ -154,7 +150,8 @@ def cmd_coords(args) -> tuple[str, int]:
     obj = _load_document(args)
     w = _as_weyl(obj)
     aa = theta_from(w)
-    gammas, pis, casimir = _divisor_chart(w)
+    gammas, pis = _quasimomenta(w.poles, w.residues)  # empty for one pole
+    casimir = float(np.sum(w.poles))
     if args.chart == "angle":
         doc = {"lambdas": aa.lambdas, "thetas": aa.thetas}
     elif args.chart == "divisor":
@@ -184,22 +181,6 @@ def cmd_bracket(args) -> tuple[str, int]:
     if w.normalized:
         doc["restricted"] = ah_formula(w, lam, mu, restricted=True)
     return serialize.dumps(doc), 0
-
-
-def _flow_record(t: float, w: RationalHerglotz) -> dict:
-    sd = spectral_from_weyl(w)
-    m = lanczos_reconstruct(sd)
-    aa = theta_from(w)
-    gammas, pis, _ = _divisor_chart(w)
-    return {
-        "t": float(t),
-        "matrix": {"v": m.v, "c": m.c},
-        "lambdas": sd.lambdas,
-        "rhos": sd.rhos,
-        "thetas": aa.thetas,
-        "gammas": gammas,
-        "pis": pis,
-    }
 
 
 def _csv_lines(records: list[dict]) -> list[str]:
@@ -236,15 +217,23 @@ def cmd_flow(args) -> tuple[str, int]:
     if args.samples < 1:
         raise InvalidData("need at least one sample time")
     times = np.linspace(args.t0, args.t1, args.samples)
-    records = []
+    # The samples are independent: each layer below runs once on all of them.
     if args.family == "H":
         w0 = _as_weyl(obj)
-        for t in times:
-            records.append(_flow_record(t, flow_H(w0, args.j, float(t))))
+        ws = [flow_H(w0, args.j, float(t)) for t in times]
     else:
         dq0 = obj if isinstance(obj, DivisorQuasimomentum) else pi_from(_as_weyl(obj))
-        for t in times:
-            records.append(_flow_record(t, w_from_divisor(flow_T(dq0, args.j, float(t)))))
+        dqs = [flow_T(dq0, args.j, float(t)) for t in times]
+        stack = [np.array([getattr(dq, k) for dq in dqs]) for k in ("gammas", "pis", "casimir")]
+        ws = [RationalHerglotz(*w) for w in zip(*_poles_from_divisor(*stack))]
+    sds = [spectral_from_weyl(w) for w in ws]
+    lam, rho = np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds])
+    rows = zip(times, *_lanczos(lam, rho), lam, rho, _thetas(lam, rho), *_quasimomenta(lam, rho))
+    fields = ("lambdas", "rhos", "thetas", "gammas", "pis")
+    records = [
+        {"t": float(t), "matrix": {"v": v, "c": c}, **dict(zip(fields, chart))}
+        for t, v, c, *chart in rows
+    ]
     if args.emit_csv:
         return "\n".join(_csv_lines(records)), 0
     return "\n".join(serialize.dumps(rec) for rec in records), 0
@@ -283,6 +272,7 @@ def cmd_verify(args) -> tuple[str, int]:
     return serialize.dumps(report), 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toda",

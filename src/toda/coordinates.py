@@ -6,11 +6,14 @@ sum itself recoverable from either side.  Sign bookkeeping matters
 throughout: the interlacing of poles and zeros makes every quantity under a
 logarithm positive once the alternating parity factors are combined, and
 the code asserts that instead of assuming it.
+
+The chart maps run on kernels with a leading stack axis (one call maps all
+samples of a flow), which the typed functions call on one point; a stack
+raises what its lowest failing row raises on its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ from .errors import (
     Overflow,
     TodaError,
 )
-from .rational_weyl import RationalHerglotz, zeros
+from .rational_weyl import RationalHerglotz, _zeros, zeros
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +86,8 @@ class DivisorQuasimomentum:
 
 
 def _log_abs_dp(lam: np.ndarray) -> np.ndarray:
-    """log |prod_{j != k} (lam_k - lam_j)| for every k."""
-    diff = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(diff, 1.0)
-    return np.log(diff).sum(axis=1)
+    """log |prod_{j != k} (lam_k - lam_j)| for every k, over the last axis."""
+    return np.log(np.abs(lam[..., :, None] - lam[..., None, :]) + np.eye(lam.shape[-1])).sum(-1)
 
 
 def theta_from(w: RationalHerglotz) -> ActionAngle:
@@ -98,9 +99,13 @@ def theta_from(w: RationalHerglotz) -> ActionAngle:
     """
     if not w.normalized:
         raise InvalidData("angles are defined for unit total residue")
-    lam = w.poles
-    logs = np.log(w.residues) + _log_abs_dp(lam)
-    return ActionAngle(lam, logs[1:] - logs[0])
+    return ActionAngle(w.poles, _thetas(w.poles, w.residues))
+
+
+def _thetas(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``theta_from`` of each row of poles and residues (..., N)."""
+    logs = np.log(rho) + _log_abs_dp(lam)
+    return logs[..., 1:] - logs[..., :1]
 
 
 def w_from_theta(lambdas: np.ndarray, thetas: np.ndarray) -> RationalHerglotz:
@@ -140,12 +145,19 @@ def w_from_gamma(lambdas: np.ndarray, gammas: np.ndarray) -> RationalHerglotz:
     lam = np.asarray(lambdas, dtype=float)
     gam = np.asarray(gammas, dtype=float)
     _check_interlacing(lam, gam)
-    n = lam.size
-    gaps = (lam[:, None] - lam)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    rho = np.prod((lam[:, None] - gam) / gaps, axis=1)
-    if not np.all(rho > 0.0):
-        raise InterlacingViolated("interlacing failed to produce positive residues")
+    rho, positive = _residues(lam, gam)
+    _poly._raise_lowest(positive)
     return RationalHerglotz(lam, rho)
+
+
+def _residues(lam: np.ndarray, gam: np.ndarray):
+    """``w_from_gamma`` residues over the last axis, and their positivity check."""
+    n = lam.shape[-1]
+    gaps = (lam[..., :, None] - lam[..., None, :])[..., ~np.eye(n, dtype=bool)]
+    gaps = gaps.reshape(lam.shape + (n - 1,))
+    rho = np.prod((lam[..., :, None] - gam[..., None, :]) / gaps, axis=-1)
+    return rho, (~np.all(rho > 0.0, axis=-1), InterlacingViolated,
+                 "interlacing failed to produce positive residues")
 
 
 def pi_from(w: RationalHerglotz) -> DivisorQuasimomentum:
@@ -155,12 +167,15 @@ def pi_from(w: RationalHerglotz) -> DivisorQuasimomentum:
         raise InvalidData("quasimomenta are defined for unit total residue")
     if w.n < 2:
         raise InvalidData("the divisor chart needs at least two poles")
-    lam = w.poles
-    gam = zeros(w).gammas
+    return DivisorQuasimomentum(*_quasimomenta(w.poles, w.residues), float(np.sum(w.poles)))
+
+
+def _quasimomenta(lam: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pi_from`` divisor and quasimomenta of each row of poles and residues."""
+    gam = _zeros(lam, rho)
     # (-1)^(N+k) p(gamma_k) > 0: gamma_k has N-k poles above it, and the
     # parity prefactor cancels the resulting sign exactly.
-    pis = np.log(np.abs(gam[:, None] - lam[None, :])).sum(axis=1)
-    return DivisorQuasimomentum(gam, pis, float(np.sum(lam)))
+    return gam, np.log(np.abs(gam[..., :, None] - lam[..., None, :])).sum(axis=-1)
 
 
 def w_from_divisor(dq: DivisorQuasimomentum) -> RationalHerglotz:
@@ -178,36 +193,52 @@ def w_from_divisor(dq: DivisorQuasimomentum) -> RationalHerglotz:
     -inf to +inf on each gap and beyond each end, so there is one pole
     there: bracketed Newton on p finds it, the outer brackets coming from
     the bound sum_k a_k / |x - gamma_k| <= A / d at distance d from the
-    divisor, A = sum_k a_k.
+    divisor, A = sum_k a_k.  ``_poles_from_divisor`` solves a stack at once.
     """
-    gam = dq.gammas
-    log_a = dq.pis - _log_abs_dp(gam)
-    if np.max(np.abs(dq.pis)) > 700.0 or np.max(log_a) > 700.0:
-        raise Overflow("quasimomentum exponent out of double range")
-    alpha = float(np.sum(gam)) - dq.casimir
-    a = np.exp(log_a)
-    root_a = float(np.sqrt(np.sum(a)))
-    first, last = float(gam[0]), float(gam[-1])
-    left = first - (abs(first + alpha) + root_a + 1.0)
-    right = last + (abs(last + alpha) + root_a + 1.0)
-    if not math.isfinite(right - left):
-        raise NoHerglotzSolution("pole brackets beyond the divisor are not finite")
+    lam, rho = _poles_from_divisor(dq.gammas[None], dq.pis[None], np.array([dq.casimir]))
+    return RationalHerglotz(lam[0], rho[0])
+
+
+def _poles_from_divisor(gam: np.ndarray, pis: np.ndarray, casimir: np.ndarray) -> tuple:
+    """``w_from_divisor`` of each row of divisor points and quasimomenta
+    (B, N - 1) with Casimirs (B,): poles and residues (B, N)."""
+    log_a = pis - _log_abs_dp(gam)
+    alpha = gam.sum(axis=-1) - casimir
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.exp(log_a)
+        root_a = np.sqrt(a.sum(axis=-1))
+        left = gam[:, 0] - (np.abs(gam[:, 0] + alpha) + root_a + 1.0)
+        right = gam[:, -1] + (np.abs(gam[:, -1] + alpha) + root_a + 1.0)
+        early = (
+            ((np.abs(pis).max(axis=-1) > 700.0) | (log_a.max(axis=-1) > 700.0), Overflow,
+             "quasimomentum exponent out of double range"),
+            (~np.isfinite(right - left), NoHerglotzSolution,
+             "pole brackets beyond the divisor are not finite"),
+        )
+    # Rows past the lowest one that fails here cannot change what is raised.
+    stop = min([int(bad.argmax()) for bad, _, _ in early if bad.any()], default=len(gam))
+    gam, a, alpha, casimir = gam[:stop], a[:stop, :, None], alpha[:stop, None], casimir[:stop]
 
     def step_side(x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = 1.0 / (x[:, None] - gam[None, :])
-            g = x + alpha - t @ a
+            t = 1.0 / (x[:, :, None] - gam[:, None, :])
+            g = x + alpha - (t @ a)[..., 0]
             # p'/p = g'/g + Omega'/Omega with g' = 1 + sum a t^2, Omega'/Omega = sum t.
-            return g / (1.0 + (t * t) @ a + g * t.sum(axis=1)), g > 0.0
+            return g / (1.0 + ((t * t) @ a)[..., 0] + g * t.sum(axis=-1)), g > 0.0
 
-    lo = np.concatenate(([left], gam))
-    hi = np.concatenate((gam, [right]))
-    lam = _poly.bracketed_newton(step_side, lo, hi, scale=float(np.max(np.abs(gam))))
-    if not (np.all(lam[:-1] < gam) and np.all(gam < lam[1:])):
-        raise NoHerglotzSolution("recovered poles do not interlace the divisor")
-    if abs(float(np.sum(lam)) - dq.casimir) > 1e-6 * max(1.0, abs(dq.casimir)):
-        raise TodaError("spectral sum drifted during divisor inversion")
-    return w_from_gamma(lam, gam)
+    lo = np.concatenate((left[:stop, None], gam), axis=1)
+    hi = np.concatenate((gam, right[:stop, None]), axis=1)
+    lam = _poly.bracketed_newton(step_side, lo, hi, scale=np.abs(gam).max(axis=1, keepdims=True))
+    rho, positive = _residues(lam, gam)
+    _poly._raise_lowest(
+        *early,
+        (~(np.all(lam[:, :-1] < gam, axis=1) & np.all(gam < lam[:, 1:], axis=1)),
+         NoHerglotzSolution, "recovered poles do not interlace the divisor"),
+        (np.abs(lam.sum(axis=1) - casimir) > 1e-6 * np.maximum(1.0, np.abs(casimir)),
+         TodaError, "spectral sum drifted during divisor inversion"),
+        positive,
+    )
+    return lam, rho
 
 
 def theta_prime(w: RationalHerglotz) -> np.ndarray:

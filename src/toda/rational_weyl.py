@@ -173,29 +173,31 @@ def zeros(w: RationalHerglotz) -> Divisor:
     brackets the zero for Newton steps on the numerator w * p (p with roots
     at the poles); when a residue is so small that the zero is not
     resolvable away from its pole, the pole-side gap endpoint is returned.
+    ``_zeros`` solves a stack of pole sums at once.
     """
-    lam, rho = w.poles, w.residues
-    if w.n == 1:
-        return Divisor(np.empty(0))
+    return Divisor(_zeros(w.poles, w.residues))
+
+
+def _zeros(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``zeros`` of each row of poles and residues (..., N): (..., N - 1)."""
     gaps = np.diff(lam)
     eps_edge = 8 * _poly._EPS * np.maximum(1.0, np.abs(lam))
-    lo = lam[:-1] + np.maximum(1e-13 * gaps, eps_edge[:-1])
-    hi = lam[1:] - np.maximum(1e-13 * gaps, eps_edge[1:])
+    lo = lam[..., :-1] + np.maximum(1e-13 * gaps, eps_edge[..., :-1])
+    hi = lam[..., 1:] - np.maximum(1e-13 * gaps, eps_edge[..., 1:])
     # Degenerate sides: the zero hugs the pole closer than the edge offset.
-    left_stuck = _values(lam, rho, lo) >= 0.0
-    right_stuck = _values(lam, rho, hi) <= 0.0
-    out = np.where(left_stuck, lo, np.where(right_stuck, hi, 0.0))
-    todo = ~(left_stuck | right_stuck)
+    poles, residues = lam[..., None, :], rho[..., None, :]
+    left_stuck = _values(poles, residues, lo) >= 0.0
+    stuck = left_stuck | (_values(poles, residues, hi) <= 0.0)
+    edge = np.where(left_stuck, lo, hi)
 
     def step_side(x):
-        t = 1.0 / (lam[None, :] - x[:, None])
-        val = t @ rho
+        t = 1.0 / (poles - x[..., None])
+        val = (t @ rho[..., None])[..., 0]
         # (w p)'/(w p) = w'/w + p'/p with w' = sum rho t^2, p'/p = -sum t.
-        return val / ((t * t) @ rho - val * t.sum(axis=1)), val > 0.0
+        return val / (((t * t) @ rho[..., None])[..., 0] - val * t.sum(axis=-1)), val > 0.0
 
-    scale = float(np.max(np.abs(lam)))
-    out[todo] = _poly.bracketed_newton(step_side, lo[todo], hi[todo], scale=scale)
-    return Divisor(out)
+    lo, hi = np.where(stuck, edge, lo), np.where(stuck, edge, hi)
+    return _poly.bracketed_newton(step_side, lo, hi, scale=np.abs(lam).max(-1, keepdims=True))
 
 
 def _dec_quotient(lam: np.ndarray, rho: np.ndarray):

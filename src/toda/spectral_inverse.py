@@ -101,36 +101,44 @@ def lanczos_reconstruct(sd: SpectralData) -> JacobiMatrix:
     Orthonormalizes 1, z, z^2, ... against the measure sum rho_k delta(lambda_k)
     with full reorthogonalization (applied twice) at every step; recurrence
     coefficients of the orthonormal family are the matrix entries.
+    ``_lanczos`` inverts a stack of spectral data at once.
     """
-    lam, rho = sd.lambdas, sd.rhos
-    n = sd.n
+    v, c = _lanczos(sd.lambdas[None], sd.rhos[None])
+    return JacobiMatrix(v[0], c[0])
 
-    def ip(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(rho * a * b))
 
-    phi = np.ones(n) / np.sqrt(float(np.sum(rho)))
-    phi_prev = np.zeros(n)
-    basis = [phi]
-    v = np.empty(n)
-    c = np.empty(max(n - 1, 0))
-    c_prev = 0.0
-    for k in range(n):
-        v[k] = ip(lam * phi, phi)
-        if k == n - 1:
-            break
-        u = (lam - v[k]) * phi - c_prev * phi_prev
-        for _ in range(2):
-            for b in basis:
-                u = u - ip(u, b) * b
-        nrm2 = ip(u, u)
-        nrm = np.sqrt(nrm2) if nrm2 > 0.0 else 0.0
-        if nrm < 1e-13:
-            raise Breakdown("orthogonalization norm underflow at step %d" % k)
-        c[k] = nrm
-        phi_prev, phi = phi, u / nrm
-        basis.append(phi)
-        c_prev = nrm
-    return JacobiMatrix(v, c)
+def _lanczos(lam: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries v (B, N), c (B, N - 1) from rows of eigenvalues and weights.
+
+    The family is a block of vectors times sqrt(rho), orthonormal in the
+    plain inner product; each new one is reorthogonalized against the block
+    twice (classical Gram-Schmidt, two contractions per pass).
+    """
+    b, n = lam.shape
+    lam = lam[:, None, :]
+    q = np.zeros((b, n, n))  # q[:, k]: the k-th orthonormal vector, times sqrt(rho)
+    q[:, 0] = np.sqrt(rho / rho.sum(axis=1, keepdims=True))
+    v = np.empty((b, n, 1, 1))
+    c = np.zeros((b, n, 1, 1))  # c[:, k - 1] couples vectors k - 1 and k; c[:, -1] stays 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            phi = q[:, k : k + 1]
+            w = lam * phi
+            v[:, k] = w @ phi.transpose(0, 2, 1)
+            u = w - v[:, k] * phi - c[:, k - 1] * q[:, k - 1, None]
+            block = q[:, : k + 1]
+            for _ in range(2):
+                u = u - (u @ block.transpose(0, 2, 1)) @ block
+            c[:, k] = np.sqrt(u @ u.transpose(0, 2, 1))
+            q[:, k + 1 : k + 2] = u / c[:, k]
+    phi = q[:, n - 1 : n]
+    v[:, n - 1] = (lam * phi) @ phi.transpose(0, 2, 1)
+    c = c[:, :-1, 0, 0]
+    low = ~(c >= 1e-13)  # a row goes NaN after its breakdown
+    if np.any(low):
+        step = np.argmax(low[np.any(low, axis=1)][0])  # of the lowest such row
+        raise Breakdown("orthogonalization norm underflow at step %d" % step)
+    return v[:, :, 0, 0], c
 
 
 def roundtrip_error(m: JacobiMatrix) -> float:

@@ -6,13 +6,30 @@ quotient, charts, brackets, and flows are all known in closed form.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toda import random_jacobi, suites
-from toda.cli import main
+from toda import (
+    Overflow,
+    TodaError,
+    flow_H,
+    flow_T,
+    lanczos_reconstruct,
+    pi_from,
+    random_jacobi,
+    spectral_from_weyl,
+    suites,
+    theta_from,
+    w_from_divisor,
+    weyl,
+)
+from toda.cli import build_parser, main
 from toda.suites import _merge
 
 E1_MATRIX = '{"v": [1.0, 1.0], "c": [1.0]}'
@@ -180,6 +197,107 @@ def test_flow_transversal_family(capsys):
 def test_flow_sample_validation(capsys):
     rc, _, err = run(capsys, "flow", "--in", E1_MATRIX, "--samples", "0")
     assert rc == 2 and "error" in err
+
+
+def _per_sample_records(seed, n, family, j, t1, samples):
+    """The flow records built one sample at a time from the public functions."""
+    w0 = weyl(random_jacobi(np.random.default_rng(seed), n))
+    dq0 = pi_from(w0) if family == "T" else None
+    records = []
+    for t in np.linspace(0.0, t1, samples):
+        w = flow_H(w0, j, t) if family == "H" else w_from_divisor(flow_T(dq0, j, t))
+        sd = spectral_from_weyl(w)
+        m = lanczos_reconstruct(sd)
+        dq = pi_from(w)
+        records.append([t, *m.v, *m.c, *sd.lambdas, *sd.rhos, *theta_from(w).thetas,
+                        *dq.gammas, *dq.pis])
+    return np.array(records)
+
+
+def _assert_close(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    bar = 1e-13 * np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(got - expected) <= bar), np.max(np.abs(got - expected) / bar)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("family,j", [("H", 2), ("H", 1), ("T", 1)])
+def test_flow_records_match_a_per_sample_loop(capsys, n, family, j):
+    """The stacked pass prints what the public functions give sample by
+    sample, in JSON lines and in CSV."""
+    for seed in range(3):
+        argv = ("flow", "--seed", str(seed), "--N", str(n), "--family", family,
+                "--j", str(j), "--t1", "0.5", "--samples", "7")
+        expected = _per_sample_records(seed, n, family, j, 0.5, 7)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        got = []
+        for line in out.splitlines():
+            rec = json.loads(line)
+            assert list(rec) == ["t", "matrix", "lambdas", "rhos", "thetas", "gammas", "pis"]
+            got.append([rec["t"], *rec["matrix"]["v"], *rec["matrix"]["c"], *rec["lambdas"],
+                        *rec["rhos"], *rec["thetas"], *rec["gammas"], *rec["pis"]])
+        _assert_close(got, expected)
+        rc, out, err = run(capsys, *argv, "--emit-csv")
+        assert rc == 0, err
+        _assert_close([row.split(",") for row in out.splitlines()[1:]], expected)
+
+
+def test_failing_flows_keep_their_class_and_exit_code(capsys):
+    """T-flow quasimomenta past 700 and an H reweighting t * lambda^(j-1)
+    past 700 raise Overflow (exit 1); a flow index out of range and no
+    sample times exit 2.  With a sample at t = 400 in between, the T flow
+    fails there first, on the spectral-sum check, as it did one sample at
+    a time."""
+    parser = build_parser()
+    for argv, error in (
+        (("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "1", "--t1", "800",
+          "--samples", "2"), Overflow),
+        (("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "1", "--t1", "800",
+          "--samples", "3"), TodaError),
+        (("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "4", "--t1", "1000"),
+         Overflow),
+    ):
+        args = parser.parse_args(argv)
+        with pytest.raises(error) as exc:
+            args.func(args)
+        assert type(exc.value) is error
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "" and err.startswith("error: "), argv
+    for argv in (
+        ("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "5"),
+        ("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "0"),
+        ("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "4"),
+        ("flow", "--seed", "1", "--N", "4", "--samples", "0"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("error: "), argv
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    """The parser is built once per process; calls with different
+    subcommands in one process print what fresh processes print, and a bad
+    argument still exits 2."""
+    assert build_parser() is build_parser()
+    calls = (
+        ("spectrum", "--seed", "2", "--N", "3"),
+        ("flow", "--seed", "2", "--N", "3", "--family", "T", "--j", "2", "--samples", "3"),
+        ("coords", "--seed", "2", "--N", "3", "--chart", "angle"),
+        ("flow", "--seed", "2", "--N", "3", "--samples", "2", "--emit-csv"),
+        ("verify", "--suite", "dual", "--seed", "2"),
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in calls:
+        rc, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "toda.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--family", "X"])
+    assert exc.value.code == 2
+    assert run(capsys, *calls[0])[1] == run(capsys, *calls[0])[1]
 
 
 def test_verify_passes_by_default(capsys):

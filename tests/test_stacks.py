@@ -1,0 +1,206 @@
+"""Stacked kernels against the single-point functions that wrap them.
+
+Each chart map, the divisor solve and the Lanczos inversion run on one
+array kernel with a leading stack axis; the typed public functions call the
+same kernel on one point.  Every row of a stack must match its own public
+call, and a stack that fails must raise what its lowest failing row raises
+alone.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from toda import (
+    Breakdown,
+    DivisorQuasimomentum,
+    NoHerglotzSolution,
+    Overflow,
+    SpectralData,
+    eigen,
+    flow_H,
+    lanczos_reconstruct,
+    pi_from,
+    random_jacobi,
+    theta_from,
+    w_from_divisor,
+    weyl,
+    zeros,
+)
+from toda._poly import _EPS, _raise_lowest
+from toda.coordinates import _poles_from_divisor, _quasimomenta, _thetas
+from toda.rational_weyl import _zeros
+from toda.spectral_inverse import _lanczos
+
+SIZES = range(2, 13)
+
+
+def close_in_ulps(stacked, single, ulps=4):
+    """|stacked - single| within ``ulps`` units of max(1, |single|)."""
+    stacked, single = np.asarray(stacked), np.asarray(single)
+    assert stacked.shape == single.shape
+    bar = ulps * _EPS * np.maximum(1.0, np.abs(single))
+    return bool(np.all(np.abs(stacked - single) <= bar))
+
+
+def pole_sums(n, count=7, seed=0):
+    """Normalized pole sums of one size: Weyl functions of random matrices,
+    some pushed along an H flow so the residues spread."""
+    rng = np.random.default_rng(1000 * n + seed)
+    out = []
+    for i in range(count):
+        w = weyl(random_jacobi(rng, n))
+        out.append(flow_H(w, 1 + i % n, 0.3 * (i % 3)) if i % 2 else w)
+    return out
+
+
+def stack(ws):
+    return np.array([w.poles for w in ws]), np.array([w.residues for w in ws])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_zeros_thetas_and_quasimomenta_match_single_calls(n):
+    ws = pole_sums(n)
+    lam, rho = stack(ws)
+    gam = _zeros(lam, rho)
+    thetas = _thetas(lam, rho)
+    gam_q, pis = _quasimomenta(lam, rho)
+    for i, w in enumerate(ws):
+        assert close_in_ulps(gam[i], zeros(w).gammas)
+        assert close_in_ulps(thetas[i], theta_from(w).thetas)
+        dq = pi_from(w)
+        assert close_in_ulps(gam_q[i], dq.gammas)
+        assert close_in_ulps(pis[i], dq.pis)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_divisor_inversion_matches_single_calls(n):
+    dqs = [pi_from(w) for w in pole_sums(n, seed=1)]
+    poles, residues = _poles_from_divisor(
+        np.array([dq.gammas for dq in dqs]),
+        np.array([dq.pis for dq in dqs]),
+        np.array([dq.casimir for dq in dqs]),
+    )
+    for i, dq in enumerate(dqs):
+        w = w_from_divisor(dq)
+        assert close_in_ulps(poles[i], w.poles)
+        assert close_in_ulps(residues[i], w.residues)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_lanczos_matches_single_calls(n):
+    sds = [eigen(random_jacobi(np.random.default_rng(2000 + n + k), n)) for k in range(7)]
+    v, c = _lanczos(np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds]))
+    for i, sd in enumerate(sds):
+        m = lanczos_reconstruct(sd)
+        assert close_in_ulps(v[i], m.v)
+        assert close_in_ulps(c[i], m.c)
+
+
+def test_raise_lowest_picks_the_lowest_row_then_the_first_check():
+    class First(Exception):
+        pass
+
+    class Second(Exception):
+        pass
+
+    no, row1, row2 = (np.array(f) for f in ([0, 0, 0], [0, 1, 0], [0, 0, 1]))
+    _raise_lowest((no, First, "a"), (no, Second, "b"))
+    with pytest.raises(Second):
+        _raise_lowest((row2, First, "a"), (row1, Second, "b"))
+    with pytest.raises(First):
+        _raise_lowest((row1, First, "a"), (row1, Second, "b"))
+    # A check computed on a leading part of the stack only.
+    with pytest.raises(Second):
+        _raise_lowest((row2, First, "a"), (np.array([0, 1]), Second, "b"))
+
+
+def test_stacked_divisor_inversion_raises_for_its_lowest_failing_row():
+    """A row with brackets beyond double range fails with
+    NoHerglotzSolution, a row with a huge quasimomentum with Overflow; the
+    stack raises for whichever comes first, whatever the other rows hold."""
+    good = DivisorQuasimomentum(np.array([-0.5, 0.5]), np.array([0.1, -0.2]), 0.3)
+    wide = DivisorQuasimomentum(np.array([-5e307, 5e307]), np.array([0.0, 0.0]), 0.0)
+    big = DivisorQuasimomentum(np.array([-0.5, 0.5]), np.array([800.0, 0.0]), 0.0)
+    with pytest.raises(NoHerglotzSolution):
+        w_from_divisor(wide)
+    with pytest.raises(Overflow):
+        w_from_divisor(big)
+
+    def run(*dqs):
+        return _poles_from_divisor(
+            np.array([dq.gammas for dq in dqs]),
+            np.array([dq.pis for dq in dqs]),
+            np.array([dq.casimir for dq in dqs]),
+        )
+
+    poles, _ = run(good, good)
+    np.testing.assert_array_equal(poles[1], w_from_divisor(good).poles)
+    with pytest.raises(NoHerglotzSolution):
+        run(good, wide, big)
+    with pytest.raises(Overflow):
+        run(good, big, wide)
+
+
+def test_stacked_lanczos_raises_for_its_lowest_failing_row():
+    """Each data set breaks down alone at its own step; a stack reports the
+    step of its lowest failing row."""
+    late = SpectralData(np.array([0.0, 1.0, 1.0 + 1e-8]), np.array([0.5, 0.5 - 1e-20, 1e-20]))
+    early = SpectralData(np.array([0.0, 1e-8, 2e-8]), np.array([1 - 2e-12, 1e-12, 1e-12]))
+    fine = SpectralData(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+    with pytest.raises(Breakdown, match="step 1"):
+        lanczos_reconstruct(late)
+    with pytest.raises(Breakdown, match="step 0"):
+        lanczos_reconstruct(early)
+    for rows, step in (((fine, late, early), 1), ((fine, early, late), 0)):
+        with pytest.raises(Breakdown, match="step %d" % step):
+            _lanczos(np.array([sd.lambdas for sd in rows]), np.array([sd.rhos for sd in rows]))
+
+
+def _parent_lanczos(lam, rho):
+    """The list-based route that the block Lanczos replaced: modified
+    Gram-Schmidt against each earlier vector in turn, twice, in the
+    rho-weighted inner product."""
+    n = lam.size
+
+    def ip(a, b):
+        return float(np.sum(rho * a * b))
+
+    phi = np.ones(n) / np.sqrt(float(np.sum(rho)))
+    phi_prev, basis = np.zeros(n), [phi]
+    v, c, c_prev = np.empty(n), np.empty(n - 1), 0.0
+    for k in range(n):
+        v[k] = ip(lam * phi, phi)
+        if k == n - 1:
+            break
+        u = (lam - v[k]) * phi - c_prev * phi_prev
+        for _ in range(2):
+            for b in basis:
+                u = u - ip(u, b) * b
+        c[k] = c_prev = np.sqrt(ip(u, u))
+        phi_prev, phi = phi, u / c[k]
+        basis.append(phi)
+    return v, c
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_block_lanczos_matches_the_list_route(n):
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(10):
+        sd = eigen(random_jacobi(rng, n))
+        m = lanczos_reconstruct(sd)
+        v, c = _parent_lanczos(sd.lambdas, sd.rhos)
+        np.testing.assert_allclose(m.v, v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.c, c, rtol=0, atol=1e-12)
+
+
+def test_lanczos_at_128_sites_is_fast():
+    """Best of five under 10 ms (the list route took about 100 ms)."""
+    sd = eigen(random_jacobi(np.random.default_rng(128), 128))
+    best = np.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        lanczos_reconstruct(sd)
+        best = min(best, time.perf_counter() - start)
+    assert best < 10e-3
