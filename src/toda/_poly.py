@@ -2,9 +2,10 @@
 
 Root finding never goes through a companion matrix: every root in the
 package (eigenvalues, Weyl zeros, the divisor inversion) comes out of a
-certified bracket refined by ``bracketed_newton``.  No layer finds the
-roots of a coefficient array: the quotient form is read through its
-continued fraction (``spectral_inverse``).
+certified bracket refined by ``bracketed_newton``, the Weyl zeros and the
+divisor inversion through one secular solve (``secular_roots``).  No layer
+finds the roots of a coefficient array: the quotient form is read through
+its continued fraction (``spectral_inverse``).
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package; this module imports only ``errors``, so any
@@ -73,6 +74,22 @@ def bracketed_newton(
         if not active.any():
             return x
     raise ConvergenceFailure("bracketed Newton hit the iteration cap")
+
+
+def secular_roots(d: np.ndarray, a: np.ndarray, beta: float, alpha, lo, hi, scale) -> np.ndarray:
+    """Roots of h(x) = beta x + alpha + sum_k a_k / (d_k - x), a > 0, one per
+    bracket [lo, hi] (..., K) of poles d and weights a (..., M), alpha and
+    ``scale`` broadcasting against lo: ``bracketed_newton`` on h prod (d - x),
+    the side from the sign of h, which increases in x."""
+    d, a = d[..., None, :], a[..., :, None]
+
+    def step_side(x):
+        t = 1.0 / (d - x[..., None])
+        h = beta * x + alpha + (t @ a)[..., 0]
+        return h / (beta + ((t * t) @ a)[..., 0] - h * t.sum(axis=-1)), h > 0.0
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return bracketed_newton(step_side, lo, hi, scale=scale)
 
 
 def _raise_lowest(*checks) -> None:

@@ -131,13 +131,12 @@ def cmd_reconstruct(args) -> tuple[str, int]:
     obj = _load_document(args)
     if isinstance(obj, JacobiMatrix):
         raise InvalidData("reconstruct expects spectral-side input, not a matrix")
-    pq = obj if isinstance(obj, PolyQuotient) else to_quotient(_as_weyl(obj))
+    w = None if isinstance(obj, PolyQuotient) else _as_weyl(obj)
     method = args.method
     if method in ("cf", "both"):
-        m_cf = stieltjes_reconstruct(pq)
+        m_cf = stieltjes_reconstruct(obj if w is None else to_quotient(w))
     if method in ("lanczos", "both"):
-        sd = spectral_from_weyl(_as_weyl(obj))
-        m_lz = lanczos_reconstruct(sd)
+        m_lz = lanczos_reconstruct(spectral_from_weyl(from_quotient(obj) if w is None else w))
     if method == "cf":
         return serialize.dumps({"v": m_cf.v, "c": m_cf.c}), 0
     if method == "lanczos":

@@ -27,7 +27,7 @@ from .errors import (
     Overflow,
     TodaError,
 )
-from .rational_weyl import RationalHerglotz, _zeros, zeros
+from .rational_weyl import RationalHerglotz, _shifted, _zeros
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +191,9 @@ def w_from_divisor(dq: DivisorQuasimomentum) -> RationalHerglotz:
 
     (the alternating signs make every a_k positive).  g increases from
     -inf to +inf on each gap and beyond each end, so there is one pole
-    there: bracketed Newton on p finds it, the outer brackets coming from
-    the bound sum_k a_k / |x - gamma_k| <= A / d at distance d from the
-    divisor, A = sum_k a_k.  ``_poles_from_divisor`` solves a stack at once.
+    there: ``_poly.secular_roots`` (beta = 1) finds it, the outer brackets
+    coming from the bound sum_k a_k / |x - gamma_k| <= A / d at distance d
+    from the divisor, A = sum_k a_k.  ``_poles_from_divisor`` stacks.
     """
     lam, rho = _poles_from_divisor(dq.gammas[None], dq.pis[None], np.array([dq.casimir]))
     return RationalHerglotz(lam[0], rho[0])
@@ -217,18 +217,10 @@ def _poles_from_divisor(gam: np.ndarray, pis: np.ndarray, casimir: np.ndarray) -
         )
     # Rows past the lowest one that fails here cannot change what is raised.
     stop = min([int(bad.argmax()) for bad, _, _ in early if bad.any()], default=len(gam))
-    gam, a, alpha, casimir = gam[:stop], a[:stop, :, None], alpha[:stop, None], casimir[:stop]
-
-    def step_side(x):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = 1.0 / (x[:, :, None] - gam[:, None, :])
-            g = x + alpha - (t @ a)[..., 0]
-            # p'/p = g'/g + Omega'/Omega with g' = 1 + sum a t^2, Omega'/Omega = sum t.
-            return g / (1.0 + ((t * t) @ a)[..., 0] + g * t.sum(axis=-1)), g > 0.0
-
+    gam, a, alpha, casimir = gam[:stop], a[:stop], alpha[:stop, None], casimir[:stop]
     lo = np.concatenate((left[:stop, None], gam), axis=1)
     hi = np.concatenate((gam, right[:stop, None]), axis=1)
-    lam = _poly.bracketed_newton(step_side, lo, hi, scale=np.abs(gam).max(axis=1, keepdims=True))
+    lam = _poly.secular_roots(gam, a, 1.0, alpha, lo, hi, np.abs(gam).max(axis=1, keepdims=True))
     rho, positive = _residues(lam, gam)
     _poly._raise_lowest(
         *early,
@@ -244,32 +236,23 @@ def _poles_from_divisor(gam: np.ndarray, pis: np.ndarray, casimir: np.ndarray) -
 def theta_prime(w: RationalHerglotz) -> np.ndarray:
     """Exponential-representation angles, evaluated in the real convention.
 
-    After shifting the anchor pole to the origin, each angle is the finite
-    part of the shift-integral at its pole; all alternating parity factors
-    combine to +1 so only logarithms of absolute values appear.  The fixed
-    offset between these angles and the plain angles (a function of the
-    poles alone) is verified before returning.
+    After shifting the anchor pole to the origin (``_shifted``), angle k is
+    the finite part of the shift-integral at pole k, all k at once; all
+    alternating parity factors combine to +1 so only logarithms of absolute
+    values appear.  The fixed offset between these angles and the plain
+    angles (a function of the poles alone) is verified before returning.
     """
     if not w.normalized:
         raise InvalidData("angles are defined for unit total residue")
-    n = w.n
-    if n == 1:
-        return np.empty(0)
-    shift = w.poles[0]
-    lam = w.poles - shift
-    gam = zeros(w).gammas - shift
-    xi0 = float(np.sum(np.log(gam) - np.log(lam[1:])))
-    out = np.empty(n - 1)
-    for k in range(1, n):
-        gam_part = float(np.sum(np.log(np.abs(gam - lam[k]))))
-        lam_part = float(np.sum(np.log(np.abs(np.delete(lam[1:], k - 1) - lam[k]))))
-        out[k - 1] = gam_part - lam_part - xi0 - np.log(lam[k])
+    _, lam, gam = _shifted(w)
+    lam = lam[1:]
+    log_lam = np.log(lam)
+    xi0 = float(np.sum(np.log(gam) - log_lam))
+    out = np.log(np.abs(gam - lam[:, None])).sum(axis=-1) - _log_abs_dp(lam) - xi0 - log_lam
+    offset = np.log(np.abs((lam - lam[:, None]) / lam) + np.eye(lam.size)).sum(axis=-1)
     theta = theta_from(w).thetas
-    for k in range(1, n):
-        others = np.delete(lam[1:], k - 1)
-        offset = float(np.sum(np.log(np.abs((others - lam[k]) / others))))
-        if abs(theta[k - 1] - out[k - 1] - offset) > 1e-7 * max(1.0, abs(theta[k - 1])):
-            raise TodaError("angle conventions disagree beyond tolerance")
+    if np.any(np.abs(theta - out - offset) > 1e-7 * np.maximum(1.0, np.abs(theta))):
+        raise TodaError("angle conventions disagree beyond tolerance")
     return out
 
 

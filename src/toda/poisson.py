@@ -32,7 +32,7 @@ from .errors import (
     GradientFailure,
     InvalidData,
 )
-from .rational_weyl import RationalHerglotz, _exp_values, _shifted, _values, evaluate, zeros
+from .rational_weyl import RationalHerglotz, _exp_values, _shifted, _values, _zeros, evaluate
 
 CHART_UNRESTRICTED = "unrestricted"
 CHART_RESTRICTED = "restricted"
@@ -62,6 +62,8 @@ class ChartPoint:
         lam, rho = self.lambdas, self.rhos
         if lam.ndim != 1 or lam.size < 1 or rho.shape != lam.shape:
             raise InvalidData("need matching pole and residue arrays")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(rho))):
+            raise InvalidData("poles and residues must be finite")
         if lam.size > 1 and not np.all(np.diff(lam) > 0.0):
             raise InvalidData("poles must be strictly increasing")
         if not np.all(rho > 0.0):
@@ -372,7 +374,7 @@ def _chart_jacobians(
     follow from their log formulas by the chain rule through (lambda, gamma).
     """
     n = lam.size
-    gam = zeros(RationalHerglotz(lam, rho)).gammas
+    gam = _zeros(lam, rho)
     inv = _inverse_gaps(lam)
     d = 1.0 / (lam[None, :] - gam[:, None])  # d[s, m] = 1/(lam_m - gam_s)
     wp = (rho * d * d).sum(axis=1)

@@ -24,6 +24,8 @@ from ._poly import _readonly
 from .errors import AtPole, InvalidData, NotHerglotz, TodaError
 
 _NORMALIZATION_TOL = 1e-12
+_EXP_SAMPLES = 32  # sample points of the exponential-form check
+_KREIN_MOMENTS = 4  # shift moments that krein returns; trace_via_krein reads 3
 
 # Decimal digits of the PolyQuotient payload, and of the continued-fraction
 # division in spectral_inverse that reads it.  The division chain subtracts
@@ -169,10 +171,10 @@ def _exp_values(lam0: np.ndarray, gam0: np.ndarray, x) -> np.ndarray:
 def zeros(w: RationalHerglotz) -> Divisor:
     """The N-1 real zeros, one in each gap between consecutive poles.
 
-    The function increases from -inf to +inf across every gap, so its sign
-    brackets the zero for Newton steps on the numerator w * p (p with roots
-    at the poles); when a residue is so small that the zero is not
-    resolvable away from its pole, the pole-side gap endpoint is returned.
+    The function increases from -inf to +inf across every gap, so each zero
+    is the root of the secular equation w = 0 (``_poly.secular_roots``,
+    beta = alpha = 0) in its gap; when a residue is so small that the zero is
+    not resolvable away from its pole, the pole-side gap endpoint is returned.
     ``_zeros`` solves a stack of pole sums at once.
     """
     return Divisor(_zeros(w.poles, w.residues))
@@ -189,15 +191,8 @@ def _zeros(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
     left_stuck = _values(poles, residues, lo) >= 0.0
     stuck = left_stuck | (_values(poles, residues, hi) <= 0.0)
     edge = np.where(left_stuck, lo, hi)
-
-    def step_side(x):
-        t = 1.0 / (poles - x[..., None])
-        val = (t @ rho[..., None])[..., 0]
-        # (w p)'/(w p) = w'/w + p'/p with w' = sum rho t^2, p'/p = -sum t.
-        return val / (((t * t) @ rho[..., None])[..., 0] - val * t.sum(axis=-1)), val > 0.0
-
     lo, hi = np.where(stuck, edge, lo), np.where(stuck, edge, hi)
-    return _poly.bracketed_newton(step_side, lo, hi, scale=np.abs(lam).max(-1, keepdims=True))
+    return _poly.secular_roots(lam, rho, 0.0, 0.0, lo, hi, np.abs(lam).max(-1, keepdims=True))
 
 
 def _dec_quotient(lam: np.ndarray, rho: np.ndarray):
@@ -247,37 +242,37 @@ def _shifted(w: RationalHerglotz) -> tuple[float, np.ndarray, np.ndarray]:
     return shift, w.poles - shift, zeros(w).gammas - shift
 
 
-def _exp_residual(lam0: np.ndarray, gam0: np.ndarray, rho: np.ndarray, n_points: int) -> float:
+def _exp_residual(lam0: np.ndarray, gam0: np.ndarray, rho: np.ndarray) -> float:
     """Max gap between the pole sum and the exponential form, both on the
-    shifted spectrum, at off-spectrum sample points."""
-    pts = _poly.offspectrum_samples(np.concatenate((lam0, gam0)), n_points)
+    shifted spectrum, at ``_EXP_SAMPLES`` off-spectrum sample points."""
+    pts = _poly.offspectrum_samples(np.concatenate((lam0, gam0)), _EXP_SAMPLES)
     return float(np.max(np.abs(_values(lam0, rho, pts) - _exp_values(lam0, gam0, pts))))
 
 
-def exp_representation_residual(w: RationalHerglotz, n_points: int = 32) -> float:
+def exp_representation_residual(w: RationalHerglotz) -> float:
     """Max deviation of w from its exponential (shift-function) form.
 
     After moving the leftmost pole to the origin, the function equals
     -(1/z) times the product of (gamma_s - z)/(lambda_s - z) over the gaps.
     Sampled at off-spectrum points.
     """
-    return _exp_residual(*_shifted(w)[1:], w.residues, n_points)
+    return _exp_residual(*_shifted(w)[1:], w.residues)
 
 
-def krein(w: RationalHerglotz, n_moments: int = 4) -> KreinData:
+def krein(w: RationalHerglotz) -> KreinData:
     """Spectral-shift data of a normalized pole sum.
 
-    Entry k of ``f`` is the integral of z^k over the union of gap intervals
-    [lambda_s, gamma_s] (shifted spectrum), i.e. the k-th moment of the
-    shift function.  The exponential representation is verified on sample
-    points, from the same divisor solve, before returning.
+    Entry k - 1 of ``f`` is the integral of z^k over the union of gap
+    intervals [lambda_s, gamma_s] (shifted spectrum), k = 1.._KREIN_MOMENTS.
+    The exponential representation is verified on sample points, from the
+    same divisor solve, before returning.
     """
     if not w.normalized:
         raise InvalidData("exponential representation requires unit total residue")
     shift, lam0, gam0 = _shifted(w)
-    k = np.arange(1, n_moments + 1, dtype=float)
+    k = np.arange(1, _KREIN_MOMENTS + 1, dtype=float)
     f = (np.sum(gam0[None, :] ** k[:, None], axis=1) - np.sum(lam0[None, 1:] ** k[:, None], axis=1)) / k
-    resid = _exp_residual(lam0, gam0, w.residues, 32)
+    resid = _exp_residual(lam0, gam0, w.residues)
     if resid > 1e-8:
         raise TodaError("exponential representation failed self-check: %.3e" % resid)
     return KreinData(lambdas0=lam0, gammas=gam0, f=f, shift=shift)

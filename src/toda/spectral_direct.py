@@ -135,29 +135,32 @@ def eigen(m: JacobiMatrix) -> SpectralData:
     Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
     raise ``PrecisionLimit``, and so do weights whose recurrence sums
     overflow (the documented random family from N of about 300)."""
-    n = m.n
-    if n == 1:
-        return SpectralData(np.array([m.v[0]]), np.array([1.0]))
-    lam = _eigenvalues(m.v, m.c)
-    if not np.all(np.diff(lam) > 0.0):
-        raise PrecisionLimit("eigenvalues closer than float64 can separate")
+    lam = _distinct_eigenvalues(m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = jacobi_core._recurrence_table(m, lam, first_kind=True)
-        rho = 1.0 / (table[:n] ** 2).sum(axis=0)
+        rho = 1.0 / (table[:-1] ** 2).sum(axis=0)
         # The weights satisfy sum rho = 1 identically; project the rounding
         # drift of the recurrence sums back onto that constraint.
         rho = rho / float(np.sum(rho))
     if not np.all(np.isfinite(rho) & (rho > 0.0)):
         raise PrecisionLimit("weights beyond float64: the recurrence sums overflow")
-    flag = bool(np.min(np.diff(lam)) < 1e-10)
+    flag = bool(np.any(np.diff(lam) < 1e-10))
     return SpectralData(lam, rho, conditioning=flag)
 
 
+def _distinct_eigenvalues(m: JacobiMatrix) -> np.ndarray:
+    """Eigenvalues of a matrix of any size; ``PrecisionLimit`` unless distinct."""
+    lam = np.array([m.v[0]]) if m.n == 1 else _eigenvalues(m.v, m.c)
+    if not np.all(np.diff(lam) > 0.0):
+        raise PrecisionLimit("eigenvalues closer than float64 can separate")
+    return lam
+
+
 def divisor(m: JacobiMatrix) -> Divisor:
-    """Eigenvalues of the matrix truncated past its first row and column."""
+    """Eigenvalues (no weights) of the matrix past its first row and column."""
     if m.n < 2:
         raise InvalidData("divisor needs at least a 2x2 matrix")
-    return Divisor(eigen(truncate(m, 1, m.n - 1)).lambdas)
+    return Divisor(_distinct_eigenvalues(truncate(m, 1, m.n - 1)))
 
 
 def weyl(m: JacobiMatrix) -> RationalHerglotz:

@@ -200,7 +200,7 @@ def suite_traces(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str,
             abs(float(mom[2]) - (float(m.v[0]) ** 2 + c0sq)),
         )
         # exp_representation_residual(w), read off krein's divisor solve.
-        _merge(res, "exp_representation", _exp_residual(kd.lambdas0, kd.gammas, w.residues, 32))
+        _merge(res, "exp_representation", _exp_residual(kd.lambdas0, kd.gammas, w.residues))
     w1 = _e1_weyl()
     kd1 = krein(w1)
     target = np.array([1.0, 1.0, 2.0, 4.0])

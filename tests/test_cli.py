@@ -6,10 +6,12 @@ quotient, charts, brackets, and flows are all known in closed form.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from toda import (
     w_from_divisor,
     weyl,
 )
+from toda import cli
 from toda.cli import build_parser, main
 from toda.suites import _merge
 
@@ -112,6 +115,39 @@ def test_spectrum_output_feeds_reconstruct(capsys):
     extra = '{"lambdas": [0.0, 2.0], "rhos": [0.5, 0.5], "gammas": [0.5, 1.5]}'
     rc, _, _ = run(capsys, "reconstruct", "--in", extra)
     assert rc == 2
+
+
+def test_reconstruct_lanczos_skips_the_quotient(capsys):
+    """The 256-site Krawtchouk spectrum (p = 1/2, centred): lambda_k =
+    k - 127.5, rho_k = C(255, k) / 2^255, of the matrix with zero diagonal
+    and c_n = sqrt((n + 1)(255 - n)) / 2.  Its quotient coefficients
+    overflow, which only the cf route reads: Lanczos rebuilds the matrix,
+    and cf and both keep the quotient's exit 2."""
+    doc = json.dumps({
+        "lambdas": [k - 127.5 for k in range(256)],
+        "rhos": [float(Fraction(math.comb(255, k), 2**255)) for k in range(256)],
+    })
+    got = run_json(capsys, "reconstruct", "--in", doc, "--method", "lanczos")
+    n = np.arange(255.0)
+    np.testing.assert_allclose(got["v"], np.zeros(256), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got["c"], 0.5 * np.sqrt((n + 1) * (255 - n)), rtol=0, atol=1e-10)
+    for method in ("cf", "both"):
+        rc, out, err = run(capsys, "reconstruct", "--in", doc, "--method", method)
+        assert rc == 2 and out == "" and "finite" in err, method
+
+
+def test_reconstruct_turns_a_chart_document_once(capsys, monkeypatch):
+    """Under --method both, a chart document becomes a pole sum once."""
+    calls = []
+    for name in ("w_from_divisor", "w_from_theta"):
+        inner = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, f=inner: calls.append(f) or f(*a))
+    for chart in ("divisor", "angle"):
+        rc, chart_doc, _ = run(capsys, "coords", "--seed", "2", "--N", "5", "--chart", chart)
+        assert rc == 0
+        calls.clear()
+        doc = run_json(capsys, "reconstruct", "--in", chart_doc, "--method", "both")
+        assert len(calls) == 1 and doc["discrepancy"] <= 1e-8, chart
 
 
 def test_reconstruct_rejects_matrix_input(capsys):

@@ -18,8 +18,10 @@ from toda import (
     NoHerglotzSolution,
     Overflow,
     RationalHerglotz,
+    TodaError,
     abel_period_check,
     pi_from,
+    random_jacobi,
     theta_from,
     theta_prime,
     to_quotient,
@@ -220,6 +222,50 @@ def test_theta_prime_equals_log_residue_minus_offset():
         xi0 = np.sum(np.log(gam0) - np.log(lam0[1:]))
         want = np.log(w.residues[1:]) - xi0
         np.testing.assert_allclose(theta_prime(w), want, rtol=1e-9, atol=1e-9)
+
+
+def _loop_theta_prime(w):
+    """theta_prime as one loop over the poles, with np.delete for the other
+    poles: the reference the array form must match."""
+    n = w.n
+    shift = w.poles[0]
+    lam = w.poles - shift
+    gam = zeros(w).gammas - shift
+    xi0 = float(np.sum(np.log(gam) - np.log(lam[1:])))
+    out = np.empty(n - 1)
+    for k in range(1, n):
+        gam_part = float(np.sum(np.log(np.abs(gam - lam[k]))))
+        lam_part = float(np.sum(np.log(np.abs(np.delete(lam[1:], k - 1) - lam[k]))))
+        out[k - 1] = gam_part - lam_part - xi0 - np.log(lam[k])
+    theta = theta_from(w).thetas
+    for k in range(1, n):
+        others = np.delete(lam[1:], k - 1)
+        offset = float(np.sum(np.log(np.abs((others - lam[k]) / others))))
+        if abs(theta[k - 1] - out[k - 1] - offset) > 1e-7 * max(1.0, abs(theta[k - 1])):
+            raise TodaError("angle conventions disagree beyond tolerance")
+    return out
+
+
+@pytest.mark.parametrize("n", (9, 12, 16))
+def test_theta_prime_matches_the_loop_form(n):
+    """Same values to 1e-13 of max(1, |theta'|), and the same draws raise:
+    the offset check fails where the zeros sit at the stuck-edge offset (2,
+    23 and 86 of these 200 draws at N = 9, 12 and 16 when this was written)."""
+    rng = np.random.default_rng(5)
+    raised = [[], []]
+    for i in range(200):
+        w = weyl(random_jacobi(rng, n))
+        for side, form in enumerate((theta_prime, _loop_theta_prime)):
+            try:
+                got = form(w)
+            except TodaError:
+                raised[side].append(i)
+                continue
+            if side == 0:
+                array_form = got
+            elif i not in raised[0]:
+                assert np.all(np.abs(array_form - got) <= 1e-13 * np.maximum(1.0, np.abs(got)))
+    assert raised[0] == raised[1] and raised[0]
 
 
 def test_abel_periods_form_identity_matrix():

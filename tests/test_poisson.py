@@ -64,6 +64,9 @@ def test_chart_point_validation():
     with pytest.raises(InvalidData):
         ChartPoint(lam, np.array([0.5, 0.75]), CHART_RESTRICTED)
     ChartPoint(lam, np.array([0.5, 0.75]), CHART_UNRESTRICTED)
+    for bad in ((np.array([0.0, np.inf]), rho), (lam, np.array([0.5, np.inf]))):
+        with pytest.raises(InvalidData, match="finite"):
+            ChartPoint(*bad, CHART_UNRESTRICTED)
     assert ChartPoint(lam, np.array([1.0 - 1e-10, 1e-10])).near_boundary
     assert not ChartPoint(lam, rho).near_boundary
 

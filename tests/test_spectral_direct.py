@@ -107,6 +107,18 @@ def test_divisor_is_spectrum_of_truncation():
         divisor(JacobiMatrix(np.array([1.0]), np.array([])))
 
 
+def test_divisor_forms_no_weights():
+    """At N = 400 the weight sums of ``eigen`` overflow (PrecisionLimit), but
+    the divisor needs eigenvalues only; the one-point divisor of N = 2 is
+    the second diagonal entry."""
+    m = random_jacobi(np.random.default_rng(0), 400)
+    with pytest.raises(PrecisionLimit, match="overflow"):
+        eigen(truncate(m, 1, 399))
+    want = np.linalg.eigvalsh(truncate(m, 1, 399).as_dense())
+    np.testing.assert_allclose(divisor(m).gammas, want, rtol=1e-12, atol=0)
+    assert divisor(JacobiMatrix(np.array([0.5, -0.25]), np.array([1.0]))).gammas.tolist() == [-0.25]
+
+
 def test_weyl_equals_resolvent_corner():
     """w(z) = sum rho_k/(lambda_k - z) is the (0,0) entry of (L - z)^(-1);
     compare against a dense linear solve."""

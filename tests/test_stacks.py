@@ -28,9 +28,9 @@ from toda import (
     weyl,
     zeros,
 )
-from toda._poly import _EPS, _raise_lowest
-from toda.coordinates import _poles_from_divisor, _quasimomenta, _thetas
-from toda.rational_weyl import _zeros
+from toda._poly import _EPS, _raise_lowest, bracketed_newton, secular_roots
+from toda.coordinates import _log_abs_dp, _poles_from_divisor, _quasimomenta, _thetas
+from toda.rational_weyl import _values, _zeros
 from toda.spectral_inverse import _lanczos
 
 SIZES = range(2, 13)
@@ -86,6 +86,90 @@ def test_stacked_divisor_inversion_matches_single_calls(n):
         w = w_from_divisor(dq)
         assert close_in_ulps(poles[i], w.poles)
         assert close_in_ulps(residues[i], w.residues)
+
+
+def _zero_brackets(lam, rho):
+    """The brackets of ``_zeros``: just inside each gap, or pinned at the
+    pole-side edge where the zero hugs its pole."""
+    gaps = np.diff(lam)
+    eps_edge = 8 * _EPS * np.maximum(1.0, np.abs(lam))
+    lo = lam[..., :-1] + np.maximum(1e-13 * gaps, eps_edge[..., :-1])
+    hi = lam[..., 1:] - np.maximum(1e-13 * gaps, eps_edge[..., 1:])
+    poles, residues = lam[..., None, :], rho[..., None, :]
+    left_stuck = _values(poles, residues, lo) >= 0.0
+    stuck = left_stuck | (_values(poles, residues, hi) <= 0.0)
+    edge = np.where(left_stuck, lo, hi)
+    return np.where(stuck, edge, lo), np.where(stuck, edge, hi)
+
+
+def _closure_zeros(lam, rho, lo, hi):
+    """The zero solve before the secular kernel: Newton on w p by its own
+    closure."""
+    poles = lam[..., None, :]
+
+    def step_side(x):
+        t = 1.0 / (poles - x[..., None])
+        val = (t @ rho[..., None])[..., 0]
+        return val / (((t * t) @ rho[..., None])[..., 0] - val * t.sum(axis=-1)), val > 0.0
+
+    return bracketed_newton(step_side, lo, hi, scale=np.abs(lam).max(-1, keepdims=True))
+
+
+def _divisor_problem(gam, pis, casimir):
+    """Weights, shift and brackets of ``_poles_from_divisor``."""
+    a = np.exp(pis - _log_abs_dp(gam))
+    alpha = gam.sum(axis=-1) - casimir
+    root_a = np.sqrt(a.sum(axis=-1))
+    left = gam[:, 0] - (np.abs(gam[:, 0] + alpha) + root_a + 1.0)
+    right = gam[:, -1] + (np.abs(gam[:, -1] + alpha) + root_a + 1.0)
+    lo = np.concatenate((left[:, None], gam), axis=1)
+    hi = np.concatenate((gam, right[:, None]), axis=1)
+    return a, alpha[:, None], lo, hi
+
+
+def _closure_poles(gam, a, alpha, lo, hi):
+    """The divisor inversion before the secular kernel: Newton on p = g Omega
+    by its own closure."""
+    a = a[:, :, None]
+
+    def step_side(x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = 1.0 / (x[:, :, None] - gam[:, None, :])
+            g = x + alpha - (t @ a)[..., 0]
+            return g / (1.0 + ((t * t) @ a)[..., 0] + g * t.sum(axis=-1)), g > 0.0
+
+    return bracketed_newton(step_side, lo, hi, scale=np.abs(gam).max(axis=1, keepdims=True))
+
+
+def extreme_charts(n):
+    """Divisor charts with every quasimomentum at +30 or -30: poles about
+    e^15 from the divisor, or within about e^-30 of it."""
+    rng = np.random.default_rng(4000 + n)
+    gam = np.cumsum(rng.uniform(0.3, 1.0, (6, n - 1)), axis=1)
+    pis = np.repeat([[30.0], [-30.0]], 3, axis=0) * np.ones(n - 1)
+    return gam, pis, gam.sum(axis=1) + rng.uniform(-1.0, 1.0, 6)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_secular_kernel_is_bitwise_the_two_closures_it_replaced(n):
+    """beta = 0 reproduces the zero solve and beta = 1 the divisor inversion
+    bit for bit, on the same brackets, and so do their callers."""
+    lam, rho = stack(pole_sums(n) + pole_sums(n, seed=2))
+    lo, hi = _zero_brackets(lam, rho)
+    gam = secular_roots(lam, rho, 0.0, 0.0, lo, hi, np.abs(lam).max(-1, keepdims=True))
+    np.testing.assert_array_equal(gam, _closure_zeros(lam, rho, lo, hi))
+    np.testing.assert_array_equal(_zeros(lam, rho), gam)
+    _, pis = _quasimomenta(lam, rho)
+    charts = (gam, pis, lam.sum(axis=1)), extreme_charts(n)
+    for chart in charts:
+        a, alpha, lo, hi = _divisor_problem(*chart)
+        scale = np.abs(chart[0]).max(axis=1, keepdims=True)
+        poles = secular_roots(chart[0], a, 1.0, alpha, lo, hi, scale)
+        np.testing.assert_array_equal(poles, _closure_poles(chart[0], a, alpha, lo, hi))
+        # From N = 8 on, some pi = -30 poles round onto their divisor point
+        # (NoHerglotzSolution from the caller's interlacing check).
+        if chart is charts[0] or n < 8:
+            np.testing.assert_array_equal(_poles_from_divisor(*chart)[0], poles)
 
 
 @pytest.mark.parametrize("n", SIZES)
