@@ -7,16 +7,12 @@ instance via ``--seed``/``--N``.  Identical seed and configuration produce
 byte-identical output: floats are printed with 17 significant digits and
 all iteration orders are fixed.  Exit codes: 0 success, 1 runtime or
 verification failure, 2 invalid input, 3 positivity (Herglotz) violation.
-Set the ``TODA_LOG`` environment variable (DEBUG/INFO/...) for progress
-logging on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -42,7 +38,6 @@ from .errors import (
     NoHerglotzSolution,
     NotHerglotz,
     NotHerglotzInput,
-    OnSpectrum,
     TodaError,
 )
 from .flows import flow_H, flow_T
@@ -57,12 +52,10 @@ from .rational_weyl import (
     zeros,
 )
 from .spectral_direct import SpectralData, spectral_from_weyl, weyl, weyl_from_spectral
-from .spectral_inverse import _lanczos, from_quotient, lanczos_reconstruct, stieltjes_reconstruct
+from .spectral_inverse import _cf_normalized, _cf_weyl, _lanczos, from_quotient, lanczos_reconstruct
 from .suites import SUITE_NAMES, random_jacobi, run_suites
 
-log = logging.getLogger("toda")
-
-_VALIDATION_ERRORS = (InvalidData, CoincidentArguments, AtPole, OnSpectrum)
+_VALIDATION_ERRORS = (InvalidData, CoincidentArguments, AtPole)
 _HERGLOTZ_ERRORS = (NotHerglotz, NotHerglotzInput, InterlacingViolated, NoHerglotzSolution)
 
 
@@ -82,7 +75,6 @@ def _load_document(args) -> object:
     seed = getattr(args, "seed", None)
     if seed is not None:
         _check_seed(seed)
-        log.info("generating random matrix: seed=%d N=%d", seed, args.N)
         return random_jacobi(np.random.default_rng(seed), args.N)
     raise InvalidData("no input: pass --in, or --seed (with optional --N)")
 
@@ -134,9 +126,11 @@ def cmd_reconstruct(args) -> tuple[str, int]:
     w = None if isinstance(obj, PolyQuotient) else _as_weyl(obj)
     method = args.method
     if method in ("cf", "both"):
-        m_cf = stieltjes_reconstruct(obj if w is None else to_quotient(w))
+        m_cf, total = _cf_normalized(obj if w is None else to_quotient(w))
     if method in ("lanczos", "both"):
-        m_lz = lanczos_reconstruct(spectral_from_weyl(from_quotient(obj) if w is None else w))
+        if w is None:  # a quotient document: read it through the one division
+            w = from_quotient(obj) if method == "lanczos" else _cf_weyl(m_cf, total)
+        m_lz = lanczos_reconstruct(spectral_from_weyl(w))
     if method == "cf":
         return serialize.dumps({"v": m_cf.v, "c": m_cf.c}), 0
     if method == "lanczos":
@@ -241,7 +235,6 @@ def cmd_flow(args) -> tuple[str, int]:
 def cmd_verify(args) -> tuple[str, int]:
     _check_seed(args.seed)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    log.info("running suites: %s (seed=%d N=%d)", ", ".join(names), args.seed, args.N)
     residuals, thresholds = run_suites(names, args.seed, args.N)
     for override in args.tol or ():
         name, _, value = override.partition("=")
@@ -337,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("TODA_LOG", "WARNING").upper(),
-        format="%(name)s %(levelname)s %(message)s",
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

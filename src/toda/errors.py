@@ -17,10 +17,6 @@ class ConvergenceFailure(TodaError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class OnSpectrum(TodaError):
-    """An evaluation point coincides with an eigenvalue where a pole sits."""
-
-
 class AtPole(TodaError):
     """Evaluation of a rational function too close to one of its poles."""
 

@@ -70,23 +70,6 @@ def _matrix_distance(a: JacobiMatrix, b: JacobiMatrix) -> float:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PolySequence:
-    """Values of the recurrence polynomials of one kind at a fixed argument,
-    indexed 0..N (the final entry uses the closing coefficient)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-
 def _recurrence_table(m: JacobiMatrix, lam, first_kind: bool) -> np.ndarray:
     """Table of polynomial values, shape (N+1,) + shape(lam).
 
@@ -108,22 +91,22 @@ def _recurrence_table(m: JacobiMatrix, lam, first_kind: bool) -> np.ndarray:
     return out
 
 
-def eval_P(m: JacobiMatrix, lam: float) -> PolySequence:
-    """First-kind polynomial values P_0..P_N at ``lam``.
+def eval_P(m: JacobiMatrix, lam: float) -> np.ndarray:
+    """First-kind polynomial values P_0..P_N at ``lam``, a read-only array.
 
     P_N is the monic characteristic polynomial of the matrix.
     """
-    return PolySequence(_recurrence_table(m, float(lam), first_kind=True))
+    return _readonly(_recurrence_table(m, float(lam), first_kind=True))
 
 
-def eval_Q(m: JacobiMatrix, lam: float) -> PolySequence:
-    """Second-kind polynomial values Q_0..Q_N at ``lam``.
+def eval_Q(m: JacobiMatrix, lam: float) -> np.ndarray:
+    """Second-kind polynomial values Q_0..Q_N at ``lam``, a read-only array.
 
     The sequence starts Q_0 = 0, Q_1 = 1/c_0 and obeys the recurrence from
     the second row on; Q_N is the monic characteristic polynomial of the
     matrix truncated past its first row and column.
     """
-    return PolySequence(_recurrence_table(m, float(lam), first_kind=False))
+    return _readonly(_recurrence_table(m, float(lam), first_kind=False))
 
 
 def truncate(m: JacobiMatrix, k: int, p: int) -> JacobiMatrix:

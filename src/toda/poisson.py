@@ -98,17 +98,15 @@ class PoissonTensor:
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar function of a chart point with an optional analytic gradient.
-
-    ``fn(lambdas, rhos)`` returns the value; ``grad(lambdas, rhos)`` returns
-    the derivative vector ordered (d/drho, d/dlambda).  Functions must
-    accept raw arrays because finite differencing steps off the restricted
-    submanifold.
+    """Scalar function of a chart point: ``fn(lambdas, rhos)`` returns the
+    value, the optional ``grad(lambdas, rhos)`` the derivative vector
+    ordered (d/drho, d/dlambda); ``gradient`` differences ``fn`` without
+    it.  Functions must accept raw arrays because finite differencing
+    steps off the restricted submanifold.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], float]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def value(self, pt: ChartPoint) -> float:
         return float(self.fn(pt.lambdas, pt.rhos))
@@ -324,7 +322,7 @@ def weyl_value(x: float) -> Observable:
     def grad(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return np.concatenate((1.0 / (lam - x), -rho / (lam - x) ** 2))
 
-    return Observable(fn, grad, name="w(%g)" % x)
+    return Observable(fn, grad)
 
 
 def verify_formula_vs_tensor(pt: ChartPoint, lam: float, mu: float) -> float:

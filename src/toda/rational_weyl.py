@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _poly
 from ._poly import _readonly
-from .errors import AtPole, InvalidData, NotHerglotz, TodaError
+from .errors import AtPole, InvalidData, NotHerglotz, Overflow, TodaError
 
 _NORMALIZATION_TOL = 1e-12
 _EXP_SAMPLES = 32  # sample points of the exponential-form check
@@ -230,9 +230,12 @@ def _dec_quotient(lam: np.ndarray, rho: np.ndarray):
 def to_quotient(w: RationalHerglotz) -> PolyQuotient:
     """Quotient form: p monic with roots at the poles, q the unique
     polynomial of degree N-1 with q(pole_k) = p'(pole_k) * residue_k; the
-    float coefficients round the one (decimal) expansion, ``_dec_quotient``."""
+    floats round ``_dec_quotient``'s expansion (``Overflow`` past float64)."""
     p_dec, q_dec = _dec_quotient(w.poles, w.residues)
-    return PolyQuotient(np.array(p_dec, dtype=float), np.array(q_dec, dtype=float), p_dec, q_dec)
+    pq = np.array(p_dec + q_dec, dtype=float)
+    if not np.isfinite(pq).all():
+        raise Overflow("quotient coefficients overflow float64")
+    return PolyQuotient(pq[: len(p_dec)], pq[len(p_dec) :], p_dec, q_dec)
 
 
 def _shifted(w: RationalHerglotz) -> tuple[float, np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jacobi_core
 from ._poly import _EPS, _TINY, _readonly, bracketed_newton, offspectrum_samples
-from .errors import ConvergenceFailure, InvalidData, OnSpectrum, PrecisionLimit
+from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
 from .jacobi_core import JacobiMatrix, eval_P, eval_Q, truncate
 from .rational_weyl import Divisor, RationalHerglotz, _values, evaluate
 
@@ -188,11 +188,9 @@ def _weyl_solution_residual(m: JacobiMatrix, w: RationalHerglotz, lam: float) ->
     """``weyl_solution_residual`` with w = weyl(m) already at hand."""
     lam = float(lam)
     if np.min(np.abs(lam - w.poles)) < 1e-12:
-        raise OnSpectrum("the Weyl solution has a pole on the spectrum")
+        raise AtPole("the Weyl solution has a pole on the spectrum")
     wv = evaluate(w, lam)
-    p = eval_P(m, lam).values
-    q = eval_Q(m, lam).values
-    u = q[: m.n] + wv * p[: m.n]
+    u = eval_Q(m, lam)[: m.n] + wv * eval_P(m, lam)[: m.n]
     r = m.matvec(u) - lam * u
     r[0] -= 1.0
     return float(np.max(np.abs(r)))

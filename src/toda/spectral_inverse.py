@@ -71,9 +71,14 @@ def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
     the accuracy of a bare float quotient drops quickly with the degree,
     because small residues are lost in the rounding of its coefficients.
     """
+    return _cf_normalized(pq)[0]
+
+
+def _cf_normalized(pq: PolyQuotient) -> tuple[JacobiMatrix, float]:
+    """``_cf_matrix`` of a normalized quotient (q monic)."""
     if abs(pq.q[-1] - 1.0) > 1e-8:
         raise InvalidData("quotient must be normalized: q monic")
-    return _cf_matrix(pq)[0]
+    return _cf_matrix(pq)
 
 
 def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
@@ -91,6 +96,11 @@ def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
         m, total = _cf_matrix(pq)
     except NotHerglotzInput as exc:
         raise NotHerglotz("quotient is not a positive pole sum: %s" % exc) from exc
+    return _cf_weyl(m, total)
+
+
+def _cf_weyl(m: JacobiMatrix, total: float) -> RationalHerglotz:
+    """Pole sum of ``_cf_matrix``'s (m, total): eigen of m, weights times total."""
     sd = eigen(m)
     return RationalHerglotz(sd.lambdas, sd.rhos * total)
 

@@ -19,19 +19,23 @@ import pytest
 
 from toda import (
     Overflow,
+    RationalHerglotz,
     TodaError,
     flow_H,
     flow_T,
+    from_quotient,
     lanczos_reconstruct,
     pi_from,
     random_jacobi,
     spectral_from_weyl,
+    stieltjes_reconstruct,
     suites,
     theta_from,
+    to_quotient,
     w_from_divisor,
     weyl,
 )
-from toda import cli
+from toda import cli, serialize, spectral_inverse
 from toda.cli import build_parser, main
 from toda.suites import _merge
 
@@ -117,23 +121,57 @@ def test_spectrum_output_feeds_reconstruct(capsys):
     assert rc == 2
 
 
+# The 256-site Krawtchouk spectrum (p = 1/2, centred): lambda_k = k - 127.5,
+# rho_k = C(255, k) / 2^255, of the matrix with zero diagonal and
+# c_n = sqrt((n + 1)(255 - n)) / 2.  Its quotient coefficients overflow float64.
+KRAWTCHOUK_C = 0.5 * np.sqrt((np.arange(255.0) + 1) * (255 - np.arange(255.0)))
+KRAWTCHOUK_SPECTRAL = json.dumps({
+    "lambdas": [k - 127.5 for k in range(256)],
+    "rhos": [float(Fraction(math.comb(255, k), 2**255)) for k in range(256)],
+})
+KRAWTCHOUK_MATRIX = json.dumps({"v": [0.0] * 256, "c": KRAWTCHOUK_C.tolist()})
+
+
 def test_reconstruct_lanczos_skips_the_quotient(capsys):
-    """The 256-site Krawtchouk spectrum (p = 1/2, centred): lambda_k =
-    k - 127.5, rho_k = C(255, k) / 2^255, of the matrix with zero diagonal
-    and c_n = sqrt((n + 1)(255 - n)) / 2.  Its quotient coefficients
-    overflow, which only the cf route reads: Lanczos rebuilds the matrix,
-    and cf and both keep the quotient's exit 2."""
-    doc = json.dumps({
-        "lambdas": [k - 127.5 for k in range(256)],
-        "rhos": [float(Fraction(math.comb(255, k), 2**255)) for k in range(256)],
-    })
+    """Only the cf route reads the Krawtchouk quotient: Lanczos rebuilds the
+    matrix, and cf and both exit 1 with the quotient's float64 overflow."""
+    doc = KRAWTCHOUK_SPECTRAL
     got = run_json(capsys, "reconstruct", "--in", doc, "--method", "lanczos")
-    n = np.arange(255.0)
     np.testing.assert_allclose(got["v"], np.zeros(256), rtol=0, atol=1e-10)
-    np.testing.assert_allclose(got["c"], 0.5 * np.sqrt((n + 1) * (255 - n)), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got["c"], KRAWTCHOUK_C, rtol=0, atol=1e-10)
     for method in ("cf", "both"):
         rc, out, err = run(capsys, "reconstruct", "--in", doc, "--method", method)
-        assert rc == 2 and out == "" and "finite" in err, method
+        assert rc == 1 and out == "" and "float64" in err, method
+
+
+def test_quotient_past_float64_range_is_overflow(capsys):
+    """``toda weyl`` of a valid document whose quotient coefficients leave
+    float64 range exits 1 with ``Overflow``, not 2 as if the input were bad."""
+    for doc in (KRAWTCHOUK_SPECTRAL, KRAWTCHOUK_MATRIX):
+        rc, out, err = run(capsys, "weyl", "--in", doc)
+        assert rc == 1 and out == "" and "overflow float64" in err
+    w = RationalHerglotz(np.arange(256.0) - 127.5, np.full(256, 1 / 256))
+    with pytest.raises(Overflow, match="float64"):
+        to_quotient(w)
+
+
+def test_reconstruct_divides_a_quotient_document_once(capsys, monkeypatch):
+    """Each method reads a quotient document through one continued-fraction
+    division, and both prints what the two public routes give."""
+    calls = []
+    inner = spectral_inverse._cf_division
+    monkeypatch.setattr(spectral_inverse, "_cf_division", lambda *a: calls.append(1) or inner(*a))
+    rc, quotient, _ = run(capsys, "weyl", "--seed", "0", "--N", "8")
+    assert rc == 0
+    for method in ("cf", "lanczos", "both"):
+        calls.clear()
+        rc, out, err = run(capsys, "reconstruct", "--in", quotient, "--method", method)
+        assert rc == 0 and len(calls) == 1, (method, err)
+    pq = serialize.loads(quotient)
+    m_cf = stieltjes_reconstruct(pq)
+    m_lz = lanczos_reconstruct(spectral_from_weyl(from_quotient(pq)))
+    disc = max(np.max(np.abs(m_cf.v - m_lz.v)), np.max(np.abs(m_cf.c - m_lz.c)))
+    assert out == serialize.dumps({"v": m_cf.v, "c": m_cf.c, "discrepancy": float(disc)}) + "\n"
 
 
 def test_reconstruct_turns_a_chart_document_once(capsys, monkeypatch):
@@ -334,6 +372,20 @@ def test_one_parser_serves_successive_calls(capsys):
         main(["flow", "--family", "X"])
     assert exc.value.code == 2
     assert run(capsys, *calls[0])[1] == run(capsys, *calls[0])[1]
+
+
+def test_environment_sets_no_logging_level():
+    """The CLI reads no logging level from the environment: an unknown
+    TODA_LOG value neither crashes a command nor changes its output.  It
+    runs in fresh processes, where the root logger has no handlers yet."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "TODA_LOG"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "toda.cli", "spectrum", "--seed", "0", "--N", "2"]
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True)
+    bogus = subprocess.run(argv, env=dict(env, TODA_LOG="bogus"), capture_output=True, text=True)
+    assert plain.returncode == 0 and plain.stdout
+    assert (bogus.returncode, bogus.stdout, bogus.stderr) == (0, plain.stdout, "")
 
 
 def test_verify_passes_by_default(capsys):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from toda import (
+    AtPole,
     InvalidData,
     JacobiMatrix,
-    OnSpectrum,
     PrecisionLimit,
     RationalHerglotz,
     SpectralData,
@@ -182,7 +182,7 @@ def test_weyl_solution_closed_form_examples():
 
 def test_weyl_solution_rejects_spectrum_points():
     m = JacobiMatrix(np.array([1.0, 1.0]), np.array([1.0]))
-    with pytest.raises(OnSpectrum):
+    with pytest.raises(AtPole, match="the Weyl solution has a pole on the spectrum"):
         weyl_solution_residual(m, 2.0)
 
 
