@@ -106,17 +106,14 @@ def _as_weyl(obj) -> RationalHerglotz:
 def cmd_spectrum(args) -> tuple[str, int]:
     obj = _load_document(args)
     w = _as_weyl(obj)
-    sd = spectral_from_weyl(w)
-    gammas = zeros(w).gammas
-    doc = {"lambdas": sd.lambdas, "rhos": sd.rhos, "gammas": gammas}
+    doc = {**serialize.to_dict(spectral_from_weyl(w)), "gammas": zeros(w).gammas}
     return serialize.dumps(doc), 0
 
 
 def cmd_weyl(args) -> tuple[str, int]:
     obj = _load_document(args)
     w = _as_weyl(obj)
-    pq = to_quotient(w)
-    return serialize.dumps({"p": pq.p, "q": pq.q}), 0
+    return serialize.dumps(serialize.to_dict(to_quotient(w))), 0
 
 
 def cmd_reconstruct(args) -> tuple[str, int]:
@@ -132,32 +129,21 @@ def cmd_reconstruct(args) -> tuple[str, int]:
             w = from_quotient(obj) if method == "lanczos" else _cf_weyl(m_cf, total)
         m_lz = lanczos_reconstruct(spectral_from_weyl(w))
     if method == "cf":
-        return serialize.dumps({"v": m_cf.v, "c": m_cf.c}), 0
+        return serialize.dumps(serialize.to_dict(m_cf)), 0
     if method == "lanczos":
-        return serialize.dumps({"v": m_lz.v, "c": m_lz.c}), 0
-    disc = _matrix_distance(m_cf, m_lz)
-    return serialize.dumps({"v": m_cf.v, "c": m_cf.c, "discrepancy": disc}), 0
+        return serialize.dumps(serialize.to_dict(m_lz)), 0
+    doc = {**serialize.to_dict(m_cf), "discrepancy": _matrix_distance(m_cf, m_lz)}
+    return serialize.dumps(doc), 0
 
 
 def cmd_coords(args) -> tuple[str, int]:
     obj = _load_document(args)
     w = _as_weyl(obj)
-    aa = theta_from(w)
+    angle = serialize.to_dict(theta_from(w))
     gammas, pis = _quasimomenta(w.poles, w.residues)  # empty for one pole
-    casimir = float(np.sum(w.poles))
-    if args.chart == "angle":
-        doc = {"lambdas": aa.lambdas, "thetas": aa.thetas}
-    elif args.chart == "divisor":
-        doc = {"gammas": gammas, "pis": pis, "casimir": casimir}
-    else:
-        doc = {
-            "lambdas": aa.lambdas,
-            "thetas": aa.thetas,
-            "gammas": gammas,
-            "pis": pis,
-            "casimir": casimir,
-        }
-    return serialize.dumps(doc), 0
+    divisor = {"gammas": gammas, "pis": pis, "casimir": float(np.sum(w.poles))}
+    docs = {"angle": angle, "divisor": divisor, "all": {**angle, **divisor}}
+    return serialize.dumps(docs[args.chart]), 0
 
 
 def cmd_bracket(args) -> tuple[str, int]:

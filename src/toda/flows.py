@@ -23,7 +23,7 @@ from .coordinates import DivisorQuasimomentum
 from .errors import InvalidData, Overflow, StepTooLarge
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import RationalHerglotz
-from .spectral_direct import _eigenvalues, _pivot_sweep, eigen
+from .spectral_direct import _distinct_eigenvalues, _eigenvalues, _pivot_sweep
 
 # Sign convention tying the residue flow to the matrix flow: with this
 # factor, integrating the matrix equations for time t reproduces the
@@ -141,7 +141,7 @@ def lax_integrate(
     nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
     h = (HFLOW_LAX_TIME_SIGN * t) / nsteps
     y = np.concatenate((m.v, m.c))
-    lam = eigen(m).lambdas
+    lam = _distinct_eigenvalues(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
     floor = 4.0 * _EPS * scale
     gaps = np.maximum(np.abs(np.subtract.outer(lam, lam)), floor)

@@ -201,29 +201,16 @@ def _dec_quotient(lam: np.ndarray, rho: np.ndarray):
     Float64 inputs convert to decimal exactly; the expansion keeps every
     residue's contribution at full relative accuracy, which float64
     coefficients cannot (a weight near 1e-16 drowns in the rounding of the
-    other terms).  Each cofactor p/(x - lam_k) comes from synthetic division.
+    other terms).  Both grow one pole at a time: with p, q the quotient of
+    the poles so far, q <- q (x - lam_k) + rho_k p, then p <- p (x - lam_k).
     """
-    n = lam.size
     with localcontext() as ctx:
         ctx.prec = _DEC_DIGITS
-        p = [Decimal(1)]
-        for x in lam.tolist():
-            dx = Decimal(x)
-            nxt = [Decimal(0)] * (len(p) + 1)
-            for i, pi in enumerate(p):
-                nxt[i] -= dx * pi
-                nxt[i + 1] += pi
-            p = nxt
-        q = [Decimal(0)] * n
-        for k in range(n):
-            dx = Decimal(lam[k])
-            b = [Decimal(0)] * n
-            b[n - 1] = p[n]
-            for i in range(n - 1, 0, -1):
-                b[i - 1] = p[i] + dx * b[i]
-            weight = Decimal(rho[k])
-            for i in range(n):
-                q[i] += weight * b[i]
+        p, q, zero = [Decimal(1)], [], [Decimal(0)]
+        for x, r in zip(lam.tolist(), rho.tolist()):
+            dx, dr = Decimal(x), Decimal(r)
+            q = [hi - dx * lo + dr * pi for hi, lo, pi in zip(zero + q, q + zero, p)]
+            p = [hi - dx * lo for hi, lo in zip(zero + p, p + zero)]
     return tuple(p), tuple(q)
 
 

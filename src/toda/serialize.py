@@ -2,9 +2,12 @@
 
 Floats are rendered with the ``.17g`` format (full double round-trip
 precision) so identical inputs always produce byte-identical output.
-Input documents are recognized by their exact key set.  The spectrum
-document of ``toda spectrum`` (eigenvalues, weights and the divisor) reads
-as its spectral data once the divisor is checked to interlace.
+One table, ``_KINDS``, names every document kind with the record type it
+reads as and its keys, the record's field names; ``detect`` recognizes a
+document by its exact key set, and ``from_dict``/``to_dict`` read and write
+the fields it lists.  The spectrum document of ``toda spectrum``
+(eigenvalues, weights and the divisor) reads as its spectral data once the
+divisor is checked to interlace.
 """
 
 from __future__ import annotations
@@ -68,74 +71,48 @@ def _scalar(raw, name: str) -> float:
     return float(raw)
 
 
-_SCHEMAS = (
-    ("matrix", frozenset(("v", "c"))),
-    ("spectral", frozenset(("lambdas", "rhos"))),
-    ("spectrum", frozenset(("lambdas", "rhos", "gammas"))),
-    ("action_angle", frozenset(("lambdas", "thetas"))),
-    ("divisor_quasimomentum", frozenset(("gammas", "pis", "casimir"))),
-    ("divisor", frozenset(("gammas",))),
-    ("pole_residue", frozenset(("poles", "residues"))),
-    ("quotient", frozenset(("p", "q"))),
-)
+# Each document kind, the record type it reads as, and its keys in order.
+# The keys are the record's leading field names, except in the spectrum
+# document of ``toda spectrum``: its divisor is checked, then dropped.
+_KINDS = {
+    "matrix": (JacobiMatrix, ("v", "c")),
+    "spectral": (SpectralData, ("lambdas", "rhos")),
+    "spectrum": (SpectralData, ("lambdas", "rhos", "gammas")),
+    "action_angle": (ActionAngle, ("lambdas", "thetas")),
+    "divisor_quasimomentum": (DivisorQuasimomentum, ("gammas", "pis", "casimir")),
+    "divisor": (Divisor, ("gammas",)),
+    "pole_residue": (RationalHerglotz, ("poles", "residues")),
+    "quotient": (PolyQuotient, ("p", "q")),
+}
 
 
 def detect(d: dict) -> str:
-    """Name of the schema whose key set matches the document exactly."""
+    """Name of the document kind whose key set matches the document exactly."""
     if not isinstance(d, dict):
         raise InvalidData("expected a JSON object")
     keys = frozenset(d)
-    for name, req in _SCHEMAS:
-        if keys == req:
+    for name, (_, req) in _KINDS.items():
+        if keys == frozenset(req):
             return name
-    raise InvalidData(
-        "unrecognized document keys %s" % sorted(keys)
-    )
+    raise InvalidData("unrecognized document keys %s" % sorted(keys))
 
 
 def from_dict(d: dict):
     """Build the typed object a JSON document describes."""
     kind = detect(d)
-    if kind == "matrix":
-        return JacobiMatrix(_vector(d["v"], "v"), _vector(d["c"], "c"))
-    if kind in ("spectral", "spectrum"):
-        sd = SpectralData(_vector(d["lambdas"], "lambdas"), _vector(d["rhos"], "rhos"))
-        if kind == "spectrum":
-            _check_interlacing(sd.lambdas, Divisor(_vector(d["gammas"], "gammas")).gammas)
+    if kind == "spectrum":
+        sd = from_dict({"lambdas": d["lambdas"], "rhos": d["rhos"]})
+        _check_interlacing(sd.lambdas, Divisor(_vector(d["gammas"], "gammas")).gammas)
         return sd
-    if kind == "action_angle":
-        return ActionAngle(_vector(d["lambdas"], "lambdas"), _vector(d["thetas"], "thetas"))
-    if kind == "divisor_quasimomentum":
-        return DivisorQuasimomentum(
-            _vector(d["gammas"], "gammas"),
-            _vector(d["pis"], "pis"),
-            _scalar(d["casimir"], "casimir"),
-        )
-    if kind == "divisor":
-        return Divisor(_vector(d["gammas"], "gammas"))
-    if kind == "pole_residue":
-        return RationalHerglotz(
-            _vector(d["poles"], "poles"), _vector(d["residues"], "residues")
-        )
-    return PolyQuotient(_vector(d["p"], "p"), _vector(d["q"], "q"))
+    cls, keys = _KINDS[kind]
+    return cls(*(_scalar(d[k], k) if k == "casimir" else _vector(d[k], k) for k in keys))
 
 
 def to_dict(obj) -> dict:
     """JSON-ready dict for a typed object (inverse of ``from_dict``)."""
-    if isinstance(obj, JacobiMatrix):
-        return {"v": obj.v, "c": obj.c}
-    if isinstance(obj, SpectralData):
-        return {"lambdas": obj.lambdas, "rhos": obj.rhos}
-    if isinstance(obj, ActionAngle):
-        return {"lambdas": obj.lambdas, "thetas": obj.thetas}
-    if isinstance(obj, DivisorQuasimomentum):
-        return {"gammas": obj.gammas, "pis": obj.pis, "casimir": obj.casimir}
-    if isinstance(obj, Divisor):
-        return {"gammas": obj.gammas}
-    if isinstance(obj, RationalHerglotz):
-        return {"poles": obj.poles, "residues": obj.residues}
-    if isinstance(obj, PolyQuotient):
-        return {"p": obj.p, "q": obj.q}
+    for cls, keys in _KINDS.values():
+        if isinstance(obj, cls):
+            return {k: getattr(obj, k) for k in keys}
     raise InvalidData("cannot serialize objects of type %s" % type(obj).__name__)
 
 

@@ -1,6 +1,8 @@
 """Named verification suites: each runs a batch of identity checks on
-seeded random instances and returns (residuals, thresholds) keyed by check
-name.  A check passes when its residual does not exceed its threshold.
+seeded random instances.  Every check states its bar where it computes its
+residual, through ``_merge``; ``run_suite`` returns the (residuals,
+thresholds) pair keyed by check name.  A check passes when its residual
+does not exceed its threshold.
 
 The suites mirror the package's invariants: reconstruction roundtrips,
 trace-formula agreement, bracket closed forms against the tensor route,
@@ -109,11 +111,12 @@ def random_interlacing(rng: np.random.Generator, lambdas: np.ndarray) -> np.ndar
     return lam[:-1] + u * np.diff(lam)
 
 
-def _merge(acc: dict[str, float], name: str, value: float) -> None:
-    """Keep the worst residual per check; NaN ranks worst and sticks."""
+def _merge(acc: dict[str, tuple[float, float]], name: str, value: float, bar: float) -> None:
+    """Keep the worst residual per check next to its bar; NaN ranks worst
+    and sticks."""
     value = float(value)
-    prev = acc.get(name, 0.0)
-    acc[name] = value if np.isnan(value) or value > prev else prev
+    prev = acc[name][0] if name in acc else 0.0
+    acc[name] = (value if np.isnan(value) or value > prev else prev, bar)
 
 
 @lru_cache(maxsize=1)
@@ -138,50 +141,40 @@ def _samples(
     return tuple(out)
 
 
-def suite_roundtrip(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+def suite_roundtrip(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Reconstruction roundtrips, normalization, interlacing, and the
     partition-of-unity identity for the quotient numerator."""
-    res: dict[str, float] = {}
+    res: dict[str, tuple[float, float]] = {}
     for m, sd, w in _samples(seed, n):
         pq = to_quotient(w)
         m_cf = stieltjes_reconstruct(pq)
         m_lz = lanczos_reconstruct(sd)
-        _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf))
-        _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz))
-        _merge(res, "methods_agree", _matrix_distance(m_cf, m_lz))
-        _merge(res, "residue_normalization", abs(float(np.sum(sd.rhos)) - 1.0))
+        _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf), 1e-8)
+        _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz), 1e-8)
+        _merge(res, "methods_agree", _matrix_distance(m_cf, m_lz), 1e-8)
+        _merge(res, "residue_normalization", abs(float(np.sum(sd.rhos)) - 1.0), 1e-12)
         gam = zeros(w).gammas
         viol = max(
             float(np.max(sd.lambdas[:-1] - gam)),
             float(np.max(gam - sd.lambdas[1:])),
         )
-        _merge(res, "interlacing", max(0.0, viol))
+        _merge(res, "interlacing", max(0.0, viol), 0.0)
         dp = npoly.polyder(pq.p)
         unity = np.sum(npoly.polyval(sd.lambdas, pq.q) / npoly.polyval(sd.lambdas, dp))
-        _merge(res, "partition_of_unity", abs(float(unity) - 1.0))
-        _merge(res, "weyl_solution", _weyl_solution_residual(m, w, _offpoint(sd.lambdas)))
-        _merge(res, "gluing", _gluing_check(m, w))
-    thr = {
-        "stieltjes_roundtrip": 1e-8,
-        "lanczos_roundtrip": 1e-8,
-        "methods_agree": 1e-8,
-        "residue_normalization": 1e-12,
-        "interlacing": 0.0,
-        "partition_of_unity": 1e-10,
-        "weyl_solution": 1e-9,
-        "gluing": 1e-9,
-    }
-    return res, thr
+        _merge(res, "partition_of_unity", abs(float(unity) - 1.0), 1e-10)
+        _merge(res, "weyl_solution", _weyl_solution_residual(m, w, _offpoint(sd.lambdas)), 1e-9)
+        _merge(res, "gluing", _gluing_check(m, w), 1e-9)
+    return res
 
 
 def _offpoint(lambdas: np.ndarray) -> float:
     return float(offspectrum_samples(lambdas, 3)[1])
 
 
-def suite_traces(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+def suite_traces(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Three-way agreement of the spectral power sums and the leading
     matrix-entry identities, plus the exponential-representation residual."""
-    res: dict[str, float] = {}
+    res: dict[str, tuple[float, float]] = {}
     for m, _, w in _samples(seed, n):
         shift = float(w.poles[0])
         kd = krein(w)
@@ -189,18 +182,14 @@ def suite_traces(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str,
         s_krein = trace_via_krein(kd)
         m_shifted = JacobiMatrix(m.v - shift, m.c)
         s_direct = moments(m_shifted, 3)
-        _merge(res, "delta_vs_direct", float(np.max(np.abs(s_delta - s_direct))))
-        _merge(res, "krein_vs_direct", float(np.max(np.abs(s_krein - s_direct))))
+        _merge(res, "delta_vs_direct", float(np.max(np.abs(s_delta - s_direct))), 1e-10)
+        _merge(res, "krein_vs_direct", float(np.max(np.abs(s_krein - s_direct))), 1e-10)
         mom = moments(m, 2)
-        _merge(res, "first_moment_is_v0", abs(float(mom[1]) - float(m.v[0])))
-        c0sq = float(m.c[0]) ** 2
-        _merge(
-            res,
-            "second_moment_entries",
-            abs(float(mom[2]) - (float(m.v[0]) ** 2 + c0sq)),
-        )
+        _merge(res, "first_moment_is_v0", abs(float(mom[1]) - float(m.v[0])), 1e-10)
+        second = abs(float(mom[2]) - (float(m.v[0]) ** 2 + float(m.c[0]) ** 2))
+        _merge(res, "second_moment_entries", second, 1e-10)
         # exp_representation_residual(w), read off krein's divisor solve.
-        _merge(res, "exp_representation", _exp_residual(kd.lambdas0, kd.gammas, w.residues))
+        _merge(res, "exp_representation", _exp_residual(kd.lambdas0, kd.gammas, w.residues), 1e-10)
     w1 = _e1_weyl()
     kd1 = krein(w1)
     target = np.array([1.0, 1.0, 2.0, 4.0])
@@ -209,36 +198,25 @@ def suite_traces(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str,
         float(np.max(np.abs(trace_via_krein(kd1) - target))),
         float(np.max(np.abs(moments(_E1, 3) - target))),
     )
-    res["e1_spot"] = spot
-    thr = {
-        "delta_vs_direct": 1e-10,
-        "krein_vs_direct": 1e-10,
-        "first_moment_is_v0": 1e-10,
-        "second_moment_entries": 1e-10,
-        "exp_representation": 1e-10,
-        "e1_spot": 1e-12,
-    }
-    return res, thr
+    _merge(res, "e1_spot", spot, 1e-12)
+    return res
 
 
-def suite_brackets(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+def suite_brackets(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Closed-form two-point brackets against the tensor route, tensor
     health, the constrained reduction, and the leading-entry bracket."""
     rng = np.random.default_rng(seed)
-    res: dict[str, float] = {}
+    res: dict[str, tuple[float, float]] = {}
     size = min(n, 6)
     for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
         pt = random_chart_point(rng, size, chart)
         pts = offspectrum_samples(pt.lambdas, 4)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                _merge(
-                    res,
-                    "formula_vs_tensor",
-                    verify_formula_vs_tensor(pt, float(pts[i]), float(pts[j])),
-                )
-        _merge(res, "jacobi_identity", jacobi_residual(pt))
-        _merge(res, "antisymmetry", antisymmetry_residual(pt))
+                gap = verify_formula_vs_tensor(pt, float(pts[i]), float(pts[j]))
+                _merge(res, "formula_vs_tensor", gap, 1e-6)
+        _merge(res, "jacobi_identity", jacobi_residual(pt), 1e-10)
+        _merge(res, "antisymmetry", antisymmetry_residual(pt), 0.0)
     # Constrained reduction: a unit-total-residue point seen from the full
     # chart must reproduce the restricted tensor's brackets.
     pt_r = random_chart_point(rng, size, CHART_RESTRICTED)
@@ -247,11 +225,8 @@ def suite_brackets(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[st
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             f, g = weyl_value(float(pts[i])), weyl_value(float(pts[j]))
-            _merge(
-                res,
-                "dirac_vs_restricted",
-                abs(dirac_reduce(pt_u, f, g) - bracket(f, g, pt_r)),
-            )
+            gap = abs(dirac_reduce(pt_u, f, g) - bracket(f, g, pt_r))
+            _merge(res, "dirac_vs_restricted", gap, 1e-6)
     # Exponent-form bracket against the pole-sum closed form.
     w = RationalHerglotz(pt_r.lambdas, pt_r.rhos)
     for i in range(len(pts)):
@@ -259,46 +234,30 @@ def suite_brackets(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[st
             lamx, mux = float(pts[i]), float(pts[j])
             wl, wm = evaluate(w, lamx), evaluate(w, mux)
             xi = ah_formula_xi(w, lamx, mux) * wl * wm
-            _merge(
-                res,
-                "exponent_form",
-                abs(xi - ah_formula(w, lamx, mux, restricted=True))
-                / max(1.0, abs(xi)),
-            )
-    _merge(res, "entry_bracket", entry_bracket_residual(pt_r))
+            gap = abs(xi - ah_formula(w, lamx, mux, restricted=True)) / max(1.0, abs(xi))
+            _merge(res, "exponent_form", gap, 1e-8)
+    _merge(res, "entry_bracket", entry_bracket_residual(pt_r), 1e-6)
     # Fixed two-pole spot value: poles (0, 2) with equal residues, bracket of
     # the values at -1 and 3 equals 4/27 restricted and -4/9 unrestricted.
     w1 = _e1_weyl()
-    res["e1_spot_restricted"] = abs(ah_formula(w1, -1.0, 3.0, restricted=True) - 4.0 / 27.0)
-    res["e1_spot_unrestricted"] = abs(ah_formula(w1, -1.0, 3.0) + 4.0 / 9.0)
+    restricted = ah_formula(w1, -1.0, 3.0, restricted=True)
+    _merge(res, "e1_spot_restricted", abs(restricted - 4.0 / 27.0), 1e-8)
+    _merge(res, "e1_spot_unrestricted", abs(ah_formula(w1, -1.0, 3.0) + 4.0 / 9.0), 1e-8)
     pt1 = ChartPoint(w1.poles, w1.residues, CHART_RESTRICTED)
-    res["e1_spot_tensor"] = abs(
-        bracket(weyl_value(-1.0), weyl_value(3.0), pt1) - 4.0 / 27.0
-    )
-    thr = {
-        "formula_vs_tensor": 1e-6,
-        "jacobi_identity": 1e-10,
-        "antisymmetry": 0.0,
-        "dirac_vs_restricted": 1e-6,
-        "exponent_form": 1e-8,
-        "entry_bracket": 1e-6,
-        "e1_spot_restricted": 1e-8,
-        "e1_spot_unrestricted": 1e-8,
-        "e1_spot_tensor": 1e-8,
-    }
-    return res, thr
+    tensor = bracket(weyl_value(-1.0), weyl_value(3.0), pt1)
+    _merge(res, "e1_spot_tensor", abs(tensor - 4.0 / 27.0), 1e-8)
+    return res
 
 
-def suite_canonical(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+def suite_canonical(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Canonical relations in both charts, chart totality roundtrips, and
     the normalized contour periods."""
     rng = np.random.default_rng(seed)
-    res: dict[str, float] = {}
+    res: dict[str, tuple[float, float]] = {}
     size = min(n, 6)
     pt = random_chart_point(rng, size, CHART_RESTRICTED)
-    report = canonical_report(pt)
-    for name, value in report.items():
-        res[name] = float(value)
+    for name, value in canonical_report(pt).items():
+        _merge(res, name, value, 1e-6)
     # Totality of the angle chart: angles of order +-50 still invert.
     lam = np.sort(rng.uniform(-2.0, 2.0, size))
     while np.min(np.diff(lam)) < 0.15:
@@ -306,54 +265,42 @@ def suite_canonical(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[s
     th = rng.uniform(-50.0, 50.0, size - 1)
     w = w_from_theta(lam, th)
     back = theta_from(w)
-    res["theta_totality"] = float(np.max(np.abs(back.thetas - th)))
+    _merge(res, "theta_totality", np.max(np.abs(back.thetas - th)), 1e-9)
     # Divisor chart roundtrips.
     gam = random_interlacing(rng, lam)
     wg = w_from_gamma(lam, gam)
-    res["gamma_roundtrip"] = float(np.max(np.abs(zeros(wg).gammas - gam)))
-    dq = pi_from(wg)
-    wd = w_from_divisor(dq)
-    res["divisor_roundtrip"] = max(
+    _merge(res, "gamma_roundtrip", np.max(np.abs(zeros(wg).gammas - gam)), 1e-9)
+    wd = w_from_divisor(pi_from(wg))
+    divisor_err = max(
         float(np.max(np.abs(wd.poles - wg.poles))),
         float(np.max(np.abs(wd.residues - wg.residues))),
     )
+    _merge(res, "divisor_roundtrip", divisor_err, 1e-9)
     # Normalized second-kind periods around each pole.
-    worst = 0.0
     for k in range(1, size):
         for p in range(size):
             expected = 2.0j * np.pi * ((1.0 if k == p else 0.0) - (1.0 if p == 0 else 0.0))
-            worst = max(worst, abs(abel_period_check(lam, k, p) - expected))
-    res["abel_periods"] = worst
-    thr = {name: 1e-6 for name in report}
-    thr.update(
-        {
-            "theta_totality": 1e-9,
-            "gamma_roundtrip": 1e-9,
-            "divisor_roundtrip": 1e-9,
-            "abel_periods": 1e-10,
-        }
-    )
-    return res, thr
+            _merge(res, "abel_periods", abs(abel_period_check(lam, k, p) - expected), 1e-10)
+    return res
 
 
-def suite_dual(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+def suite_dual(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Bracket identities of the dual (divisor-side) data."""
     rng = np.random.default_rng(seed)
-    res: dict[str, float] = {}
+    res: dict[str, tuple[float, float]] = {}
     size = min(n, 4)
     for _ in range(2):
         pt = random_chart_point(rng, size, CHART_UNRESTRICTED)
         for name, value in dual_identities(pt).items():
-            _merge(res, name, value)
-    thr = {name: 1e-5 for name in res}
-    return res, thr
+            _merge(res, name, value, 1e-5)
+    return res
 
 
-def suite_flows(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:
+def suite_flows(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Flow linearizations, closed forms, commutativity, and the matrix
     integration cross-check."""
     rng = np.random.default_rng(seed)
-    res: dict[str, float] = {}
+    res: dict[str, tuple[float, float]] = {}
     size = min(n, 6)
     m = random_jacobi(rng, size)
     w = weyl(m)
@@ -362,71 +309,44 @@ def suite_flows(seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, 
     w_t = flow_H(w, 2, t)
     m_spectral = lanczos_reconstruct(spectral_from_weyl(w_t))
     m_lax, drift = lax_integrate(m, t, 1e-3)
-    res["hflow_vs_lax"] = _matrix_distance(m_spectral, m_lax)
-    res["lax_drift"] = drift
-    res["isospectral"] = float(
-        np.max(np.abs(eigen(m_lax).lambdas - w.poles))
-    )
+    _merge(res, "hflow_vs_lax", _matrix_distance(m_spectral, m_lax), 1e-6)
+    _merge(res, "lax_drift", drift, 1e-8)
+    _merge(res, "isospectral", np.max(np.abs(eigen(m_lax).lambdas - w.poles)), 1e-8)
     # Commutativity of two hierarchy members.
     ja, jb = (2, 3) if size >= 3 else (1, 2)
     s = 0.4
     ab = flow_H(flow_H(w, ja, s), jb, t)
     ba = flow_H(flow_H(w, jb, t), ja, s)
-    res["commutativity"] = float(np.max(np.abs(ab.residues - ba.residues)))
+    _merge(res, "commutativity", np.max(np.abs(ab.residues - ba.residues)), 1e-9)
     # Angle linearization across all members.
     th0 = theta_from(w).thetas
-    lin = 0.0
     for j in range(1, size + 1):
-        w_j = flow_H(w, j, 2.5)
-        lin = max(
-            lin,
-            float(
-                np.max(
-                    np.abs(
-                        theta_from(w_j).thetas
-                        - theta_flow(th0, w.poles, j, 2.5)
-                    )
-                )
-            ),
-        )
-    res["theta_linearization"] = lin
+        th_j = theta_from(flow_H(w, j, 2.5)).thetas
+        lin = np.max(np.abs(th_j - theta_flow(th0, w.poles, j, 2.5)))
+        _merge(res, "theta_linearization", lin, 1e-8)
     # Quasimomentum translation is definitional: bitwise-exact against the
     # same expression evaluated in place.
     dq = pi_from(w)
     dq_t = flow_T(dq, 1, 0.8)
-    res["pi_linearization"] = float(
-        np.max(np.abs(dq_t.pis - (dq.pis + 0.8 * dq.gammas ** 0)))
-    )
-    res["tflow_fixes_divisor"] = float(np.max(np.abs(dq_t.gammas - dq.gammas)))
+    pi_err = np.max(np.abs(dq_t.pis - (dq.pis + 0.8 * dq.gammas ** 0)))
+    _merge(res, "pi_linearization", pi_err, 0.0)
+    _merge(res, "tflow_fixes_divisor", np.max(np.abs(dq_t.gammas - dq.gammas)), 0.0)
     # Two-pole closed forms: residue and angle growth under the quadratic
     # flow, and the off-diagonal exponential under the first transversal flow.
     w1 = _e1_weyl()
     t1 = 0.7
     w1t = flow_H(w1, 2, t1)
-    res["e1_residue_closed_form"] = abs(
-        float(w1t.residues[1]) - np.exp(2 * t1) / (1.0 + np.exp(2 * t1))
-    )
-    res["e1_theta_closed_form"] = abs(float(theta_from(w1t).thetas[0]) - 2 * t1)
-    dq1 = pi_from(w1)
-    dq1t = flow_T(dq1, 1, t1)
+    e1_residue = np.exp(2 * t1) / (1.0 + np.exp(2 * t1))
+    _merge(res, "e1_residue_closed_form", abs(float(w1t.residues[1]) - e1_residue), 1e-9)
+    _merge(res, "e1_theta_closed_form", abs(float(theta_from(w1t).thetas[0]) - 2 * t1), 1e-9)
+    dq1t = flow_T(pi_from(w1), 1, t1)
     m1t = lanczos_reconstruct(spectral_from_weyl(w_from_divisor(dq1t)))
-    res["e1_tflow_closed_form"] = max(
+    e1_tflow = max(
         float(np.max(np.abs(m1t.v - 1.0))),
         abs(float(m1t.c[0]) - np.exp(t1 / 2.0)),
     )
-    thr = {
-        "hflow_vs_lax": 1e-6,
-        "lax_drift": 1e-8,
-        "isospectral": 1e-8,
-        "commutativity": 1e-9,
-        "theta_linearization": 1e-8,
-        "pi_linearization": 0.0,
-        "tflow_fixes_divisor": 0.0,
-        "e1_residue_closed_form": 1e-9,
-        "e1_theta_closed_form": 1e-9,
-        "e1_tflow_closed_form": 1e-9,
-    }
-    return res, thr
+    _merge(res, "e1_tflow_closed_form", e1_tflow, 1e-9)
+    return res
 
 
 _SUITES = {
@@ -446,7 +366,11 @@ def run_suite(name: str, seed: int = 7, n: int = 4) -> tuple[dict[str, float], d
         raise InvalidData("unknown suite %r" % (name,))
     if n < 2:
         raise InvalidData("suite size must be at least 2, got %d" % n)
-    return _SUITES[name](seed, n)
+    records = _SUITES[name](seed, n)
+    return (
+        {key: value for key, (value, _) in records.items()},
+        {key: bar for key, (_, bar) in records.items()},
+    )
 
 
 def run_suites(names, seed: int = 7, n: int = 4) -> tuple[dict[str, float], dict[str, float]]:

@@ -426,10 +426,10 @@ def test_verify_fails_on_nan_residual(capsys, monkeypatch):
 
     def suite(seed, n):
         res = {}
-        _merge(res, "probe", 1e-12)
-        _merge(res, "probe", float("nan"))
-        _merge(res, "probe", 1e-13)
-        return res, {"probe": 1e-6}
+        _merge(res, "probe", 1e-12, 1e-6)
+        _merge(res, "probe", float("nan"), 1e-6)
+        _merge(res, "probe", 1e-13, 1e-6)
+        return res
 
     monkeypatch.setitem(suites._SUITES, "traces", suite)
     rc, out, err = run(capsys, "verify", "--suite", "traces")

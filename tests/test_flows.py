@@ -17,6 +17,7 @@ from toda import (
     InvalidData,
     JacobiMatrix,
     Overflow,
+    PrecisionLimit,
     RationalHerglotz,
     StepTooLarge,
     eigen,
@@ -387,6 +388,17 @@ def test_audit_takes_one_sweep_per_step(monkeypatch):
             lax_integrate(random_jacobi(rng, n), 0.5)
             blocks += math.ceil(500 / flows._AUDIT_BLOCK)
     assert calls[0] <= 2 * blocks + stuck[0]
+
+
+def test_matrix_flow_past_float64_weights():
+    """The audit reads only the eigenvalues: weights that overflow float64
+    (the random family from N of about 300) do not stop the integration."""
+    for n in (320, 400):
+        m = random_jacobi(np.random.default_rng(0), n)
+        with pytest.raises(PrecisionLimit):
+            eigen(m)
+        _, drift = lax_integrate(m, 1e-2)
+        assert drift < 1e-12
 
 
 def test_flaschka_change_of_variables():

@@ -5,6 +5,7 @@ loads(dumps(x)) must reproduce x bit for bit; schema detection is by exact
 key set and anything else is rejected.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -26,6 +27,8 @@ from toda import (
     loads,
     to_dict,
 )
+from toda.cli import main
+from toda.serialize import _KINDS
 
 SAMPLES = [
     JacobiMatrix([0.1, -0.7, 2.0], [0.3, 1.0 / 3.0]),
@@ -125,3 +128,21 @@ def test_spectrum_document_reads_as_spectral_data():
     for gammas in ([1.0], [2.5, 1.0], [1.0, float("nan")], [[1.0, 2.5]]):
         with pytest.raises(InvalidData):
             from_dict(dict(doc, gammas=gammas))
+
+
+def test_documents_are_the_records_fields(capsys):
+    """Every document kind but the spectrum document is its record's leading
+    fields: it reads back to the same document, and a field that is not
+    numeric, or is 2-d, exits 2 through the CLI."""
+    docs = {detect(to_dict(obj)): json.loads(dumps(to_dict(obj))) for obj in SAMPLES}
+    for kind, (cls, keys) in _KINDS.items():
+        if kind == "spectrum":
+            continue
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert tuple(fields[: len(keys)]) == keys, kind
+        doc = docs[kind]
+        assert json.loads(dumps(to_dict(from_dict(doc)))) == doc, kind
+        for key in keys:
+            for bad in (["x"], [doc[key]]):
+                assert main(["spectrum", "--in", json.dumps(dict(doc, **{key: bad}))]) == 2
+                assert "error" in capsys.readouterr().err, (kind, key, bad)

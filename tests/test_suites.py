@@ -47,6 +47,24 @@ def test_run_suites_prefixes_keys():
     assert all(k.startswith(("traces.", "dual.")) for k in residuals)
 
 
+def test_a_nan_sample_fails_its_looped_check(monkeypatch):
+    """A check over many samples keeps a NaN from any of them, not only from
+    the first: the Abel periods and the angle linearization."""
+    for fn, suite, check in (
+        ("abel_period_check", "canonical", "abel_periods"),
+        ("theta_flow", "flows", "theta_linearization"),
+    ):
+        real, calls = getattr(suites, fn), []
+
+        def nan_second(*args, real=real, calls=calls):
+            calls.append(args)
+            return np.nan if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(suites, fn, nan_second)
+        residuals, _ = run_suite(suite, seed=0, n=3)
+        assert len(calls) > 2 and np.isnan(residuals[check]), check
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(InvalidData):
         run_suite("frobnicate")
