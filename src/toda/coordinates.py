@@ -57,7 +57,8 @@ class ActionAngle:
 @dataclass(frozen=True, eq=False)
 class DivisorQuasimomentum:
     """Divisor points with logarithmic quasimomenta and the spectral sum
-    (a Casimir) that pins down the complementary direction."""
+    (a Casimir) that pins down the complementary direction.  The divisor of
+    one site is empty: its pole sum is the one pole at the Casimir."""
 
     gammas: np.ndarray
     pis: np.ndarray
@@ -67,8 +68,8 @@ class DivisorQuasimomentum:
         object.__setattr__(self, "gammas", _readonly(self.gammas))
         object.__setattr__(self, "pis", _readonly(self.pis))
         object.__setattr__(self, "casimir", float(self.casimir))
-        if self.gammas.ndim != 1 or self.gammas.size < 1:
-            raise InvalidData("need at least one divisor point")
+        if self.gammas.ndim != 1:
+            raise InvalidData("divisor points must be one-dimensional")
         if self.gammas.size > 1 and not np.all(np.diff(self.gammas) > 0.0):
             raise InvalidData("divisor points must be strictly increasing")
         if self.pis.shape != self.gammas.shape:
@@ -194,7 +195,10 @@ def w_from_divisor(dq: DivisorQuasimomentum) -> RationalHerglotz:
     there: ``_poly.secular_roots`` (beta = 1) finds it, the outer brackets
     coming from the bound sum_k a_k / |x - gamma_k| <= A / d at distance d
     from the divisor, A = sum_k a_k.  ``_poles_from_divisor`` stacks.
+    An empty divisor gives the one pole at the spectral sum.
     """
+    if dq.gammas.size == 0:
+        return RationalHerglotz(np.array([dq.casimir]), np.ones(1))
     lam, rho = _poles_from_divisor(dq.gammas[None], dq.pis[None], np.array([dq.casimir]))
     return RationalHerglotz(lam[0], rho[0])
 

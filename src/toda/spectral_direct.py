@@ -1,8 +1,10 @@
 """Direct spectral transform of a finite Jacobi matrix.
 
-Eigenvalues come from Sturm-count bisection (inertia counts of the shifted
-LDL^T factorization) until each is isolated, then bracketed Newton on the
-same pivots; weights are reciprocal sums of squared first-kind polynomial
+Eigenvalues come from Sturm counts (inertia counts of the shifted LDL^T
+factorization): one sweep at the top nodes of the bisection tree brackets
+every eigenvalue at once (multisection), bisection goes on only where
+eigenvalues still share a cell, and bracketed Newton on the same pivots
+finishes; weights are reciprocal sums of squared first-kind polynomial
 values.  The matrix with its first row and column removed supplies the
 divisor, whose points interlace the eigenvalues.
 """
@@ -96,19 +98,40 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Jacobi matrix with diagonal v and off-diagonal c
     (at least 2x2), one per rank; not checked to be strictly increasing.
 
-    Bisection on Sturm counts stops once a bracket holds one eigenvalue (or
-    at 1e-14 * max(1, |lambda|) for a pair too close to split); bracketed
-    Newton then takes its side from the count and its step from the pivots.
+    One pivot sweep counts the eigenvalues below every node of the top
+    levels of the bisection tree (multisection): the nodes are the
+    midpoints bisection would form, down to about 32 N cells for N <= 32
+    and N / 2..N cells above (the sweep's pivot table then stays within the
+    N x N of one bisection step).  Each eigenvalue takes its cell from the
+    counts; eigenvalues still sharing a cell bisect on Sturm counts until
+    each is alone (or to 1e-14 * max(1, |lambda|) for a pair too close to
+    split).  Bracketed Newton then takes its side from the count and its
+    step from the pivots.
     """
     n = v.size
     reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
     lo0 = float(np.min(v - reach))
     hi0 = float(np.max(v + reach))
     pad = 1e-6 * max(1.0, hi0 - lo0)
-    lo, hi = np.full(n, lo0 - pad), np.full(n, hi0 + pad)
+    a, b = lo0 - pad, hi0 + pad
+    levels = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
+    # No level may reach bisection's 1e-14 floor below (twice it covers the
+    # rounding of the midpoints): a cluster then bisects on from the bracket
+    # that bisection from [a, b] would have reached.
+    while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
+        levels -= 1
+    grid = np.array([a, b])
+    for _ in range(levels):
+        finer = np.empty(2 * grid.size - 1)
+        finer[::2] = grid
+        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
+        grid = finer
+    counts = np.concatenate(([0], _pivot_sweep(v, c, grid[1:-1])[0], [n]))
     # count(lo) < want <= count(hi): eigenvalue want - 1 lies in [lo, hi].
+    # The computed count never falls as x grows, so a search finds the cell.
     want = np.arange(1, n + 1)
-    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    cell = np.searchsorted(counts, want)
+    lo, hi, clo, chi = grid[cell - 1], grid[cell], counts[cell - 1], counts[cell]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         floor = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(mid))

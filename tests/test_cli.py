@@ -188,6 +188,19 @@ def test_reconstruct_turns_a_chart_document_once(capsys, monkeypatch):
         assert len(calls) == 1 and doc["discrepancy"] <= 1e-8, chart
 
 
+@pytest.mark.parametrize("v", [1.0, 0.3, -2.5])
+def test_one_site_divisor_document_reads_back(capsys, v):
+    """A one-site matrix has an empty divisor; its chart document reads as
+    the one pole at the Casimir and gives the 1x1 matrix back."""
+    matrix = json.dumps({"v": [v], "c": []})
+    chart = run(capsys, "coords", "--in", matrix, "--chart", "divisor")[1]
+    assert json.loads(chart) == {"gammas": [], "pis": [], "casimir": v}
+    doc = run_json(capsys, "spectrum", "--in", chart)
+    assert doc == {"lambdas": [v], "rhos": [1.0], "gammas": []}
+    doc = run_json(capsys, "reconstruct", "--in", chart, "--method", "both")
+    assert doc == {"v": [v], "c": [], "discrepancy": 0.0}
+
+
 def test_reconstruct_rejects_matrix_input(capsys):
     rc, _, err = run(capsys, "reconstruct", "--in", E1_MATRIX)
     assert rc == 2

@@ -52,6 +52,15 @@ def test_chart_validation():
         DivisorQuasimomentum(np.array([1.0, 0.0]), np.array([0.0, 0.0]), 1.0)
 
 
+def test_empty_divisor_is_the_one_pole_at_the_casimir():
+    dq = DivisorQuasimomentum(np.array([]), np.array([]), -2.5)
+    assert dq.n == 1
+    w = w_from_divisor(dq)
+    assert w.poles.tolist() == [-2.5] and w.residues.tolist() == [1.0]
+    with pytest.raises(InvalidData):
+        DivisorQuasimomentum(np.array([]), np.array([0.0]), 1.0)
+
+
 def test_two_site_angle_and_quasimomentum_vanish():
     aa = theta_from(E1_W)
     assert aa.thetas == pytest.approx([0.0], abs=1e-14)

@@ -28,6 +28,7 @@ from toda import (
     weyl_solution_residual,
     zeros,
 )
+from toda._poly import bracketed_newton
 
 
 def random_matrix(rng, n):
@@ -349,3 +350,132 @@ def test_stacked_sweep_matches_row_by_row_sweeps():
             want_cnt, want_step = spectral_direct._pivot_sweep(v[b], c[b], x[b])
             np.testing.assert_array_equal(cnt[b], want_cnt)
             np.testing.assert_array_equal(step[b], want_step)
+
+
+def _bisected_eigenvalues(v, c):
+    """The eigenvalue solve without multisection: bisection from the padded
+    Gershgorin interval until each eigenvalue is alone (or at the 1e-14
+    floor), then bracketed Newton; the reference the tree grid must match."""
+    sweep = spectral_direct._pivot_sweep
+    n = v.size
+    reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
+    lo0, hi0 = float(np.min(v - reach)), float(np.max(v + reach))
+    pad = 1e-6 * max(1.0, hi0 - lo0)
+    lo, hi = np.full(n, lo0 - pad), np.full(n, hi0 + pad)
+    want = np.arange(1, n + 1)
+    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    while True:
+        mid = 0.5 * (lo + hi)
+        todo = (chi - clo > 1) & ((hi - lo) > 1e-14 * np.maximum(1.0, np.abs(mid)))
+        if not todo.any():
+            break
+        cnt, _ = sweep(v, c, mid)
+        upper, lower = todo & (cnt >= want), todo & (cnt < want)
+        hi, chi = np.where(upper, mid, hi), np.where(upper, cnt, chi)
+        lo, clo = np.where(lower, mid, lo), np.where(lower, cnt, clo)
+
+    def step_side(x):
+        cnt, step = sweep(v, c, x)
+        return step, cnt >= want
+
+    return bracketed_newton(step_side, lo, hi, scale=max(abs(lo0), abs(hi0)))
+
+
+def _wilkinson(n):
+    return JacobiMatrix(np.abs(np.arange(n) - (n - 1) / 2.0), np.ones(n - 1))
+
+
+# Eigenvalues closer than float64 separates, or close to it: Wilkinson
+# matrices, two W21 glued by a weak coupling, weakly coupled chains.
+CLOSE_EIGENVALUES = {
+    **{"wilkinson-%d" % n: _wilkinson(n) for n in (7, 21, 39)},
+    **{
+        "glued-w21-1e%d" % e: JacobiMatrix(
+            np.tile(WILKINSON_21.v, 2), np.r_[WILKINSON_21.c, 10.0**e, WILKINSON_21.c]
+        )
+        for e in range(-9, -2)
+    },
+    **{
+        "chain%d-1e%d" % (n, e): JacobiMatrix(np.arange(n) % 2.0, np.full(n - 1, 10.0**e))
+        for n in (3, 5)
+        for e in range(-9, -4)
+    },
+}
+
+
+# At an offset of 1e8 bisection's 1e-14 floor stops above the top level
+# of the tree, so the grid is the bare interval.
+OFFSET_CLUSTERS = {
+    "offset-pair": JacobiMatrix(np.full(2, 1e8), np.array([1e-9])),
+    "offset-chain": JacobiMatrix(1e8 + 1e-7 * (np.arange(5) % 2.0), np.full(4, 1e-9)),
+}
+
+
+def _assert_within_two_ulp(got, want):
+    assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
+
+
+def test_multisection_matches_bisection_on_random_matrices():
+    rng = np.random.default_rng(53)
+    for n in range(2, 65):
+        for m in (random_jacobi(rng, n), random_matrix(rng, n)):
+            got = spectral_direct._eigenvalues(m.v, m.c)
+            _assert_within_two_ulp(got, _bisected_eigenvalues(m.v, m.c))
+
+
+@pytest.mark.parametrize(
+    "m", [*CLOSE_EIGENVALUES.values(), *OFFSET_CLUSTERS.values()],
+    ids=[*CLOSE_EIGENVALUES, *OFFSET_CLUSTERS],
+)
+def test_multisection_matches_bisection_on_close_eigenvalues(m):
+    """Eigenvalues that share a tree cell bisect from it exactly as they
+    would from the whole interval, so the cluster brackets, and with them
+    the values and the ``PrecisionLimit`` outcome, stay as they were."""
+    got = spectral_direct._eigenvalues(m.v, m.c)
+    want = _bisected_eigenvalues(m.v, m.c)
+    _assert_within_two_ulp(got, want)
+    assert np.all(np.diff(got) > 0.0) == np.all(np.diff(want) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_UNIT, BADLY_SCALED, *CLOSE_EIGENVALUES.values()],
+    ids=["unit-12", "badly-scaled", *CLOSE_EIGENVALUES],
+)
+def test_tree_grid_counts_are_nondecreasing(m, monkeypatch):
+    """The first sweep counts at the tree nodes; ``searchsorted`` finds each
+    eigenvalue's cell only if the counts never fall along the grid."""
+    swept = []
+    sweep = spectral_direct._pivot_sweep
+
+    def recording(v, c, x):
+        cnt, step = sweep(v, c, x)
+        swept.append((x, cnt))
+        return cnt, step
+
+    monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
+    spectral_direct._eigenvalues(m.v, m.c)
+    x, cnt = swept[0]
+    assert x.size >= 31 and np.all(np.diff(x) > 0.0)
+    assert np.all(np.diff(cnt) >= 0)
+
+
+def test_eigen_brackets_from_one_multisection_sweep(monkeypatch):
+    """Performance guard: one sweep over the top of the bisection tree
+    replaces the shared bisection levels, so ``eigen`` stays within 8 pivot
+    sweeps per call at N = 8 and 12 (bisection from the whole interval took
+    12.7 and 14.5 on these draws)."""
+    calls = [0]
+    sweep = spectral_direct._pivot_sweep
+
+    def counting(*args):
+        calls[0] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(spectral_direct, "_pivot_sweep", counting)
+    for n in (8, 12):
+        rng = np.random.default_rng(51)
+        calls[0] = 0
+        for _ in range(50):
+            eigen(random_jacobi(rng, n))
+        assert calls[0] / 50 <= 8
