@@ -140,8 +140,7 @@ def cmd_coords(args) -> tuple[str, int]:
     obj = _load_document(args)
     w = _as_weyl(obj)
     angle = serialize.to_dict(theta_from(w))
-    gammas, pis = _quasimomenta(w.poles, w.residues)  # empty for one pole
-    divisor = {"gammas": gammas, "pis": pis, "casimir": float(np.sum(w.poles))}
+    divisor = serialize.to_dict(pi_from(w))
     docs = {"angle": angle, "divisor": divisor, "all": {**angle, **divisor}}
     return serialize.dumps(docs[args.chart]), 0
 

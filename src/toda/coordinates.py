@@ -163,11 +163,10 @@ def _residues(lam: np.ndarray, gam: np.ndarray):
 
 def pi_from(w: RationalHerglotz) -> DivisorQuasimomentum:
     """Quasimomenta: log of the alternating-sign values of the monic pole
-    polynomial at the divisor points, plus the spectral-sum Casimir."""
+    polynomial at the divisor points, plus the spectral-sum Casimir.  One
+    pole gives the empty divisor, as ``w_from_divisor`` reads it."""
     if not w.normalized:
         raise InvalidData("quasimomenta are defined for unit total residue")
-    if w.n < 2:
-        raise InvalidData("the divisor chart needs at least two poles")
     return DivisorQuasimomentum(*_quasimomenta(w.poles, w.residues), float(np.sum(w.poles)))
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to handle gets its own class so
-that the CLI can map them onto stable exit codes.
+Every failure mode that callers are expected to handle gets its own class,
+named for its cause, so that the CLI can map them onto stable exit codes:
+2 for invalid input, 3 for a positivity (Herglotz) violation, 1 for the rest.
 """
 
 
@@ -39,14 +40,6 @@ class InterlacingViolated(TodaError):
 
 class NoHerglotzSolution(TodaError):
     """No positive rational function is compatible with the requested data."""
-
-
-class GradientFailure(TodaError):
-    """Finite-difference derivative estimates disagree across step sizes.
-
-    Raised only by ``poisson.gradient`` on an observable supplied without an
-    analytic ``grad``; the chart Jacobians of the canonical and dual reports
-    are closed form and never difference."""
 
 
 class CoincidentArguments(TodaError):

@@ -131,6 +131,8 @@ def lax_integrate(
     """
     t = float(t)
     dt = float(dt)
+    if not math.isfinite(t):
+        raise InvalidData("flow time must be finite")
     if not dt > 0.0:
         raise InvalidData("step size must be positive")
     if abs(t) / dt > 1e7:

@@ -9,8 +9,8 @@ derivatives as whole-array expressions (for Jacobi-identity checks).
 Every report contracts gradient rows against one tensor build: the
 constrained reduction from the full chart to the restricted one reads all
 its brackets off one Gram matrix, and the coordinate-bracket verifications
-used by the acceptance suite pair closed-form chart Jacobians.  Finite
-differences serve only observables supplied without an analytic gradient.
+used by the acceptance suite pair closed-form chart Jacobians.  Every
+observable carries its analytic gradient, so no derivative is differenced.
 
 Report generators are pure functions of their inputs and may be fanned out
 over sample points concurrently.
@@ -29,16 +29,12 @@ from .errors import (
     AtPole,
     CoincidentArguments,
     ConstraintDegenerate,
-    GradientFailure,
     InvalidData,
 )
 from .rational_weyl import RationalHerglotz, _exp_values, _shifted, _values, _zeros, evaluate
 
 CHART_UNRESTRICTED = "unrestricted"
 CHART_RESTRICTED = "restricted"
-
-# Step of ``_fd_jacobian`` in component x: _FD_REL_STEP * max(1, |x|).
-_FD_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +95,14 @@ class PoissonTensor:
 @dataclass(frozen=True)
 class Observable:
     """Scalar function of a chart point: ``fn(lambdas, rhos)`` returns the
-    value, the optional ``grad(lambdas, rhos)`` the derivative vector
-    ordered (d/drho, d/dlambda); ``gradient`` differences ``fn`` without
-    it.  Functions must accept raw arrays because finite differencing
-    steps off the restricted submanifold.
+    value and ``grad(lambdas, rhos)`` its derivative vector, ordered
+    (d/drho, d/dlambda).  Both take raw arrays rather than a chart point
+    only so that the tests' finite-difference oracle may step off the
+    unit-residue slice.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], float]
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def value(self, pt: ChartPoint) -> float:
         return float(self.fn(pt.lambdas, pt.rhos))
@@ -132,9 +128,10 @@ def _chart_gaps(
 
 
 def _tensor(lam: np.ndarray, rho: np.ndarray, restricted: bool) -> np.ndarray:
-    """Bracket matrix on raw arrays, so that finite differences may step off
-    the unit-residue slice: residue block A_kq = 2 rho_k rho_q (inv_kq + s_q
-    - s_k) and mixed block B = diag(rho), minus rho rho^T when restricted."""
+    """Bracket matrix on raw arrays, so that the tests' finite-difference
+    oracle may step off the unit-residue slice: residue block
+    A_kq = 2 rho_k rho_q (inv_kq + s_q - s_k) and mixed block B = diag(rho),
+    minus rho rho^T when restricted."""
     inv, s = _chart_gaps(lam, rho, restricted)
     rr = np.outer(rho, rho)
     a = 2.0 * rr * inv + 2.0 * rr * (s[None, :] - s[:, None])
@@ -201,51 +198,12 @@ def antisymmetry_residual(pt: ChartPoint) -> float:
     return float(np.max(np.abs(j + j.T)))
 
 
-def _fd_jacobian(
-    vfn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lam: np.ndarray,
-    rho: np.ndarray,
-) -> np.ndarray:
-    """Richardson-extrapolated central differences with a two-step
-    consistency guard on every component."""
-    x0 = np.concatenate((rho, lam))
-    f0 = np.atleast_1d(np.asarray(vfn(lam, rho), dtype=float))
-    floor = 1e-7 * max(1.0, float(np.max(np.abs(f0))))
-    n = lam.size
-    jac = np.empty((f0.size, 2 * n))
-
-    def call(x: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(vfn(x[n:], x[:n]), dtype=float))
-
-    for i in range(2 * n):
-        h = _FD_REL_STEP * max(1.0, abs(x0[i]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        d1 = (call(xp) - call(xm)) / (2.0 * h)
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += 0.5 * h
-        xm[i] -= 0.5 * h
-        d2 = (call(xp) - call(xm)) / h
-        diff = np.abs(d1 - d2)
-        scale = np.maximum(np.abs(d1), np.abs(d2))
-        bad = (diff > 0.1 * scale) & (diff > floor)
-        if np.any(bad):
-            raise GradientFailure(
-                "finite-difference estimates disagree for component %d" % i
-            )
-        jac[:, i] = (4.0 * d2 - d1) / 3.0
-    return jac
-
-
 def gradient(obs: Observable, pt: ChartPoint) -> np.ndarray:
-    """Gradient of an observable at a point, analytic when available."""
-    if obs.grad is not None:
-        g = np.asarray(obs.grad(pt.lambdas, pt.rhos), dtype=float)
-        if g.shape != (2 * pt.n,):
-            raise InvalidData("gradient must have length 2N")
-        return g
-    return _fd_jacobian(obs.fn, pt.lambdas, pt.rhos)[0]
+    """Gradient of an observable at a point, checked to have length 2N."""
+    g = np.asarray(obs.grad(pt.lambdas, pt.rhos), dtype=float)
+    if g.shape != (2 * pt.n,):
+        raise InvalidData("gradient must have length 2N")
+    return g
 
 
 def _warn_near_boundary(pt: ChartPoint) -> None:

@@ -61,6 +61,17 @@ def test_empty_divisor_is_the_one_pole_at_the_casimir():
         DivisorQuasimomentum(np.array([]), np.array([0.0]), 1.0)
 
 
+@pytest.mark.parametrize("pole", [1.0, 0.3, -2.5])
+def test_one_pole_quasimomenta_are_the_empty_divisor(pole):
+    """``pi_from`` is total: one pole gives the empty divisor at its
+    Casimir, the inverse of ``w_from_divisor``'s empty case."""
+    w = RationalHerglotz(np.array([pole]), np.array([1.0]))
+    dq = pi_from(w)
+    assert dq.gammas.size == dq.pis.size == 0 and dq.casimir == pole
+    back = w_from_divisor(dq)
+    assert back.poles.tolist() == [pole] and back.residues.tolist() == [1.0]
+
+
 def test_two_site_angle_and_quasimomentum_vanish():
     aa = theta_from(E1_W)
     assert aa.thetas == pytest.approx([0.0], abs=1e-14)

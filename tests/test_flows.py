@@ -189,6 +189,13 @@ def test_matrix_flow_step_guards():
         lax_integrate(easy, 1.0, 1e-9)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_matrix_flow_time_must_be_finite(t):
+    for m in (JacobiMatrix([1.0, 1.0], [1.0]), JacobiMatrix([1.0], [])):
+        with pytest.raises(InvalidData, match="flow time must be finite"):
+            lax_integrate(m, t)
+
+
 def _three_sweep_lax(m, t, dt=1e-3):
     """Oracle: RK4 on separate (v, c) arrays, auditing every step with
     three Newton sweeps started from the initial eigenvalues."""

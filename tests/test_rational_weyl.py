@@ -246,6 +246,12 @@ def test_trace_via_delta_order_is_capped():
         trace_via_delta(kd, 13)
 
 
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_trace_via_delta_order_must_be_nonnegative(n_max):
+    with pytest.raises(InvalidData, match="series order must be nonnegative"):
+        trace_via_delta(krein(E1_W), n_max)
+
+
 def test_trace_via_krein_needs_three_moments():
     kd = krein(E1_W)
     short = KreinData(kd.lambdas0, kd.gammas, kd.f[:2], kd.shift)
