@@ -7,9 +7,13 @@ translate the angles linearly.  The transversal ("T") flows fix the divisor
 and translate the quasimomenta linearly.  The same tangent dynamics acts on
 matrix entries through a commutator equation, integrated here with
 classical fourth-order Runge-Kutta and a per-step spectrum-drift audit
-(the spectrum is conserved, so drift measures integration error): Newton
-on the LDL^T pivots started from the initial eigenvalues, run on a whole
-block of steps at once, which takes one pivot sweep per block.
+(the spectrum is conserved, so drift measures integration error).  The
+RK4 stepper owns its buffers: each stage is four ufunc calls into views
+made once, with the 1/2 of dc carried by stage weights halved on the c
+half.  The audit is Newton on the LDL^T pivots started from the initial
+eigenvalues, run on a whole block of steps at once (max(64, 2^16 / N^2)
+steps), which takes one pivot sweep per block.  Every flow raises
+InvalidData on a flow time that is not finite.
 """
 
 from __future__ import annotations
@@ -33,18 +37,26 @@ HFLOW_LAX_TIME_SIGN = 1.0
 
 _EXP_LIMIT = 700.0
 _AUDIT_SWEEPS = 4
-_AUDIT_BLOCK = 64  # RK4 steps per drift audit
+_AUDIT_BLOCK = 64  # fewest RK4 steps per drift audit
+
+
+def _flow_time(t) -> float:
+    """``t`` as a float; every flow raises on a time that is not finite."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise InvalidData("flow time must be finite")
+    return t
 
 
 def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:
     """Exact j-th tangent flow: residues reweighted by exp(t * pole^(j-1))
     and renormalized; poles are conserved."""
+    t = _flow_time(t)
     j = int(j)
     if not w0.normalized:
         raise InvalidData("tangent flows act on normalized pole sums")
     if not 1 <= j <= w0.n:
         raise InvalidData("flow index must lie in 1..N")
-    t = float(t)
     speed = w0.poles ** (j - 1)
     if np.max(np.abs(t * speed)) > _EXP_LIMIT:
         raise Overflow("flow time too large for stable reweighting")
@@ -57,36 +69,25 @@ def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:
 def theta_flow(thetas: np.ndarray, lambdas: np.ndarray, j: int, t: float) -> np.ndarray:
     """The tangent flow in angle coordinates: a straight-line translation
     with speed lambda_k^(j-1) - lambda_0^(j-1)."""
+    t = _flow_time(t)
     lambdas = np.asarray(lambdas, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     j = int(j)
     if not 1 <= j <= lambdas.size:
         raise InvalidData("flow index must lie in 1..N")
     speed = lambdas ** (j - 1)
-    return thetas + float(t) * (speed[1:] - speed[0])
+    return thetas + t * (speed[1:] - speed[0])
 
 
 def flow_T(dq0: DivisorQuasimomentum, j: int, t: float) -> DivisorQuasimomentum:
     """Exact j-th transversal flow: quasimomenta translated with speed
     gamma_k^(j-1); the divisor and the spectral-sum Casimir are fixed."""
+    t = _flow_time(t)
     j = int(j)
     if not 1 <= j <= dq0.gammas.size:
         raise InvalidData("flow index must lie in 1..N-1")
-    pis = dq0.pis + float(t) * dq0.gammas ** (j - 1)
+    pis = dq0.pis + t * dq0.gammas ** (j - 1)
     return DivisorQuasimomentum(dq0.gammas.copy(), pis, dq0.casimir)
-
-
-def _lax_rhs(y: np.ndarray, n: int) -> np.ndarray:
-    """Equations of motion of the first matrix flow on the state y = (v, c):
-    dv_k = c_k^2 - c_{k-1}^2, dc_k = c_k (v_{k+1} - v_k) / 2."""
-    v, c = y[:n], y[n:]
-    c2 = c * c
-    dy = np.empty_like(y)
-    dy[0] = c2[0]
-    dy[1 : n - 1] = c2[1:] - c2[:-1]
-    dy[n - 1] = -c2[-1]
-    dy[n:] = 0.5 * c * (v[1:] - v[:-1])
-    return dy
 
 
 def lax_integrate(
@@ -100,8 +101,13 @@ def lax_integrate(
     keep the order of the steps: a drift raises before a later step that
     diverges or loses positivity.
 
-    The audit does not feed back into the integration, so the steps run in
-    blocks of ``_AUDIT_BLOCK`` and each block is audited at once, by Newton
+    The steps are taken by ``_LaxStepper`` on buffers allocated once (its
+    stage weights carry the 1/2 of dc, so each step is bitwise the plain
+    RK4 step).  The audit does not feed back into the integration, so the
+    steps run in blocks of max(``_AUDIT_BLOCK``, 2^16 // N^2) rows (64 from
+    N = 32 on, 4096 at N = 4, where a 500-step trajectory is one block),
+    whose pivot table stays within max(64 N^2, 2^16) floats, and each
+    block is audited at once, by Newton
     on the LDL^T pivots of all its states, every lane started from the
     initial eigenvalues lambda_k (the spectrum is conserved).  From
     x = lambda_k + e a Newton step delta leaves the error
@@ -129,10 +135,8 @@ def lax_integrate(
     four sweeps), that step is audited by the Sturm-certified solve behind
     ``eigen`` instead.  NaN steps are never read as a drift.
     """
-    t = float(t)
+    t = _flow_time(t)
     dt = float(dt)
-    if not math.isfinite(t):
-        raise InvalidData("flow time must be finite")
     if not dt > 0.0:
         raise InvalidData("step size must be positive")
     if abs(t) / dt > 1e7:
@@ -141,8 +145,7 @@ def lax_integrate(
     if n == 1:
         return JacobiMatrix(m.v.copy(), m.c.copy()), 0.0
     nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
-    h = (HFLOW_LAX_TIME_SIGN * t) / nsteps
-    y = np.concatenate((m.v, m.c))
+    stepper = _LaxStepper(m, (HFLOW_LAX_TIME_SIGN * t) / nsteps)
     lam = _distinct_eigenvalues(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
     floor = 4.0 * _EPS * scale
@@ -156,24 +159,21 @@ def lax_integrate(
     size = np.diff(first, append=n)
     ranks = np.repeat(first, size), np.repeat(first + size, size)
     tol = np.where(ranks[1] - ranks[0] > 1, np.maximum(tol, split), tol)
+    # One block's pivot table holds at most max(64 N^2, 2^16) floats.
+    block = max(_AUDIT_BLOCK, 2**16 // (n * n))
     worst = 0.0
-    for start in range(0, nsteps, _AUDIT_BLOCK):
-        ys = np.empty((min(_AUDIT_BLOCK, nsteps - start), y.size))
+    for start in range(0, nsteps, block):
+        ys = np.empty((min(block, nsteps - start), 2 * n + 1))
         # A step that diverges is caught below; the rest of its block only
         # carries the non-finite values along.
         with np.errstate(over="ignore", invalid="ignore"):
-            for row in ys:
-                k1 = _lax_rhs(y, n)
-                k2 = _lax_rhs(y + 0.5 * h * k1, n)
-                k3 = _lax_rhs(y + 0.5 * h * k2, n)
-                k4 = _lax_rhs(y + h * k3, n)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                row[:] = y
+            stepper.run(ys)
+        v, c = ys[:, :n], ys[:, n + 1 : 2 * n]
         finite = np.isfinite(ys).all(axis=1)
-        bad = np.flatnonzero(~finite | (ys[:, n:] <= 0.0).any(axis=1))
+        bad = np.flatnonzero(~finite | (c <= 0.0).any(axis=1))
         good = bad[0] if bad.size else ys.shape[0]
         if good:
-            drift = _block_drift(ys[:good, :n], ys[:good, n:], lam, tol, ranks, 2.0 * floor)
+            drift = _block_drift(v[:good], c[:good], lam, tol, ranks, 2.0 * floor)
             scaled = drift / scale
             worst = max(worst, scaled)
             if scaled > 1e-6:
@@ -182,7 +182,81 @@ def lax_integrate(
             if not finite[good]:
                 raise StepTooLarge("integration diverged; reduce the step size")
             raise StepTooLarge("off-diagonal lost positivity; reduce the step size")
-    return JacobiMatrix(y[:n], y[n:]), worst
+    return JacobiMatrix(v[-1], c[-1]), worst
+
+
+class _LaxStepper:
+    """Classical RK4 on the first matrix flow, on buffers it owns.
+
+    The state and the stage point are laid out as
+    [v_0..v_{N-1}, 0, c_0..c_{N-2}, 0]; the zeros stand for the missing end
+    couplings, so every dv_k is one c^2[k+1] - c^2[k].  All slices are views
+    made once, and each stage is four ufunc calls into them.  The 1/2 of
+    dc_k = c_k (v_{k+1} - v_k) / 2 is carried by the stage weights, halved on
+    the c half: halving is exact in binary (above the subnormal range), so a
+    step is bitwise y + (h/6) (k1 + 2 k2 + 2 k3 + k4) on the plain
+    right-hand side, with the sum taken left to right.
+    """
+
+    def __init__(self, m: JacobiMatrix, h: float):
+        n = m.n
+        size = 2 * n + 1
+        self._y = np.zeros(size)
+        self._y[:n] = m.v
+        self._y[n + 1 : 2 * n] = m.c
+        self._point = np.zeros(size)
+        self._k = tuple(np.zeros(size) for _ in range(4))
+        # Read at a point: v_{k+1}, v_k, c padded by the end zeros, c.
+        self._at_y, self._at_point = (
+            (b[1:n], b[: n - 1], b[n:], b[n + 1 : 2 * n]) for b in (self._y, self._point)
+        )
+        # Written into a stage: dv and 2 dc.
+        self._into = tuple((k[:n], k[n + 1 : 2 * n]) for k in self._k)
+        sq = np.empty(n + 1)
+        self._sq = sq, sq[1:], sq[:-1]
+        weights = []
+        for w in (0.5 * h, h, h / 6.0):
+            row = np.full(size, w)
+            row[n:] = 0.5 * w
+            weights.append(row)
+        self._weights = tuple(weights)
+
+    def _rhs(self, at, into) -> None:
+        """(dv, 2 dc) at the point read through ``at``, written ``into``."""
+        sq, sq_hi, sq_lo = self._sq
+        v_hi, v_lo, c_pad, c = at
+        dv, dc = into
+        np.multiply(c_pad, c_pad, sq)
+        np.subtract(sq_hi, sq_lo, dv)
+        np.subtract(v_hi, v_lo, dc)
+        np.multiply(c, dc, dc)
+
+    def run(self, rows: np.ndarray) -> None:
+        """Take one step per row of ``rows`` and store each new state there."""
+        mul, add, rhs = np.multiply, np.add, self._rhs
+        y, p, (k1, k2, k3, k4) = self._y, self._point, self._k
+        at_y, at_p = self._at_y, self._at_point
+        into1, into2, into3, into4 = self._into
+        half, full, sixth = self._weights
+        for row in rows:
+            rhs(at_y, into1)
+            mul(half, k1, p)
+            add(y, p, p)
+            rhs(at_p, into2)
+            mul(half, k2, p)
+            add(y, p, p)
+            rhs(at_p, into3)
+            mul(full, k3, p)
+            add(y, p, p)
+            rhs(at_p, into4)
+            mul(k2, 2.0, k2)
+            add(k1, k2, k1)
+            mul(k3, 2.0, k3)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            mul(sixth, k1, k1)
+            add(y, k1, y)
+            row[:] = y
 
 
 def _block_drift(

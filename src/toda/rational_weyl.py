@@ -282,6 +282,8 @@ def trace_via_delta(kd: KreinData, n_max: int) -> np.ndarray:
     product of those series.  The order is capped: the convolution count and
     conditioning both grow with n.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise InvalidData("series order must be an integer")
     if n_max < 0:
         raise InvalidData("series order must be nonnegative")
     if n_max > 12:

@@ -39,6 +39,9 @@ def dumps(obj) -> str:
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        # A flat run of floats, the common case, is one join.
+        if all(isinstance(v, (float, np.floating)) for v in obj):
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())

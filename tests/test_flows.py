@@ -196,6 +196,87 @@ def test_matrix_flow_time_must_be_finite(t):
             lax_integrate(m, t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_tangent_flow_time_must_be_finite(t):
+    with pytest.raises(InvalidData, match="flow time must be finite"):
+        flow_H(E1_W, 2, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_angle_flow_time_must_be_finite(t):
+    with pytest.raises(InvalidData, match="flow time must be finite"):
+        theta_flow(np.zeros(1), E1_W.poles, 2, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_transversal_flow_time_must_be_finite(t):
+    with pytest.raises(InvalidData, match="flow time must be finite"):
+        flow_T(pi_from(E1_W), 1, t)
+
+
+def _lax_rhs(y, n):
+    """Equations of motion of the first matrix flow on the state y = (v, c):
+    dv_k = c_k^2 - c_{k-1}^2, dc_k = c_k (v_{k+1} - v_k) / 2."""
+    v, c = y[:n], y[n:]
+    c2 = c * c
+    dy = np.empty_like(y)
+    dy[0] = c2[0]
+    dy[1 : n - 1] = c2[1:] - c2[:-1]
+    dy[n - 1] = -c2[-1]
+    dy[n:] = 0.5 * c * (v[1:] - v[:-1])
+    return dy
+
+
+def _fresh_array_lax(m, t, dt=1e-3):
+    """Oracle: RK4 with a fresh array for every stage on the state (v, c),
+    audited in blocks of 64 steps by the same ``flows._block_drift`` with
+    the same tolerances and cluster ranks."""
+    n = m.n
+    nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
+    h = t / nsteps
+    y = np.concatenate((m.v, m.c))
+    lam = spectral_direct._distinct_eigenvalues(m)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    floor = 4.0 * np.finfo(float).eps * scale
+    gaps = np.maximum(np.abs(np.subtract.outer(lam, lam)), floor)
+    np.fill_diagonal(gaps, np.inf)
+    tol = np.maximum(np.sqrt(np.finfo(float).eps * scale / (1.0 / gaps).sum(axis=1)), floor)
+    split = 1e-14 * scale
+    first = np.flatnonzero(np.diff(lam, prepend=-np.inf) > split)
+    size = np.diff(first, append=n)
+    ranks = np.repeat(first, size), np.repeat(first + size, size)
+    tol = np.where(ranks[1] - ranks[0] > 1, np.maximum(tol, split), tol)
+    worst = 0.0
+    for start in range(0, nsteps, 64):
+        ys = np.empty((min(64, nsteps - start), y.size))
+        for row in ys:
+            k1 = _lax_rhs(y, n)
+            k2 = _lax_rhs(y + 0.5 * h * k1, n)
+            k3 = _lax_rhs(y + 0.5 * h * k2, n)
+            k4 = _lax_rhs(y + h * k3, n)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            row[:] = y
+        assert np.isfinite(ys).all() and (ys[:, n:] > 0.0).all()
+        drift = flows._block_drift(ys[:, :n], ys[:, n:], lam, tol, ranks, 2.0 * floor)
+        worst = max(worst, drift / scale)
+    return y[:n], y[n:], worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+def test_stepper_is_bitwise_the_fresh_array_loop(n):
+    """The stepper on preallocated buffers, with the 1/2 of dc in its stage
+    weights and larger audit blocks, gives bitwise the matrix and the drift
+    of RK4 on fresh arrays audited in blocks of 64."""
+    rng = np.random.default_rng(700 + n)
+    m = random_jacobi(rng, n)
+    for t in (0.35, 0.5, -0.2):
+        mt, drift = lax_integrate(m, t)
+        v, c, oracle_drift = _fresh_array_lax(m, t)
+        np.testing.assert_array_equal(mt.v, v)
+        np.testing.assert_array_equal(mt.c, c)
+        assert drift == oracle_drift
+
+
 def _three_sweep_lax(m, t, dt=1e-3):
     """Oracle: RK4 on separate (v, c) arrays, auditing every step with
     three Newton sweeps started from the initial eigenvalues."""
@@ -239,13 +320,19 @@ def test_warm_started_audit_matches_three_sweep_oracle():
         assert abs(drift - oracle_drift) <= 1e-15
 
 
+def _audit_rows(n):
+    """Rows per audit block: 64, or more while the block's pivot table
+    stays within 2^16 floats."""
+    return max(flows._AUDIT_BLOCK, 2**16 // n**2)
+
+
 def test_block_audit_matches_oracle_at_block_boundaries():
     """Step counts around the audit block length: the matrix is bitwise the
     oracle's and the drift within 1e-15 of its three-sweep reading."""
-    block = flows._AUDIT_BLOCK
     rng = np.random.default_rng(92)
-    for nsteps in (1, block - 1, block, block + 1, 500):
-        for n in (2, 5, 9):
+    for n in (20, 40):
+        block = _audit_rows(n)
+        for nsteps in (1, block - 1, block, block + 1, 500):
             m = random_jacobi(rng, n)
             t = 1e-3 * nsteps * (1 if n % 2 else -1)
             mt, drift = lax_integrate(m, t)
@@ -268,16 +355,15 @@ def test_step_errors_keep_step_order(monkeypatch):
         lax_integrate(JacobiMatrix([3.07, 2.87], [2.4745]), 4.0, 1.0)
 
     calls = [0]
-    rhs = flows._lax_rhs
+    rhs = flows._LaxStepper._rhs
 
-    def flips_on_step_five(y, n):
+    def flips_on_step_five(self, at, into):
         calls[0] += 1
-        dy = rhs(y, n)
+        rhs(self, at, into)
         if calls[0] == 4 * 5:
-            dy[n:] = -1e6
-        return dy
+            into[1][:] = -2e6  # 2 dc: dc = -1e6 in the last stage of step five
 
-    monkeypatch.setattr(flows, "_lax_rhs", flips_on_step_five)
+    monkeypatch.setattr(flows._LaxStepper, "_rhs", flips_on_step_five)
     with pytest.raises(StepTooLarge, match="lost positivity"):
         lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.02)
 
@@ -393,7 +479,7 @@ def test_audit_takes_one_sweep_per_step(monkeypatch):
     for n in (4, 8, 16):
         for _ in range(2):
             lax_integrate(random_jacobi(rng, n), 0.5)
-            blocks += math.ceil(500 / flows._AUDIT_BLOCK)
+            blocks += math.ceil(500 / _audit_rows(n))
     assert calls[0] <= 2 * blocks + stuck[0]
 
 

@@ -252,6 +252,13 @@ def test_trace_via_delta_order_must_be_nonnegative(n_max):
         trace_via_delta(krein(E1_W), n_max)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 3.0, "3", True])
+def test_trace_via_delta_order_must_be_an_integer(n_max):
+    with pytest.raises(InvalidData, match="series order must be an integer"):
+        trace_via_delta(krein(E1_W), n_max)
+    assert trace_via_delta(krein(E1_W), np.int64(3)).shape == (4,)
+
+
 def test_trace_via_krein_needs_three_moments():
     kd = krein(E1_W)
     short = KreinData(kd.lambdas0, kd.gammas, kd.f[:2], kd.shift)

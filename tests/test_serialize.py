@@ -146,3 +146,69 @@ def test_documents_are_the_records_fields(capsys):
             for bad in (["x"], [doc[key]]):
                 assert main(["spectrum", "--in", json.dumps(dict(doc, **{key: bad}))]) == 2
                 assert "error" in capsys.readouterr().err, (kind, key, bad)
+
+
+def _recursive_dumps(obj):
+    """Oracle: the element-by-element form of ``dumps``, one recursive call
+    per list element, before flat float runs were written in one join."""
+    if isinstance(obj, dict):
+        items = ", ".join("%s: %s" % (json.dumps(str(k)), _recursive_dumps(v)) for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_recursive_dumps(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return _recursive_dumps(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            raise InvalidData("cannot serialize a non-finite number")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise InvalidData("cannot serialize objects of type %s" % type(obj).__name__)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        EDGE_FLOATS,
+        tuple(EDGE_FLOATS),
+        np.array(EDGE_FLOATS),
+        np.array([0.1, -0.0, 1e-45, 3.4e38], dtype=np.float32),
+        [np.float64(x) for x in EDGE_FLOATS],
+        [np.float32(0.1), np.float16(2.5), 1.0],
+        [],
+        np.array([]),
+        [1, 2, -3, 2**60 + 1],
+        [np.int64(2**60 + 1), np.int32(-7), 2.0],
+        [True, False, 1.0, 0.0],
+        [np.bool_(True), 1.5],
+        [1.0, 2, 3.5],
+        np.arange(4),
+        np.array([True, False]),
+        np.array([[0.25, -0.0], [5e-324, 1.7976931348623157e308]]),
+        {"a": {"b": [1.0, -0.0, {"c": np.array([5e-324, 2.0])}], "d": (np.float64(1.5), None, "s")}},
+        [[1.0, 2.0], [3, 4.0], []],
+    ],
+)
+def test_dumps_matches_the_recursive_form(obj):
+    assert dumps(obj) == _recursive_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "wrap", [lambda x: [1.0, x], lambda x: (x,), lambda x: np.array([0.5, x]), lambda x: [np.float64(x)],
+             lambda x: np.array([[1.0], [x]]), lambda x: {"k": [2.0, x, 3.0]}]
+)
+def test_dumps_rejects_non_finite_values(bad, wrap):
+    with pytest.raises(InvalidData, match="non-finite"):
+        dumps(wrap(bad))
