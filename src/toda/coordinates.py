@@ -27,7 +27,7 @@ from .errors import (
     Overflow,
     TodaError,
 )
-from .rational_weyl import RationalHerglotz, _shifted, _zeros
+from .rational_weyl import RationalHerglotz, _shifted, _zeros, zeros
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,18 +164,29 @@ def _residues(lam: np.ndarray, gam: np.ndarray):
 def pi_from(w: RationalHerglotz) -> DivisorQuasimomentum:
     """Quasimomenta: log of the alternating-sign values of the monic pole
     polynomial at the divisor points, plus the spectral-sum Casimir.  One
-    pole gives the empty divisor, as ``w_from_divisor`` reads it."""
+    pole gives the empty divisor, as ``w_from_divisor`` reads it.
+
+    The divisor is the one ``zeros`` keeps on ``w`` (a frozen record with
+    read-only arrays, so it cannot go stale): after ``krein`` or
+    ``theta_prime`` on the same ``w`` nothing is solved again.
+    """
     if not w.normalized:
         raise InvalidData("quasimomenta are defined for unit total residue")
-    return DivisorQuasimomentum(*_quasimomenta(w.poles, w.residues), float(np.sum(w.poles)))
+    gam = zeros(w).gammas
+    return DivisorQuasimomentum(gam, _pis(gam, w.poles), float(np.sum(w.poles)))
 
 
 def _quasimomenta(lam: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``pi_from`` divisor and quasimomenta of each row of poles and residues."""
     gam = _zeros(lam, rho)
+    return gam, _pis(gam, lam)
+
+
+def _pis(gam: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Quasimomenta of the divisor ``gam`` (..., N - 1) of the poles ``lam`` (..., N)."""
     # (-1)^(N+k) p(gamma_k) > 0: gamma_k has N-k poles above it, and the
     # parity prefactor cancels the resulting sign exactly.
-    return gam, np.log(np.abs(gam[..., :, None] - lam[..., None, :])).sum(axis=-1)
+    return np.log(np.abs(gam[..., :, None] - lam[..., None, :])).sum(axis=-1)
 
 
 def w_from_divisor(dq: DivisorQuasimomentum) -> RationalHerglotz:

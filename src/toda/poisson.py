@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,10 @@ class ChartPoint:
     Restricted points must have residues summing to one.  Points with a
     residue below 1e-8 sit near the chart boundary; brackets still evaluate
     there but emit a warning.
+
+    The Poisson tensor (``tensor_at``) is built on first use and kept on the
+    point: the point is frozen and its arrays are read-only, so the kept
+    tensor cannot go stale, and every report on the point shares one build.
     """
 
     lambdas: np.ndarray
@@ -74,6 +79,10 @@ class ChartPoint:
     @property
     def near_boundary(self) -> bool:
         return bool(np.min(self.rhos) < 1e-8)
+
+    @cached_property
+    def _poisson_tensor(self) -> PoissonTensor:
+        return PoissonTensor(_tensor(self.lambdas, self.rhos, self.chart == CHART_RESTRICTED))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +151,13 @@ def _tensor(lam: np.ndarray, rho: np.ndarray, restricted: bool) -> np.ndarray:
 
 
 def tensor_at(pt: ChartPoint) -> PoissonTensor:
-    """Bracket tensor of the chart at the given point."""
-    return PoissonTensor(_tensor(pt.lambdas, pt.rhos, pt.chart == CHART_RESTRICTED))
+    """Bracket tensor of the chart at the given point.
+
+    Built once per point and kept on it: ``pt`` is frozen with read-only
+    arrays, so every call returns the same ``PoissonTensor``, whose ``j`` is
+    read-only too.
+    """
+    return pt._poisson_tensor
 
 
 def _tensor_partials(pt: ChartPoint) -> np.ndarray:

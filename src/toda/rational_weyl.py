@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,13 @@ class Divisor:
 
 @dataclass(frozen=True, eq=False)
 class RationalHerglotz:
-    """Sum of simple real poles with positive residues."""
+    """Sum of simple real poles with positive residues.
+
+    The divisor (``zeros``) is solved on first use and kept on the record:
+    the record is frozen and its arrays are read-only, so the kept divisor
+    cannot go stale, and every later reader (the exponential form, the Krein
+    data, the quasimomenta) shares the one solve.
+    """
 
     poles: np.ndarray
     residues: np.ndarray
@@ -84,6 +91,10 @@ class RationalHerglotz:
         """True when the residues sum to one, so the function is a Stieltjes
         transform of a probability measure."""
         return bool(abs(float(np.sum(self.residues)) - 1.0) <= _NORMALIZATION_TOL)
+
+    @cached_property
+    def _divisor(self) -> Divisor:
+        return Divisor(_zeros(self.poles, self.residues))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +138,16 @@ class PolyQuotient:
 class KreinData:
     """Shifted spectrum, divisor and the moments of the spectral-shift
     integrand; ``shift`` records how far the original poles were moved so
-    that the leftmost one sits at the origin."""
+    that the leftmost one sits at the origin.  ``exp_residual`` is the gap
+    to the exponential form that ``krein``'s self-check read, kept so that
+    no reader samples it again; it is NaN on a record built by hand, so
+    that no unchecked record passes for a checked one."""
 
     lambdas0: np.ndarray
     gammas: np.ndarray
     f: np.ndarray
     shift: float
+    exp_residual: float = float("nan")
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas0", _readonly(self.lambdas0))
@@ -176,8 +191,12 @@ def zeros(w: RationalHerglotz) -> Divisor:
     beta = alpha = 0) in its gap; when a residue is so small that the zero is
     not resolvable away from its pole, the pole-side gap endpoint is returned.
     ``_zeros`` solves a stack of pole sums at once.
+
+    The divisor is solved once per record and kept on it: ``w`` is frozen
+    with read-only arrays, so every call returns the same ``Divisor``, whose
+    own array is read-only too.
     """
-    return Divisor(_zeros(w.poles, w.residues))
+    return w._divisor
 
 
 def _zeros(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -227,7 +246,7 @@ def to_quotient(w: RationalHerglotz) -> PolyQuotient:
 
 def _shifted(w: RationalHerglotz) -> tuple[float, np.ndarray, np.ndarray]:
     """Shift moving the leftmost pole to the origin, with the shifted poles
-    and divisor: one ``zeros`` solve."""
+    and divisor (the one ``zeros`` keeps on ``w``)."""
     shift = float(w.poles[0])
     return shift, w.poles - shift, zeros(w).gammas - shift
 
@@ -254,8 +273,9 @@ def krein(w: RationalHerglotz) -> KreinData:
 
     Entry k - 1 of ``f`` is the integral of z^k over the union of gap
     intervals [lambda_s, gamma_s] (shifted spectrum), k = 1.._KREIN_MOMENTS.
-    The exponential representation is verified on sample points, from the
-    same divisor solve, before returning.
+    The exponential representation is verified on sample points, on the
+    divisor kept on ``w`` (``zeros``), before returning; the residual of
+    that check is kept as ``exp_residual``.
     """
     if not w.normalized:
         raise InvalidData("exponential representation requires unit total residue")
@@ -265,11 +285,21 @@ def krein(w: RationalHerglotz) -> KreinData:
     resid = _exp_residual(lam0, gam0, w.residues)
     if resid > 1e-8:
         raise TodaError("exponential representation failed self-check: %.3e" % resid)
-    return KreinData(lambdas0=lam0, gammas=gam0, f=f, shift=shift)
+    return KreinData(lambdas0=lam0, gammas=gam0, f=f, shift=shift, exp_residual=resid)
+
+
+def _series_order(n_max) -> None:
+    """Raise unless ``n_max`` is a nonnegative integer (a bool is not one)."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise InvalidData("series order must be an integer")
+    if n_max < 0:
+        raise InvalidData("series order must be nonnegative")
 
 
 def trace_moments(w: RationalHerglotz, n_max: int) -> np.ndarray:
-    """Power sums s_n = sum_k residue_k * pole_k^n for n = 0..n_max."""
+    """Power sums s_n = sum_k residue_k * pole_k^n for n = 0..n_max, the
+    series of w at infinity: w(z) = -sum_n s_n z^(-n-1)."""
+    _series_order(n_max)
     n = np.arange(n_max + 1)
     return (w.residues[None, :] * w.poles[None, :] ** n[:, None]).sum(axis=1)
 
@@ -282,10 +312,7 @@ def trace_via_delta(kd: KreinData, n_max: int) -> np.ndarray:
     product of those series.  The order is capped: the convolution count and
     conditioning both grow with n.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise InvalidData("series order must be an integer")
-    if n_max < 0:
-        raise InvalidData("series order must be nonnegative")
+    _series_order(n_max)
     if n_max > 12:
         raise InvalidData("series order capped at 12")
     lam = kd.lambdas0[1:]

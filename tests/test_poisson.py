@@ -279,6 +279,36 @@ def test_dirac_reduction_builds_one_tensor(monkeypatch):
         dirac_reduce(full, f, g)
 
 
+def test_tensor_is_built_once_per_point(monkeypatch):
+    """Every report on a point reads the one tensor kept on it."""
+    rng = np.random.default_rng(79)
+    full, slim = random_point(rng, 4, CHART_UNRESTRICTED), random_point(rng, 4, CHART_RESTRICTED)
+    built = []
+
+    def counting(lam, rho, restricted):
+        built.append(restricted)
+        return _tensor(lam, rho, restricted)
+
+    monkeypatch.setattr(poisson, "_tensor", counting)
+    f, g = weyl_value(full.lambdas[0] - 0.8), weyl_value(full.lambdas[-1] + 1.1)
+    for pt in (full, slim):
+        assert tensor_at(pt) is tensor_at(pt)
+        bracket(f, g, pt)
+        jacobi_residual(pt)
+        antisymmetry_residual(pt)
+    dual_identities(full)
+    dirac_reduce(full, f, g)
+    canonical_report(slim)
+    entry_bracket_residual(slim)
+    assert built == [False, True]
+
+
+def test_tensor_is_read_only():
+    j = tensor_at(random_point(np.random.default_rng(80), 3, CHART_RESTRICTED)).j
+    with pytest.raises(ValueError):
+        j[0, 1] = 0.0
+
+
 def test_canonical_relations():
     rng = np.random.default_rng(78)
     for n in (2, 4, 6):

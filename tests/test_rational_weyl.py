@@ -17,13 +17,16 @@ from toda import (
     KreinData,
     NotHerglotz,
     RationalHerglotz,
+    ah_formula_xi,
     evaluate,
     exp_representation_residual,
     from_quotient,
     krein,
     moments,
+    pi_from,
     random_jacobi,
     rational_weyl,
+    theta_prime,
     to_quotient,
     trace_moments,
     trace_via_delta,
@@ -170,20 +173,45 @@ def test_exp_representation_residual_is_small():
 
 
 def test_divisor_is_solved_once(monkeypatch):
-    """``krein`` checks its exponential form on the divisor it already has."""
+    """Every reader of the divisor shares the one solve kept on the record."""
     calls = []
-    solve = rational_weyl.zeros
+    solve = rational_weyl._zeros
 
-    def counting(w):
+    def counting(lam, rho):
         calls.append(1)
-        return solve(w)
+        return solve(lam, rho)
 
-    monkeypatch.setattr(rational_weyl, "zeros", counting)
+    monkeypatch.setattr(rational_weyl, "_zeros", counting)
     w = random_w(np.random.default_rng(37), 5)
-    for fn in (krein, exp_representation_residual):
-        calls.clear()
+    lo, hi = float(w.poles[0]) - 1.0, float(w.poles[-1]) + 1.0
+    first = zeros(w)
+    for fn in (
+        zeros, krein, exp_representation_residual, pi_from, theta_prime,
+        lambda w: ah_formula_xi(w, lo, hi),
+    ):
         fn(w)
-        assert len(calls) == 1
+    assert len(calls) == 1
+    assert zeros(w) is first
+    calls.clear()
+    zeros(RationalHerglotz(w.poles, w.residues))
+    assert len(calls) == 1
+
+
+def test_divisor_and_krein_data_are_read_only():
+    w = random_w(np.random.default_rng(38), 4)
+    with pytest.raises(ValueError):
+        zeros(w).gammas[0] = 0.0
+    with pytest.raises(ValueError):
+        krein(w).gammas[0] = 0.0
+
+
+def test_krein_keeps_its_exponential_form_residual():
+    rng = np.random.default_rng(39)
+    for n in (1, 2, 5, 9):
+        w = random_w(rng, n)
+        assert krein(w).exp_residual == exp_representation_residual(w)
+    kd = krein(E1_W)
+    assert np.isnan(KreinData(kd.lambdas0, kd.gammas, kd.f, kd.shift).exp_residual)
 
 
 def test_krein_two_site_moments():
@@ -257,6 +285,25 @@ def test_trace_via_delta_order_must_be_an_integer(n_max):
     with pytest.raises(InvalidData, match="series order must be an integer"):
         trace_via_delta(krein(E1_W), n_max)
     assert trace_via_delta(krein(E1_W), np.int64(3)).shape == (4,)
+
+
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_trace_moments_order_must_be_nonnegative(n_max):
+    with pytest.raises(InvalidData, match="series order must be nonnegative"):
+        trace_moments(E1_W, n_max)
+
+
+@pytest.mark.parametrize("n_max", [2.5, 3.0, "3"])
+def test_trace_moments_order_must_be_an_integer(n_max):
+    with pytest.raises(InvalidData, match="series order must be an integer"):
+        trace_moments(E1_W, n_max)
+    assert trace_moments(E1_W, np.int64(3)).shape == (4,)
+
+
+@pytest.mark.parametrize("n_max", [True, False])
+def test_trace_moments_order_must_not_be_a_bool(n_max):
+    with pytest.raises(InvalidData, match="series order must be an integer"):
+        trace_moments(E1_W, n_max)
 
 
 def test_trace_via_krein_needs_three_moments():

@@ -75,6 +75,18 @@ def test_stacked_zeros_thetas_and_quasimomenta_match_single_calls(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_quasimomenta_are_bitwise_rows_of_the_stack(n):
+    """``pi_from`` reads the divisor kept on its pole sum and ``toda flow``
+    solves a stack; both go through ``_pis``, to the same bits."""
+    ws = pole_sums(n, seed=2)
+    gam, pis = _quasimomenta(*stack(ws))
+    for i, w in enumerate(ws):
+        dq = pi_from(w)
+        np.testing.assert_array_equal(dq.gammas, gam[i])
+        np.testing.assert_array_equal(dq.pis, pis[i])
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_stacked_divisor_inversion_matches_single_calls(n):
     dqs = [pi_from(w) for w in pole_sums(n, seed=1)]
     poles, residues = _poles_from_divisor(
