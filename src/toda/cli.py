@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize
+from . import _poly, serialize
 from .coordinates import (
     ActionAngle,
     DivisorQuasimomentum,
@@ -40,10 +40,11 @@ from .errors import (
     NotHerglotzInput,
     TodaError,
 )
-from .flows import flow_H, flow_T
+from .flows import _flow_H_rows, _flow_T_rows
 from .jacobi_core import JacobiMatrix, _matrix_distance
 from .poisson import ah_formula
 from .rational_weyl import (
+    _NORMALIZATION_TOL,
     Divisor,
     PolyQuotient,
     RationalHerglotz,
@@ -195,17 +196,24 @@ def cmd_flow(args) -> tuple[str, int]:
     if args.samples < 1:
         raise InvalidData("need at least one sample time")
     times = np.linspace(args.t0, args.t1, args.samples)
-    # The samples are independent: each layer below runs once on all of them.
+    # The samples are independent: each layer below runs once on all of them,
+    # and raises what the lowest failing sample raised on its own.
     if args.family == "H":
         w0 = _as_weyl(obj)
-        ws = [flow_H(w0, args.j, float(t)) for t in times]
+        rho = _flow_H_rows(w0, args.j, times)
+        lam = np.tile(w0.poles, (times.size, 1))
     else:
         dq0 = obj if isinstance(obj, DivisorQuasimomentum) else pi_from(_as_weyl(obj))
-        dqs = [flow_T(dq0, args.j, float(t)) for t in times]
-        stack = [np.array([getattr(dq, k) for dq in dqs]) for k in ("gammas", "pis", "casimir")]
-        ws = [RationalHerglotz(*w) for w in zip(*_poles_from_divisor(*stack))]
-    sds = [spectral_from_weyl(w) for w in ws]
-    lam, rho = np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds])
+        pis = _flow_T_rows(dq0, args.j, times)
+        gam = np.tile(dq0.gammas, (times.size, 1))
+        lam, rho = _poles_from_divisor(gam, pis, np.full(times.size, dq0.casimir))
+        _poly._raise_lowest(
+            (~np.isfinite(rho).all(axis=1), InvalidData, "poles and residues must be finite")
+        )
+    _poly._raise_lowest(
+        (~(np.abs(rho.sum(axis=1) - 1.0) <= _NORMALIZATION_TOL), InvalidData,
+         "spectral data requires unit total residue")
+    )
     rows = zip(times, *_lanczos(lam, rho), lam, rho, _thetas(lam, rho), *_quasimomenta(lam, rho))
     fields = ("lambdas", "rhos", "thetas", "gammas", "pis")
     records = [

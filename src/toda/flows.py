@@ -4,16 +4,22 @@ integration of the matrix equations of motion.
 The tangent ("H") flows are isospectral: in pole-residue coordinates they
 reweight the residues by exponential factors, in angle coordinates they
 translate the angles linearly.  The transversal ("T") flows fix the divisor
-and translate the quasimomenta linearly.  The same tangent dynamics acts on
-matrix entries through a commutator equation, integrated here with
-classical fourth-order Runge-Kutta and a per-step spectrum-drift audit
-(the spectrum is conserved, so drift measures integration error).  The
-RK4 stepper owns its buffers: each stage is four ufunc calls into views
-made once, with the 1/2 of dc carried by stage weights halved on the c
-half.  The audit is Newton on the LDL^T pivots started from the initial
-eigenvalues, run on a whole block of steps at once (max(64, 2^16 / N^2)
-steps), which takes one pivot sweep per block.  Every flow raises
-InvalidData on a flow time that is not finite.
+and translate the quasimomenta linearly.  Both exact flows run on row
+kernels (``_flow_H_rows``, ``_flow_T_rows``) that move one start to every
+sample time at once; ``flow_H`` and ``flow_T`` are the kernels at one time,
+and ``toda flow`` calls them on all of its samples.  The same tangent
+dynamics acts on matrix entries through a commutator equation, integrated
+here with classical fourth-order Runge-Kutta and a per-step spectrum-drift
+audit (the spectrum is conserved, so drift measures integration error).
+The RK4 stepper owns its buffers, laid out as
+[c^2 (N + 1) | v (N) | 0 | c (N - 1) | 0]: a stage is three ufunc calls
+(square the padded couplings, subtract the buffer from itself shifted by
+one slot, multiply the v differences by c), with the 1/2 of dc carried by
+stage weights halved on the c part, and a step is 23 calls.  The audit is
+Newton on the LDL^T pivots started from the initial eigenvalues, run on a
+whole block of steps at once (max(64, 2^16 / N^2) steps), which takes one
+pivot sweep per block.  Every flow raises InvalidData on a flow time that
+is not finite.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import math
 
 import numpy as np
 
+from . import _poly
 from ._poly import _EPS
-from .coordinates import DivisorQuasimomentum
+from .coordinates import ActionAngle, DivisorQuasimomentum
 from .errors import InvalidData, Overflow, StepTooLarge
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import RationalHerglotz
@@ -50,44 +57,76 @@ def _flow_time(t) -> float:
 
 def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:
     """Exact j-th tangent flow: residues reweighted by exp(t * pole^(j-1))
-    and renormalized; poles are conserved."""
-    t = _flow_time(t)
+    and renormalized; poles are conserved.  Raises ``Overflow`` when the
+    reweighting leaves float64: an exponent t * pole^(j-1) past 700, or a
+    residue that underflows to zero."""
+    rho = _flow_H_rows(w0, j, np.array([_flow_time(t)]))[0]
+    return RationalHerglotz(w0.poles.copy(), rho)
+
+
+def _flow_H_rows(w0: RationalHerglotz, j: int, times: np.ndarray) -> np.ndarray:
+    """Residue rows (S, N) of ``flow_H`` at each of the S ``times``; raises
+    what the lowest failing sample raises on its own."""
+    _flow_time(times[0])
     j = int(j)
     if not w0.normalized:
         raise InvalidData("tangent flows act on normalized pole sums")
     if not 1 <= j <= w0.n:
         raise InvalidData("flow index must lie in 1..N")
     speed = w0.poles ** (j - 1)
-    if np.max(np.abs(t * speed)) > _EXP_LIMIT:
-        raise Overflow("flow time too large for stable reweighting")
-    logs = np.log(w0.residues) + t * speed
-    logs -= np.max(logs)
-    weights = np.exp(logs)
-    return RationalHerglotz(w0.poles.copy(), weights / np.sum(weights))
+    # A row with a time that is not finite, or past a failing one, may carry
+    # inf * 0 or inf - inf: only the checks read it.
+    with np.errstate(invalid="ignore"):
+        moves = times[:, None] * speed
+        logs = np.log(w0.residues) + moves
+        logs -= logs.max(axis=1, keepdims=True)
+        weights = np.exp(logs)
+        rho = weights / weights.sum(axis=1, keepdims=True)
+    _poly._raise_lowest(
+        (~np.isfinite(times), InvalidData, "flow time must be finite"),
+        (np.abs(moves).max(axis=1) > _EXP_LIMIT, Overflow,
+         "flow time too large for stable reweighting"),
+        (~np.isfinite(rho).all(axis=1), InvalidData, "poles and residues must be finite"),
+        (~(rho > 0.0).all(axis=1), Overflow, "a reweighted residue underflows float64"),
+    )
+    return rho
 
 
 def theta_flow(thetas: np.ndarray, lambdas: np.ndarray, j: int, t: float) -> np.ndarray:
     """The tangent flow in angle coordinates: a straight-line translation
-    with speed lambda_k^(j-1) - lambda_0^(j-1)."""
+    with speed lambda_k^(j-1) - lambda_0^(j-1).  The poles and angles are
+    checked as an ``ActionAngle`` chart point."""
     t = _flow_time(t)
-    lambdas = np.asarray(lambdas, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
+    point = ActionAngle(lambdas, thetas)
     j = int(j)
-    if not 1 <= j <= lambdas.size:
+    if not 1 <= j <= point.n:
         raise InvalidData("flow index must lie in 1..N")
-    speed = lambdas ** (j - 1)
-    return thetas + t * (speed[1:] - speed[0])
+    speed = point.lambdas ** (j - 1)
+    return point.thetas + t * (speed[1:] - speed[0])
 
 
 def flow_T(dq0: DivisorQuasimomentum, j: int, t: float) -> DivisorQuasimomentum:
     """Exact j-th transversal flow: quasimomenta translated with speed
     gamma_k^(j-1); the divisor and the spectral-sum Casimir are fixed."""
-    t = _flow_time(t)
+    pis = _flow_T_rows(dq0, j, np.array([_flow_time(t)]))[0]
+    return DivisorQuasimomentum(dq0.gammas.copy(), pis, dq0.casimir)
+
+
+def _flow_T_rows(dq0: DivisorQuasimomentum, j: int, times: np.ndarray) -> np.ndarray:
+    """Quasimomentum rows (S, N - 1) of ``flow_T`` at each of the S
+    ``times``; raises what the lowest failing sample raises on its own."""
+    _flow_time(times[0])
     j = int(j)
     if not 1 <= j <= dq0.gammas.size:
         raise InvalidData("flow index must lie in 1..N-1")
-    pis = dq0.pis + t * dq0.gammas ** (j - 1)
-    return DivisorQuasimomentum(dq0.gammas.copy(), pis, dq0.casimir)
+    speed = dq0.gammas ** (j - 1)
+    with np.errstate(invalid="ignore"):  # inf * 0 at a time that is not finite
+        pis = dq0.pis + times[:, None] * speed
+    _poly._raise_lowest(
+        (~np.isfinite(times), InvalidData, "flow time must be finite"),
+        (~np.isfinite(pis).all(axis=1), InvalidData, "chart values must be finite"),
+    )
+    return pis
 
 
 def lax_integrate(
@@ -101,13 +140,13 @@ def lax_integrate(
     keep the order of the steps: a drift raises before a later step that
     diverges or loses positivity.
 
-    The steps are taken by ``_LaxStepper`` on buffers allocated once (its
-    stage weights carry the 1/2 of dc, so each step is bitwise the plain
-    RK4 step).  The audit does not feed back into the integration, so the
-    steps run in blocks of max(``_AUDIT_BLOCK``, 2^16 // N^2) rows (64 from
-    N = 32 on, 4096 at N = 4, where a 500-step trajectory is one block),
-    whose pivot table stays within max(64 N^2, 2^16) floats, and each
-    block is audited at once, by Newton
+    The steps are taken by ``_LaxStepper`` on buffers allocated once, 23
+    ufunc calls a step (its stage weights carry the 1/2 of dc, so each step
+    is bitwise the plain RK4 step).  The audit does not feed back into the
+    integration, so the steps run in blocks of max(``_AUDIT_BLOCK``,
+    2^16 // N^2) rows (64 from N = 32 on, 4096 at N = 4, where a 500-step
+    trajectory is one block), whose pivot table stays within
+    max(64 N^2, 2^16) floats, and each block is audited at once, by Newton
     on the LDL^T pivots of all its states, every lane started from the
     initial eigenvalues lambda_k (the spectrum is conserved).  From
     x = lambda_k + e a Newton step delta leaves the error
@@ -189,74 +228,92 @@ class _LaxStepper:
     """Classical RK4 on the first matrix flow, on buffers it owns.
 
     The state and the stage point are laid out as
-    [v_0..v_{N-1}, 0, c_0..c_{N-2}, 0]; the zeros stand for the missing end
-    couplings, so every dv_k is one c^2[k+1] - c^2[k].  All slices are views
-    made once, and each stage is four ufunc calls into them.  The 1/2 of
-    dc_k = c_k (v_{k+1} - v_k) / 2 is carried by the stage weights, halved on
-    the c half: halving is exact in binary (above the subnormal range), so a
-    step is bitwise y + (h/6) (k1 + 2 k2 + 2 k3 + k4) on the plain
-    right-hand side, with the sum taken left to right.
+
+        [c^2 (N + 1) | v_0..v_{N-1} | 0 | c_0..c_{N-2} | 0],
+
+    where the zeros stand for the missing end couplings and the first
+    N + 1 slots hold the squares of the padded couplings [0, c, 0].  A
+    stage is three ufunc calls on views made once:
+
+    1. square the padded couplings into the c^2 slots;
+    2. subtract the buffer from itself shifted by one slot: the first N
+       differences are dv_k = c^2[k+1] - c^2[k], the last N - 1 are
+       v_{k+1} - v_k, and the one in between is junk (v_0);
+    3. multiply the v differences by c in place, which gives 2 dc.
+
+    A stage row, one of the four rows of ``_k``, lines up with the
+    [v | 0 | c] part of the state.  The junk slot has stage weight 0, so
+    the padding zero stays +0, and the 1/2 of dc_k = c_k (v_{k+1} - v_k) / 2
+    is carried by the stage weights, halved on the c part: halving is exact
+    in binary (above the subnormal range).  A step forms k1 + 2 k2 + 2 k3 + k4
+    with one exact multiply by the column [1, 2, 2, 1] and one
+    ``np.add.reduce`` down the rows, which adds them in order, so it is
+    bitwise y + (h/6) (k1 + 2 k2 + 2 k3 + k4) on the plain right-hand side
+    with the sum taken left to right.  A step is 23 ufunc calls, the last
+    one the copy of the new state into its row.
     """
 
     def __init__(self, m: JacobiMatrix, h: float):
         n = m.n
-        size = 2 * n + 1
-        self._y = np.zeros(size)
-        self._y[:n] = m.v
-        self._y[n + 1 : 2 * n] = m.c
-        self._point = np.zeros(size)
-        self._k = tuple(np.zeros(size) for _ in range(4))
-        # Read at a point: v_{k+1}, v_k, c padded by the end zeros, c.
-        self._at_y, self._at_point = (
-            (b[1:n], b[: n - 1], b[n:], b[n + 1 : 2 * n]) for b in (self._y, self._point)
-        )
-        # Written into a stage: dv and 2 dc.
-        self._into = tuple((k[:n], k[n + 1 : 2 * n]) for k in self._k)
-        sq = np.empty(n + 1)
-        self._sq = sq, sq[1:], sq[:-1]
+        self._n = n
+        self._y = np.zeros(3 * n + 2)
+        self._y[n + 1 : 2 * n + 1] = m.v
+        self._y[2 * n + 2 : 3 * n + 1] = m.c
+        self._point = np.zeros(3 * n + 2)
+        self._k = np.zeros((4, 2 * n))
+        self._rk4 = np.array([[1.0], [2.0], [2.0], [1.0]])  # k1 + 2 k2 + 2 k3 + k4
         weights = []
         for w in (0.5 * h, h, h / 6.0):
-            row = np.full(size, w)
-            row[n:] = 0.5 * w
+            row = np.full(2 * n, w)
+            row[n] = 0.0
+            row[n + 1 :] = 0.5 * w
             weights.append(row)
         self._weights = tuple(weights)
 
-    def _rhs(self, at, into) -> None:
-        """(dv, 2 dc) at the point read through ``at``, written ``into``."""
-        sq, sq_hi, sq_lo = self._sq
-        v_hi, v_lo, c_pad, c = at
-        dv, dc = into
-        np.multiply(c_pad, c_pad, sq)
-        np.subtract(sq_hi, sq_lo, dv)
-        np.subtract(v_hi, v_lo, dc)
-        np.multiply(c, dc, dc)
+    def _views(self, b: np.ndarray) -> tuple:
+        """Of one buffer: the c^2 slots, the padded couplings, the buffer
+        shifted by one and not, the couplings, and the [v | 0 | c] part."""
+        n = self._n
+        sq, pad, hi, lo = b[: n + 1], b[2 * n + 1 :], b[1 : 2 * n + 1], b[: 2 * n]
+        return sq, pad, hi, lo, b[2 * n + 2 : 3 * n + 1], b[n + 1 : 3 * n + 1]
 
     def run(self, rows: np.ndarray) -> None:
-        """Take one step per row of ``rows`` and store each new state there."""
-        mul, add, rhs = np.multiply, np.add, self._rhs
-        y, p, (k1, k2, k3, k4) = self._y, self._point, self._k
-        at_y, at_p = self._at_y, self._at_point
-        into1, into2, into3, into4 = self._into
+        """Take one step per row of ``rows`` (the [v | 0 | c | 0] part of
+        the state) and store each new state there."""
+        n = self._n
+        mul, sub, add = np.multiply, np.subtract, np.add
+        y_sq, y_pad, y_hi, y_lo, y_c, y_state = self._views(self._y)
+        p_sq, p_pad, p_hi, p_lo, p_c, p_state = self._views(self._point)
+        k = self._k
+        k1, k2, k3, k4 = k
+        k1c, k2c, k3c, k4c = k[:, n + 1 :]
         half, full, sixth = self._weights
+        rk4, total = self._rk4, np.empty(2 * n)
+        out = self._y[n + 1 :]
         for row in rows:
-            rhs(at_y, into1)
-            mul(half, k1, p)
-            add(y, p, p)
-            rhs(at_p, into2)
-            mul(half, k2, p)
-            add(y, p, p)
-            rhs(at_p, into3)
-            mul(full, k3, p)
-            add(y, p, p)
-            rhs(at_p, into4)
-            mul(k2, 2.0, k2)
-            add(k1, k2, k1)
-            mul(k3, 2.0, k3)
-            add(k1, k3, k1)
-            add(k1, k4, k1)
-            mul(sixth, k1, k1)
-            add(y, k1, y)
-            row[:] = y
+            mul(y_pad, y_pad, y_sq)
+            sub(y_hi, y_lo, k1)
+            mul(k1c, y_c, k1c)
+            mul(half, k1, p_state)
+            add(y_state, p_state, p_state)
+            mul(p_pad, p_pad, p_sq)
+            sub(p_hi, p_lo, k2)
+            mul(k2c, p_c, k2c)
+            mul(half, k2, p_state)
+            add(y_state, p_state, p_state)
+            mul(p_pad, p_pad, p_sq)
+            sub(p_hi, p_lo, k3)
+            mul(k3c, p_c, k3c)
+            mul(full, k3, p_state)
+            add(y_state, p_state, p_state)
+            mul(p_pad, p_pad, p_sq)
+            sub(p_hi, p_lo, k4)
+            mul(k4c, p_c, k4c)
+            mul(k, rk4, k)
+            add.reduce(k, 0, None, total)  # axis 0, out=total; positional is cheaper
+            mul(sixth, total, total)
+            add(y_state, total, y_state)
+            row[:] = out
 
 
 def _block_drift(
@@ -298,11 +355,17 @@ def _block_drift(
 
 def flaschka(q: np.ndarray, p: np.ndarray) -> JacobiMatrix:
     """Change of variables from particle positions/momenta to matrix
-    entries: v = -p, c_k = exp((q_k - q_{k+1})/2)."""
+    entries: v = -p, c_k = exp((q_k - q_{k+1})/2).  A half gap
+    |q_k - q_{k+1}| / 2 past 700 puts c_k outside float64 and raises
+    ``Overflow``."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != p.shape or q.ndim != 1 or q.size < 1:
         raise InvalidData("positions and momenta must be matching vectors")
-    v = -p
-    c = np.exp(0.5 * (q[:-1] - q[1:]))
-    return JacobiMatrix(v, c)
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise InvalidData("positions and momenta must be finite")
+    with np.errstate(over="ignore"):
+        half = 0.5 * (q[:-1] - q[1:])
+    if np.any(np.abs(half) > _EXP_LIMIT):
+        raise Overflow("position gap out of float64 range for exp((q_k - q_{k+1})/2)")
+    return JacobiMatrix(-p, np.exp(half))

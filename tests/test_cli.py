@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from toda import (
+    DivisorQuasimomentum,
+    InvalidData,
     Overflow,
     RationalHerglotz,
     TodaError,
@@ -36,7 +38,9 @@ from toda import (
     weyl,
 )
 from toda import cli, serialize, spectral_inverse
+from toda.coordinates import _poles_from_divisor, _quasimomenta, _thetas
 from toda.cli import build_parser, main
+from toda.spectral_inverse import _lanczos
 from toda.suites import _merge
 
 E1_MATRIX = '{"v": [1.0, 1.0], "c": [1.0]}'
@@ -331,6 +335,23 @@ def test_flow_records_match_a_per_sample_loop(capsys, n, family, j):
         _assert_close([row.split(",") for row in out.splitlines()[1:]], expected)
 
 
+# Flows that fail in the library (exit 1), and flows with bad arguments (exit 2).
+_FAILING_FLOWS = (
+    (("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "1", "--t1", "800",
+      "--samples", "2"), Overflow),
+    (("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "1", "--t1", "800",
+      "--samples", "3"), TodaError),
+    (("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "4", "--t1", "1000"),
+     Overflow),
+)
+_BAD_FLOW_ARGUMENTS = (
+    ("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "5"),
+    ("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "0"),
+    ("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "4"),
+    ("flow", "--seed", "1", "--N", "4", "--samples", "0"),
+)
+
+
 def test_failing_flows_keep_their_class_and_exit_code(capsys):
     """T-flow quasimomenta past 700 and an H reweighting t * lambda^(j-1)
     past 700 raise Overflow (exit 1); a flow index out of range and no
@@ -338,28 +359,79 @@ def test_failing_flows_keep_their_class_and_exit_code(capsys):
     fails there first, on the spectral-sum check, as it did one sample at
     a time."""
     parser = build_parser()
-    for argv, error in (
-        (("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "1", "--t1", "800",
-          "--samples", "2"), Overflow),
-        (("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "1", "--t1", "800",
-          "--samples", "3"), TodaError),
-        (("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "4", "--t1", "1000"),
-         Overflow),
-    ):
+    for argv, error in _FAILING_FLOWS:
         args = parser.parse_args(argv)
         with pytest.raises(error) as exc:
             args.func(args)
         assert type(exc.value) is error
         rc, out, err = run(capsys, *argv)
         assert rc == 1 and out == "" and err.startswith("error: "), argv
-    for argv in (
-        ("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "5"),
-        ("flow", "--seed", "1", "--N", "4", "--family", "H", "--j", "0"),
-        ("flow", "--seed", "1", "--N", "4", "--family", "T", "--j", "4"),
-        ("flow", "--seed", "1", "--N", "4", "--samples", "0"),
-    ):
+    for argv in _BAD_FLOW_ARGUMENTS:
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "" and err.startswith("error: "), argv
+
+
+def _per_sample_cmd_flow(args):
+    """``cmd_flow`` as it was with one record per sample: each sample went
+    through ``flow_H`` or ``flow_T``, a ``RationalHerglotz`` and a
+    ``SpectralData`` of its own before the stacked layers.  Kept frozen as
+    the oracle of the stacked command's output."""
+    obj = cli._load_document(args)
+    if args.samples < 1:
+        raise InvalidData("need at least one sample time")
+    times = np.linspace(args.t0, args.t1, args.samples)
+    if args.family == "H":
+        w0 = cli._as_weyl(obj)
+        ws = [flow_H(w0, args.j, float(t)) for t in times]
+    else:
+        dq0 = obj if isinstance(obj, DivisorQuasimomentum) else pi_from(cli._as_weyl(obj))
+        dqs = [flow_T(dq0, args.j, float(t)) for t in times]
+        stack = [np.array([getattr(dq, k) for dq in dqs]) for k in ("gammas", "pis", "casimir")]
+        ws = [RationalHerglotz(*w) for w in zip(*_poles_from_divisor(*stack))]
+    sds = [spectral_from_weyl(w) for w in ws]
+    lam, rho = np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds])
+    rows = zip(times, *_lanczos(lam, rho), lam, rho, _thetas(lam, rho), *_quasimomenta(lam, rho))
+    fields = ("lambdas", "rhos", "thetas", "gammas", "pis")
+    records = [
+        {"t": float(t), "matrix": {"v": v, "c": c}, **dict(zip(fields, chart))}
+        for t, v, c, *chart in rows
+    ]
+    if args.emit_csv:
+        return "\n".join(cli._csv_lines(records)), 0
+    return "\n".join(serialize.dumps(rec) for rec in records), 0
+
+
+class _PerSampleParser:
+    """The CLI's parser, with ``toda flow`` routed to the per-sample oracle."""
+
+    def parse_args(self, argv):
+        args = build_parser().parse_args(argv)
+        if args.command == "flow":
+            args.func = _per_sample_cmd_flow
+        return args
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_stacked_flow_is_byte_identical_to_the_per_sample_oracle(capsys, monkeypatch, n):
+    """``toda flow`` prints, to the byte, what the per-sample command
+    printed (stdout, stderr and exit code) over seeds 0-9, H with
+    j in {1, 2, N} and T with j in {1, N - 1}, in JSON lines and in CSV,
+    and for the failing and badly argued flows above (at N = 4)."""
+    calls = [
+        ("flow", "--seed", str(seed), "--N", str(n), "--family", family, "--j", str(j), *fmt)
+        for seed in range(10)
+        for family, js in (("H", (1, 2, n)), ("T", (1, n - 1)))
+        for j in sorted(set(js))
+        for fmt in ((), ("--emit-csv",))
+    ]
+    if n == 4:
+        calls += [argv for argv, _ in _FAILING_FLOWS] + list(_BAD_FLOW_ARGUMENTS)
+    stacked = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", _PerSampleParser)
+    oracle = [run(capsys, *argv) for argv in calls]
+    for argv, got, want in zip(calls, stacked, oracle):
+        assert got == want, argv
+    assert sum(rc == 0 for rc, _, _ in stacked) >= 10
 
 
 def test_one_parser_serves_successive_calls(capsys):

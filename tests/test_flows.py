@@ -7,12 +7,14 @@ matrix equations cross-checked against the exact spectral evolution.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from toda import (
     HFLOW_LAX_TIME_SIGN,
+    ActionAngle,
     DivisorQuasimomentum,
     InvalidData,
     JacobiMatrix,
@@ -36,6 +38,7 @@ from toda import (
     w_from_divisor,
     weyl,
 )
+from toda.cli import main
 
 E1_W = RationalHerglotz(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
 WILKINSON_21 = JacobiMatrix(np.abs(np.arange(21) - 10.0), np.ones(20))
@@ -93,6 +96,80 @@ def test_tangent_flow_guards():
         flow_H(E1_W, 3, 0.1)
     with pytest.raises(InvalidData):
         flow_H(RationalHerglotz(np.array([0.0, 2.0]), np.array([1.0, 1.0])), 1, 0.1)
+
+
+def test_tangent_flow_underflow_is_overflow():
+    """A reweighted residue that underflows to zero leaves float64: the flow
+    raises Overflow, which names that limit, not NotHerglotz, which would
+    blame the data.  Here t * pole^(j-1) = 600 stays within 700, but the
+    residue 1e-300 is reweighted by e^-600 against its neighbour."""
+    w = RationalHerglotz(np.array([0.0, 2.0]), np.array([1e-300, 1.0]))
+    assert flow_H(w, 2, 20.0).residues[0] > 0.0  # e^-730: subnormal, still held
+    with pytest.raises(Overflow, match="underflows float64"):
+        flow_H(w, 2, 300.0)
+
+
+@pytest.mark.parametrize("seed", [10, 12, 15, 19, 32, 39])
+def test_flows_suite_underflow_exits_as_overflow(capsys, seed):
+    """``toda verify --suite flows --N 6`` on these seeds reweights a
+    residue below float64 in its angle linearization (t = 2.5 and j up to
+    N, unchanged): exit 1 with the float64 limit named, not exit 3."""
+    assert main(["verify", "--suite", "flows", "--N", "6", "--seed", str(seed)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: a reweighted residue underflows float64\n"
+
+
+def test_sampled_flow_underflow_exits_as_overflow(capsys):
+    """``toda flow`` names the same float64 limit, in JSON lines and CSV."""
+    for fmt in ((), ("--emit-csv",)):
+        argv = ["flow", "--seed", "0", "--N", "4", "--family", "H", "--j", "4", "--t1", "40"]
+        assert main(argv + list(fmt)) == 1
+        assert capsys.readouterr().err == "error: a reweighted residue underflows float64\n"
+
+
+def random_times(rng, size):
+    return np.concatenate(([0.0], rng.uniform(-2.0, 2.0, size - 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 33, 64, 128])
+def test_flows_are_bitwise_rows_of_the_row_kernels(n):
+    """``flow_H`` and ``flow_T`` at one time are bitwise row i of the row
+    kernels at all the sample times, whose sums run row by row."""
+    rng = np.random.default_rng(300 + n)
+    w = random_w(rng, n)
+    times = random_times(rng, 9)
+    for j in range(1, min(n, 3) + 1):
+        speed = float(np.max(np.abs(w.poles))) ** (j - 1)
+        rows = flows._flow_H_rows(w, j, times / speed)
+        for t, row in zip(times / speed, rows):
+            np.testing.assert_array_equal(flow_H(w, j, t).residues, row)
+    if n > 1:
+        dq = pi_from(w)
+        for j in range(1, min(n - 1, 3) + 1):
+            rows = flows._flow_T_rows(dq, j, times)
+            for t, row in zip(times, rows):
+                np.testing.assert_array_equal(flow_T(dq, j, t).pis, row)
+
+
+def test_flow_rows_raise_what_the_lowest_failing_sample_raises():
+    """Each sample checks its time, then its exponent, then its residues;
+    a stack raises what its lowest failing sample raises on its own."""
+    w = RationalHerglotz(np.array([0.0, 2.0]), np.array([1e-300, 1.0]))
+    for times, error, match in (
+        ([0.0, 300.0, 400.0], Overflow, "underflows"),
+        ([0.0, 400.0, 300.0], Overflow, "too large"),
+        ([0.0, math.nan, 400.0], InvalidData, "flow time"),
+        ([math.inf, 0.0], InvalidData, "flow time"),
+    ):
+        with pytest.raises(error, match=match):
+            flows._flow_H_rows(w, 2, np.array(times))
+    dq = pi_from(E1_W)
+    for times, match in (([0.0, math.inf], "flow time"), ([0.0, 1e308, -1e308], "chart values")):
+        with pytest.raises(InvalidData, match=match), np.errstate(over="ignore"):
+            flows._flow_T_rows(DivisorQuasimomentum(dq.gammas, dq.pis + 1e308, 0.0),
+                               1, np.array(times))
+    with pytest.raises(InvalidData, match="flow index"):
+        flows._flow_T_rows(dq, 2, np.zeros(3))
 
 
 def test_angle_flow_is_linear_and_consistent():
@@ -354,16 +431,13 @@ def test_step_errors_keep_step_order(monkeypatch):
     with pytest.raises(StepTooLarge, match="lost positivity"):
         lax_integrate(JacobiMatrix([3.07, 2.87], [2.4745]), 4.0, 1.0)
 
-    calls = [0]
-    rhs = flows._LaxStepper._rhs
+    run = flows._LaxStepper.run
 
-    def flips_on_step_five(self, at, into):
-        calls[0] += 1
-        rhs(self, at, into)
-        if calls[0] == 4 * 5:
-            into[1][:] = -2e6  # 2 dc: dc = -1e6 in the last stage of step five
+    def flips_on_step_five(self, rows):
+        run(self, rows)
+        rows[4:, 4:6] *= -1.0  # rows are [v | 0 | c | 0]: c < 0 from step five on
 
-    monkeypatch.setattr(flows._LaxStepper, "_rhs", flips_on_step_five)
+    monkeypatch.setattr(flows._LaxStepper, "run", flips_on_step_five)
     with pytest.raises(StepTooLarge, match="lost positivity"):
         lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.02)
 
@@ -492,6 +566,46 @@ def test_matrix_flow_past_float64_weights():
             eigen(m)
         _, drift = lax_integrate(m, 1e-2)
         assert drift < 1e-12
+
+
+@pytest.mark.parametrize(
+    "lambdas,thetas,match",
+    [
+        ([0.0, 1.0, 2.0, 3.0], [0.5], "one angle per non-anchor pole"),
+        ([0.0, 1.0, 2.0, 3.0], [0.5] * 5, "one angle per non-anchor pole"),
+        ([0.0, 2.0, 1.0, 3.0], [0.5] * 3, "strictly increasing"),
+        ([0.0, 1.0, math.nan, 3.0], [0.5] * 3, "strictly increasing"),
+        ([0.0, 1.0, 2.0, 3.0], [0.5, math.nan, 0.5], "must be finite"),
+    ],
+)
+def test_angle_flow_checks_its_chart_point(lambdas, thetas, match):
+    """theta_flow raises what ``ActionAngle`` raises on its poles and angles,
+    rather than broadcasting one angle, failing inside numpy, or returning
+    wrong or NaN angles."""
+    with pytest.raises(InvalidData, match=match):
+        ActionAngle(np.array(lambdas), np.array(thetas))
+    with pytest.raises(InvalidData, match=match):
+        theta_flow(np.array(thetas), np.array(lambdas), 2, 0.5)
+
+
+@pytest.mark.parametrize("q", [[0.0, -1500.0], [0.0, 1500.0], [0.0, 0.0, -1400.2], [1e308, -1e308]])
+def test_flaschka_out_of_float64_range_is_overflow(q):
+    """A half gap |q_k - q_{k+1}| / 2 past 700 raises Overflow, with no
+    numpy warning, rather than an overflowed or underflowed coupling."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="float64"):
+            flaschka(np.array(q), np.zeros(len(q)))
+    m = flaschka(np.array([0.0, 1399.0]), np.zeros(2))  # half gap 699.5 is held
+    assert m.c[0] == np.exp(-699.5) > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_flaschka_rejects_values_that_are_not_finite(bad):
+    with pytest.raises(InvalidData, match="finite"):
+        flaschka(np.array([0.0, bad]), np.zeros(2))
+    with pytest.raises(InvalidData, match="finite"):
+        flaschka(np.zeros(2), np.array([bad, 0.0]))
 
 
 def test_flaschka_change_of_variables():
