@@ -18,13 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _poly, serialize
+from . import serialize
 from .coordinates import (
     ActionAngle,
     DivisorQuasimomentum,
-    _poles_from_divisor,
-    _quasimomenta,
-    _thetas,
     pi_from,
     theta_from,
     w_from_divisor,
@@ -40,20 +37,12 @@ from .errors import (
     NotHerglotzInput,
     TodaError,
 )
-from .flows import _flow_H_rows, _flow_T_rows
+from .flows import _trajectory
 from .jacobi_core import JacobiMatrix, _matrix_distance
 from .poisson import ah_formula
-from .rational_weyl import (
-    _NORMALIZATION_TOL,
-    Divisor,
-    PolyQuotient,
-    RationalHerglotz,
-    evaluate,
-    to_quotient,
-    zeros,
-)
+from .rational_weyl import Divisor, PolyQuotient, RationalHerglotz, evaluate, to_quotient, zeros
 from .spectral_direct import SpectralData, spectral_from_weyl, weyl, weyl_from_spectral
-from .spectral_inverse import _cf_normalized, _cf_weyl, _lanczos, from_quotient, lanczos_reconstruct
+from .spectral_inverse import from_quotient, lanczos_reconstruct, stieltjes_reconstruct
 from .suites import SUITE_NAMES, random_jacobi, run_suites
 
 _VALIDATION_ERRORS = (InvalidData, CoincidentArguments, AtPole)
@@ -121,18 +110,15 @@ def cmd_reconstruct(args) -> tuple[str, int]:
     obj = _load_document(args)
     if isinstance(obj, JacobiMatrix):
         raise InvalidData("reconstruct expects spectral-side input, not a matrix")
-    w = None if isinstance(obj, PolyQuotient) else _as_weyl(obj)
-    method = args.method
-    if method in ("cf", "both"):
-        m_cf, total = _cf_normalized(obj if w is None else to_quotient(w))
-    if method in ("lanczos", "both"):
-        if w is None:  # a quotient document: read it through the one division
-            w = from_quotient(obj) if method == "lanczos" else _cf_weyl(m_cf, total)
-        m_lz = lanczos_reconstruct(spectral_from_weyl(w))
-    if method == "cf":
-        return serialize.dumps(serialize.to_dict(m_cf)), 0
-    if method == "lanczos":
-        return serialize.dumps(serialize.to_dict(m_lz)), 0
+    # Both routes read the one division that a quotient document keeps.
+    pq = obj if isinstance(obj, PolyQuotient) else None
+    w = None if pq else _as_weyl(obj)
+    if args.method != "lanczos":
+        m_cf = stieltjes_reconstruct(pq or to_quotient(w))
+    if args.method != "cf":
+        m_lz = lanczos_reconstruct(spectral_from_weyl(w or from_quotient(pq)))
+    if args.method != "both":
+        return serialize.dumps(serialize.to_dict(m_cf if args.method == "cf" else m_lz)), 0
     doc = {**serialize.to_dict(m_cf), "discrepancy": _matrix_distance(m_cf, m_lz)}
     return serialize.dumps(doc), 0
 
@@ -162,66 +148,25 @@ def cmd_bracket(args) -> tuple[str, int]:
     return serialize.dumps(doc), 0
 
 
-def _csv_lines(records: list[dict]) -> list[str]:
-    first = records[0]
-    n = len(first["lambdas"])
-    cols = (
-        ["t"]
-        + ["v%d" % i for i in range(n)]
-        + ["c%d" % i for i in range(n - 1)]
-        + ["lambda%d" % i for i in range(n)]
-        + ["rho%d" % i for i in range(n)]
-        + ["theta%d" % i for i in range(1, n)]
-        + ["gamma%d" % i for i in range(1, n)]
-        + ["pi%d" % i for i in range(1, n)]
-    )
-    lines = [",".join(cols)]
-    for rec in records:
-        row = (
-            [rec["t"]]
-            + list(rec["matrix"]["v"])
-            + list(rec["matrix"]["c"])
-            + list(rec["lambdas"])
-            + list(rec["rhos"])
-            + list(rec["thetas"])
-            + list(rec["gammas"])
-            + list(rec["pis"])
-        )
-        lines.append(",".join(serialize.dumps(float(x)) for x in row))
-    return lines
-
-
 def cmd_flow(args) -> tuple[str, int]:
     obj = _load_document(args)
-    if args.samples < 1:
-        raise InvalidData("need at least one sample time")
-    times = np.linspace(args.t0, args.t1, args.samples)
-    # The samples are independent: each layer below runs once on all of them,
-    # and raises what the lowest failing sample raised on its own.
     if args.family == "H":
-        w0 = _as_weyl(obj)
-        rho = _flow_H_rows(w0, args.j, times)
-        lam = np.tile(w0.poles, (times.size, 1))
+        start = _as_weyl(obj)
     else:
-        dq0 = obj if isinstance(obj, DivisorQuasimomentum) else pi_from(_as_weyl(obj))
-        pis = _flow_T_rows(dq0, args.j, times)
-        gam = np.tile(dq0.gammas, (times.size, 1))
-        lam, rho = _poles_from_divisor(gam, pis, np.full(times.size, dq0.casimir))
-        _poly._raise_lowest(
-            (~np.isfinite(rho).all(axis=1), InvalidData, "poles and residues must be finite")
-        )
-    _poly._raise_lowest(
-        (~(np.abs(rho.sum(axis=1) - 1.0) <= _NORMALIZATION_TOL), InvalidData,
-         "spectral data requires unit total residue")
-    )
-    rows = zip(times, *_lanczos(lam, rho), lam, rho, _thetas(lam, rho), *_quasimomenta(lam, rho))
-    fields = ("lambdas", "rhos", "thetas", "gammas", "pis")
-    records = [
-        {"t": float(t), "matrix": {"v": v, "c": c}, **dict(zip(fields, chart))}
-        for t, v, c, *chart in rows
-    ]
+        start = obj if isinstance(obj, DivisorQuasimomentum) else pi_from(_as_weyl(obj))
+    stacks = _trajectory(start, args.j, args.t0, args.t1, args.samples)
     if args.emit_csv:
-        return "\n".join(_csv_lines(records)), 0
+        names = zip(("v", "c", "lambda", "rho", "theta", "gamma", "pi"), (0, 0, 0, 0, 1, 1, 1),
+                    stacks[1:])
+        cols = ["t"] + ["%s%d" % (name, first + i) for name, first, stack in names
+                        for i in range(stack.shape[1])]
+        rows = np.column_stack(stacks).tolist()
+        return "\n".join([",".join(cols)] + [",".join(map(serialize.dumps, r)) for r in rows]), 0
+    fields = ("lambdas", "rhos", "thetas", "gammas", "pis")
+    records = (
+        {"t": float(t), "matrix": {"v": v, "c": c}, **dict(zip(fields, chart))}
+        for t, v, c, *chart in zip(*stacks)
+    )
     return "\n".join(serialize.dumps(rec) for rec in records), 0
 
 

@@ -7,7 +7,9 @@ translate the angles linearly.  The transversal ("T") flows fix the divisor
 and translate the quasimomenta linearly.  Both exact flows run on row
 kernels (``_flow_H_rows``, ``_flow_T_rows``) that move one start to every
 sample time at once; ``flow_H`` and ``flow_T`` are the kernels at one time,
-and ``toda flow`` calls them on all of its samples.  The same tangent
+and the sampled flow of ``toda flow`` (``_trajectory``) calls them on all of
+its samples, then carries the stacks through the divisor inversion, Lanczos
+and the charts.  The same tangent
 dynamics acts on matrix entries through a commutator equation, integrated
 here with classical fourth-order Runge-Kutta and a per-step spectrum-drift
 audit (the spectrum is conserved, so drift measures integration error).
@@ -19,7 +21,8 @@ stage weights halved on the c part, and a step is 23 calls.  The audit is
 Newton on the LDL^T pivots started from the initial eigenvalues, run on a
 whole block of steps at once (max(64, 2^16 / N^2) steps), which takes one
 pivot sweep per block.  Every flow raises InvalidData on a flow time that
-is not finite.
+is not finite, and Overflow where a finite time moves its coordinates past
+float64.
 """
 
 from __future__ import annotations
@@ -30,11 +33,18 @@ import numpy as np
 
 from . import _poly
 from ._poly import _EPS
-from .coordinates import ActionAngle, DivisorQuasimomentum
+from .coordinates import (
+    ActionAngle,
+    DivisorQuasimomentum,
+    _poles_from_divisor,
+    _quasimomenta,
+    _thetas,
+)
 from .errors import InvalidData, Overflow, StepTooLarge
 from .jacobi_core import JacobiMatrix
-from .rational_weyl import RationalHerglotz
-from .spectral_direct import _distinct_eigenvalues, _eigenvalues, _pivot_sweep
+from .rational_weyl import _NORMALIZATION_TOL, RationalHerglotz
+from .spectral_direct import _distinct_eigenvalues, _eigenvalues, _nudged_sweep
+from .spectral_inverse import _lanczos
 
 # Sign convention tying the residue flow to the matrix flow: with this
 # factor, integrating the matrix equations for time t reproduces the
@@ -67,7 +77,6 @@ def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:
 def _flow_H_rows(w0: RationalHerglotz, j: int, times: np.ndarray) -> np.ndarray:
     """Residue rows (S, N) of ``flow_H`` at each of the S ``times``; raises
     what the lowest failing sample raises on its own."""
-    _flow_time(times[0])
     j = int(j)
     if not w0.normalized:
         raise InvalidData("tangent flows act on normalized pole sums")
@@ -107,7 +116,8 @@ def theta_flow(thetas: np.ndarray, lambdas: np.ndarray, j: int, t: float) -> np.
 
 def flow_T(dq0: DivisorQuasimomentum, j: int, t: float) -> DivisorQuasimomentum:
     """Exact j-th transversal flow: quasimomenta translated with speed
-    gamma_k^(j-1); the divisor and the spectral-sum Casimir are fixed."""
+    gamma_k^(j-1); the divisor and the spectral-sum Casimir are fixed.
+    Raises ``Overflow`` when the move t * gamma^(j-1) leaves float64."""
     pis = _flow_T_rows(dq0, j, np.array([_flow_time(t)]))[0]
     return DivisorQuasimomentum(dq0.gammas.copy(), pis, dq0.casimir)
 
@@ -115,18 +125,46 @@ def flow_T(dq0: DivisorQuasimomentum, j: int, t: float) -> DivisorQuasimomentum:
 def _flow_T_rows(dq0: DivisorQuasimomentum, j: int, times: np.ndarray) -> np.ndarray:
     """Quasimomentum rows (S, N - 1) of ``flow_T`` at each of the S
     ``times``; raises what the lowest failing sample raises on its own."""
-    _flow_time(times[0])
     j = int(j)
     if not 1 <= j <= dq0.gammas.size:
         raise InvalidData("flow index must lie in 1..N-1")
-    speed = dq0.gammas ** (j - 1)
-    with np.errstate(invalid="ignore"):  # inf * 0 at a time that is not finite
-        pis = dq0.pis + times[:, None] * speed
+    # inf * 0 at a time that is not finite; past float64 at a large one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pis = dq0.pis + times[:, None] * dq0.gammas ** (j - 1)
     _poly._raise_lowest(
         (~np.isfinite(times), InvalidData, "flow time must be finite"),
-        (~np.isfinite(pis).all(axis=1), InvalidData, "chart values must be finite"),
+        (~np.isfinite(pis).all(axis=1), Overflow, "quasimomenta leave float64 at this flow time"),
     )
     return pis
+
+
+def _trajectory(start, j: int, t0: float, t1: float, samples: int) -> tuple:
+    """The sampled flow of ``toda flow`` from ``start``, a pole sum (H flow)
+    or a divisor chart point (T flow), at ``samples`` times from t0 to t1:
+    the stacks (t, v, c, lambdas, rhos, thetas, gammas, pis), a row per
+    time.  Each layer runs once on all samples, and a stack raises what its
+    lowest failing sample raises on its own."""
+    if samples < 1:
+        raise InvalidData("need at least one sample time")
+    t0, t1 = _flow_time(t0), _flow_time(t1)
+    if not math.isfinite(t1 - t0):
+        raise Overflow("flow time span t1 - t0 leaves float64")
+    times = np.linspace(t0, t1, samples)
+    if isinstance(start, DivisorQuasimomentum):
+        pis = _flow_T_rows(start, j, times)
+        gam = np.tile(start.gammas, (samples, 1))
+        lam, rho = _poles_from_divisor(gam, pis, np.full(samples, start.casimir))
+        _poly._raise_lowest(
+            (~np.isfinite(rho).all(axis=1), InvalidData, "poles and residues must be finite")
+        )
+    else:
+        rho = _flow_H_rows(start, j, times)
+        lam = np.tile(start.poles, (samples, 1))
+    _poly._raise_lowest(
+        (~(np.abs(rho.sum(axis=1) - 1.0) <= _NORMALIZATION_TOL), InvalidData,
+         "spectral data requires unit total residue")
+    )
+    return (times, *_lanczos(lam, rho), lam, rho, _thetas(lam, rho), *_quasimomenta(lam, rho))
 
 
 def lax_integrate(
@@ -331,14 +369,7 @@ def _block_drift(
     live = np.arange(v.shape[0])  # rows still iterating
     lost = np.zeros(v.shape[0], dtype=bool)
     for _ in range(_AUDIT_SWEEPS):
-        cnt, step = _pivot_sweep(v[live], c[live], x[live])
-        stuck = ~np.isfinite(step)
-        rows = np.flatnonzero(stuck.any(axis=1))
-        if rows.size:
-            # A pivot at rounding level: take the Newton step from beside x.
-            at = live[rows]
-            _, beside = _pivot_sweep(v[at], c[at], x[at] + nudge)
-            step[rows] = np.where(stuck[rows], beside - nudge, step[rows])
+        cnt, step = _nudged_sweep(v[live], c[live], x[live], nudge)
         failed = ~np.isfinite(step).all(axis=1) | (
             (cnt < ranks[0]) | (cnt > ranks[1])
         ).any(axis=1)

@@ -8,7 +8,8 @@ This module builds the quotient from the pole sum (``to_quotient``), the
 exponential form from either, and evaluates the moment (trace) sums in all
 of them; agreement of the routes is a core consistency check used by the
 test suite.  The quotient is read back through its continued fraction,
-in ``spectral_inverse`` (``stieltjes_reconstruct``, ``from_quotient``):
+divided here once per record and kept on it, which both readers in
+``spectral_inverse`` (``stieltjes_reconstruct``, ``from_quotient``) share:
 no root finder runs on its float coefficients.
 """
 
@@ -22,17 +23,18 @@ import numpy as np
 
 from . import _poly
 from ._poly import _readonly
-from .errors import AtPole, InvalidData, NotHerglotz, Overflow, TodaError
+from .errors import AtPole, InvalidData, NotHerglotz, NotHerglotzInput, Overflow, TodaError
+from .jacobi_core import JacobiMatrix
 
 _NORMALIZATION_TOL = 1e-12
 _EXP_SAMPLES = 32  # sample points of the exponential-form check
 _KREIN_MOMENTS = 4  # shift moments that krein returns; trace_via_krein reads 3
 
 # Decimal digits of the PolyQuotient payload, and of the continued-fraction
-# division in spectral_inverse that reads it.  The division chain subtracts
-# nearly equal quantities at every level; fifty digits leave a wide margin
-# over the conditioning of the sizes the acceptance gate covers.  The count
-# is fixed, not adapted to the smallest residue of the data.
+# division that reads it; both live in this module only.  The division chain
+# subtracts nearly equal quantities at every level; fifty digits leave a wide
+# margin over the conditioning of the sizes the acceptance gate covers.  The
+# count is fixed, not adapted to the smallest residue of the data.
 _DEC_DIGITS = 50
 
 
@@ -104,10 +106,12 @@ class PolyQuotient:
     ``p`` is monic of degree N, ``q`` has degree N-1.  When built by
     :func:`to_quotient` the instance also carries fixed-precision decimal
     coefficients (``p_dec``/``q_dec``, ``_DEC_DIGITS`` digits), of which
-    ``p``, ``q`` are the correctly rounded values.  Both inverse transforms,
-    ``stieltjes_reconstruct`` and ``from_quotient``, read the payload when
-    there is one, since float64 monomial coefficients cannot carry a very
-    small residue to better than absolute rounding error.
+    ``p``, ``q`` are the correctly rounded values.  The continued-fraction
+    division reads the payload when there is one, since float64 monomial
+    coefficients cannot carry a very small residue to better than absolute
+    rounding error.  It runs on first use and is kept on the record
+    (``_cf_matrix``), so both inverse transforms, ``stieltjes_reconstruct``
+    and ``from_quotient``, share one division.
     """
 
     p: np.ndarray
@@ -132,6 +136,24 @@ class PolyQuotient:
     @property
     def n(self) -> int:
         return self.q.size
+
+    @cached_property
+    def _cf_matrix(self) -> tuple[JacobiMatrix, float]:
+        """The continued-fraction matrix of -q/p over its total residue
+        q_top/p_top, and that total; ``NotHerglotzInput`` on a nonpositive
+        squared coupling.
+
+        The division runs at ``_DEC_DIGITS`` digits on the decimal payload,
+        which resolves every residue to full relative accuracy, or else on the
+        exact decimal values of the float coefficients.
+        """
+        with localcontext() as ctx:
+            ctx.prec = _DEC_DIGITS
+            p = [Decimal(x) for x in self.p_dec or self.p.tolist()]
+            q = [Decimal(x) for x in self.q_dec or self.q.tolist()]
+            v, csq = _cf_division([x / p[-1] for x in p], [x / q[-1] for x in q], self.n)
+            total = float(q[-1] / p[-1])
+        return JacobiMatrix(v, np.sqrt(csq)), total
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +253,28 @@ def _dec_quotient(lam: np.ndarray, rho: np.ndarray):
             q = [hi - dx * lo + dr * pi for hi, lo, pi in zip(zero + q, q + zero, p)]
             p = [hi - dx * lo for hi, lo in zip(zero + p, p + zero)]
     return tuple(p), tuple(q)
+
+
+def _cf_division(p: list, q: list, m: int):
+    """Division recursion on decimal coefficient lists (context set by caller)."""
+    v = np.empty(m)
+    csq = np.empty(max(m - 1, 0))
+    zero = Decimal(0)
+    for step in range(m, 0, -1):
+        sub_q = q[step - 2] if step >= 2 else zero
+        v0 = sub_q - p[step - 1]
+        v[m - step] = float(v0)
+        if step == 1:
+            break
+        r = [p[i] + v0 * q[i] - (q[i - 1] if i else zero) for i in range(step - 1)]
+        c2 = -r[step - 2]
+        if not c2.is_finite() or c2 <= 0:
+            raise NotHerglotzInput("division produced a nonpositive coupling")
+        csq[m - step] = float(c2)
+        q_next = [ri / (-c2) for ri in r]
+        q_next[-1] = Decimal(1)
+        p, q = q, q_next
+    return v, csq
 
 
 def to_quotient(w: RationalHerglotz) -> PolyQuotient:

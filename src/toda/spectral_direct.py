@@ -94,6 +94,21 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     return (piv < 0.0).sum(0), step
 
 
+def _nudged_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray, nudge: float) -> tuple:
+    """``_pivot_sweep`` at x, with each step that is not finite (a pivot at
+    rounding level: x within rounding of an eigenvalue of a leading block)
+    retaken from x + nudge and moved back.  Every pivot falls with slope at
+    least one in x, so a few eps * scale lift it clear of rounding.  Of a
+    stack, only the rows with such a step are swept again."""
+    cnt, step = _pivot_sweep(v, c, x)
+    stuck = ~np.isfinite(step)
+    if stuck.any():
+        rows = np.flatnonzero(stuck.any(axis=1)) if v.ndim > 1 else slice(None)
+        _, beside = _pivot_sweep(v[rows], c[rows], x[rows] + nudge)
+        step[rows] = np.where(stuck[rows], beside - nudge, step[rows])
+    return cnt, step
+
+
 def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Jacobi matrix with diagonal v and off-diagonal c
     (at least 2x2), one per rank; not checked to be strictly increasing.
@@ -228,14 +243,11 @@ def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
     ||(P_0, ..., P_{N-1})|| does not, since forward-recurrence rounding
     grows with N.  A pole within rounding of an eigenvalue of a leading
     block has a pivot at rounding level and no finite step; it takes the
-    step from 8 eps * scale above instead, as the ``lax_integrate`` audit
-    does.
+    step from 8 eps * scale above instead (``_nudged_sweep``, as the
+    ``lax_integrate`` audit does).
     """
-    n = poles.size
     top = max(1.0, float(np.max(np.abs(poles))))
-    nudge = 8.0 * _EPS * top
-    _, step = _pivot_sweep(m.v, m.c, np.concatenate((poles, poles + nudge)))
-    step = np.where(np.isfinite(step[:n]), step[:n], step[n:] - nudge)
+    _, step = _nudged_sweep(m.v, m.c, poles, 8.0 * _EPS * top)
     return float(np.max(np.abs(step))) / top
 
 

@@ -6,58 +6,18 @@ entry at a time from the quotient form by polynomial division; the
 orthogonalization route runs the discrete Stieltjes procedure (Lanczos with
 full reorthogonalization) against the spectral measure.
 
-The division is also the one reader of the quotient form (``from_quotient``).
+The division is also the one reader of the quotient form (``from_quotient``);
+it runs in ``rational_weyl``, once per quotient, and both readers share it.
 """
 
 from __future__ import annotations
-
-from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .errors import Breakdown, InvalidData, NotHerglotz, NotHerglotzInput
 from .jacobi_core import JacobiMatrix, _matrix_distance
-from .rational_weyl import _DEC_DIGITS, PolyQuotient, RationalHerglotz, to_quotient
+from .rational_weyl import PolyQuotient, RationalHerglotz, to_quotient
 from .spectral_direct import SpectralData, eigen, weyl_from_spectral
-
-
-def _cf_division(p: list, q: list, m: int):
-    """Division recursion on decimal coefficient lists (context set by caller)."""
-    v = np.empty(m)
-    csq = np.empty(max(m - 1, 0))
-    zero = Decimal(0)
-    for step in range(m, 0, -1):
-        sub_q = q[step - 2] if step >= 2 else zero
-        v0 = sub_q - p[step - 1]
-        v[m - step] = float(v0)
-        if step == 1:
-            break
-        r = [p[i] + v0 * q[i] - (q[i - 1] if i else zero) for i in range(step - 1)]
-        c2 = -r[step - 2]
-        if not c2.is_finite() or c2 <= 0:
-            raise NotHerglotzInput("division produced a nonpositive coupling")
-        csq[m - step] = float(c2)
-        q_next = [ri / (-c2) for ri in r]
-        q_next[-1] = Decimal(1)
-        p, q = q, q_next
-    return v, csq
-
-
-def _cf_matrix(pq: PolyQuotient) -> tuple[JacobiMatrix, float]:
-    """The continued-fraction matrix of -q/p over its total residue
-    q_top/p_top, and that total.
-
-    The division runs at ``_DEC_DIGITS`` digits on the decimal payload of a
-    ``to_quotient`` quotient, which resolves every residue to full relative
-    accuracy, or else on the exact decimal values of the float coefficients.
-    """
-    with localcontext() as ctx:
-        ctx.prec = _DEC_DIGITS
-        p = [Decimal(x) for x in pq.p_dec or pq.p.tolist()]
-        q = [Decimal(x) for x in pq.q_dec or pq.q.tolist()]
-        v, csq = _cf_division([x / p[-1] for x in p], [x / q[-1] for x in q], pq.n)
-        total = float(q[-1] / p[-1])
-    return JacobiMatrix(v, np.sqrt(csq)), total
 
 
 def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
@@ -67,40 +27,31 @@ def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
     and one squared coupling; the recursion then descends to (q, q~).  The
     input must be normalized (q monic); a nonpositive squared coupling means
     the quotient did not come from a positive spectral measure.  The
-    division reads the decimal payload when there is one (``_cf_matrix``);
-    the accuracy of a bare float quotient drops quickly with the degree,
-    because small residues are lost in the rounding of its coefficients.
+    division reads the decimal payload when there is one, and is kept on the
+    quotient (``PolyQuotient._cf_matrix``); the accuracy of a bare float
+    quotient drops quickly with the degree, because small residues are lost
+    in the rounding of its coefficients.
     """
-    return _cf_normalized(pq)[0]
-
-
-def _cf_normalized(pq: PolyQuotient) -> tuple[JacobiMatrix, float]:
-    """``_cf_matrix`` of a normalized quotient (q monic)."""
     if abs(pq.q[-1] - 1.0) > 1e-8:
         raise InvalidData("quotient must be normalized: q monic")
-    return _cf_matrix(pq)
+    return pq._cf_matrix[0]
 
 
 def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
     """Recover poles and residues from the quotient form.
 
-    They are the spectral data of the continued-fraction matrix
-    (``_cf_matrix``), with the weights scaled by the total residue.  A
-    nonpositive total residue or squared coupling means the quotient is not
-    a positive pole sum; poles that float64 cannot separate raise
-    ``PrecisionLimit`` from ``eigen``.
+    They are the spectral data of the continued-fraction matrix kept on the
+    quotient (``PolyQuotient._cf_matrix``), with the weights scaled by the
+    total residue.  A nonpositive total residue or squared coupling means
+    the quotient is not a positive pole sum; poles that float64 cannot
+    separate raise ``PrecisionLimit`` from ``eigen``.
     """
     if not pq.q[-1] > 0.0:
         raise NotHerglotz("quotient has a nonpositive total residue")
     try:
-        m, total = _cf_matrix(pq)
+        m, total = pq._cf_matrix
     except NotHerglotzInput as exc:
         raise NotHerglotz("quotient is not a positive pole sum: %s" % exc) from exc
-    return _cf_weyl(m, total)
-
-
-def _cf_weyl(m: JacobiMatrix, total: float) -> RationalHerglotz:
-    """Pole sum of ``_cf_matrix``'s (m, total): eigen of m, weights times total."""
     sd = eigen(m)
     return RationalHerglotz(sd.lambdas, sd.rhos * total)
 

@@ -37,7 +37,7 @@ from toda import (
     w_from_divisor,
     weyl,
 )
-from toda import cli, serialize, spectral_inverse
+from toda import cli, rational_weyl, serialize
 from toda.coordinates import _poles_from_divisor, _quasimomenta, _thetas
 from toda.cli import build_parser, main
 from toda.spectral_inverse import _lanczos
@@ -163,8 +163,8 @@ def test_reconstruct_divides_a_quotient_document_once(capsys, monkeypatch):
     """Each method reads a quotient document through one continued-fraction
     division, and both prints what the two public routes give."""
     calls = []
-    inner = spectral_inverse._cf_division
-    monkeypatch.setattr(spectral_inverse, "_cf_division", lambda *a: calls.append(1) or inner(*a))
+    inner = rational_weyl._cf_division
+    monkeypatch.setattr(rational_weyl, "_cf_division", lambda *a: calls.append(1) or inner(*a))
     rc, quotient, _ = run(capsys, "weyl", "--seed", "0", "--N", "8")
     assert rc == 0
     for method in ("cf", "lanczos", "both"):
@@ -176,6 +176,54 @@ def test_reconstruct_divides_a_quotient_document_once(capsys, monkeypatch):
     m_lz = lanczos_reconstruct(spectral_from_weyl(from_quotient(pq)))
     disc = max(np.max(np.abs(m_cf.v - m_lz.v)), np.max(np.abs(m_cf.c - m_lz.c)))
     assert out == serialize.dumps({"v": m_cf.v, "c": m_cf.c, "discrepancy": float(disc)}) + "\n"
+
+
+@pytest.mark.parametrize("method", ["cf", "lanczos", "both"])
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"p": [0.0, 1.0], "q": [1.0, 2.0]}', "need deg p = deg q + 1 = N"),
+        ('{"p": [1.0], "q": []}', "quotient needs at least one pole"),
+        ('{"p": [NaN, 1.0], "q": [1.0]}', "coefficients must be finite"),
+        ('{"p": [0.0, 2.0], "q": [1.0]}', "p must be monic"),
+        ('{"p": [0.0, 1.0], "q": [0.0]}', "q must have exact degree N-1"),
+    ],
+)
+def test_reconstruct_rejects_a_malformed_quotient(capsys, doc, message, method):
+    """Each ``PolyQuotient`` rejection exits 2 with its message, whatever
+    the method."""
+    rc, out, err = run(capsys, "reconstruct", "--in", doc, "--method", method)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_reconstruct_of_a_quotient_with_negative_total_residue(capsys):
+    """-q/p with q = -(1 + z) has total residue -1: Lanczos reads it through
+    ``from_quotient`` (exit 3, not a positive pole sum), while cf and both
+    stop first on the monic check of ``stieltjes_reconstruct`` (exit 2)."""
+    doc = '{"p": [0.0, -2.0, 1.0], "q": [-1.0, -1.0]}'
+    rc, out, err = run(capsys, "reconstruct", "--in", doc, "--method", "lanczos")
+    assert (rc, out, err) == (3, "", "error: quotient has a nonpositive total residue\n")
+    for method in ("cf", "both"):
+        rc, out, err = run(capsys, "reconstruct", "--in", doc, "--method", method)
+        assert (rc, out, err) == (2, "", "error: quotient must be normalized: q monic\n")
+
+
+@pytest.mark.parametrize("seed,n", [(0, 1), (0, 2), (3, 5), (11, 8)])
+def test_reconstruct_reads_a_pole_sum_document(capsys, seed, n):
+    """A {"poles", "residues"} document rebuilds its matrix by each method,
+    and prints what the spectrum document of the same matrix gives."""
+    m = random_jacobi(np.random.default_rng(seed), n)
+    w = weyl(m)
+    doc = serialize.dumps(serialize.to_dict(w))
+    spectrum = serialize.dumps(serialize.to_dict(spectral_from_weyl(w)))
+    for method in ("cf", "lanczos", "both"):
+        rc, out, err = run(capsys, "reconstruct", "--in", doc, "--method", method)
+        assert rc == 0, err
+        assert out == run(capsys, "reconstruct", "--in", spectrum, "--method", method)[1]
+        got = json.loads(out)
+        np.testing.assert_allclose(got["v"], m.v, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got["c"], m.c, rtol=0, atol=1e-8)
+        assert ("discrepancy" in got) == (method == "both")
 
 
 def test_reconstruct_turns_a_chart_document_once(capsys, monkeypatch):
@@ -397,8 +445,38 @@ def _per_sample_cmd_flow(args):
         for t, v, c, *chart in rows
     ]
     if args.emit_csv:
-        return "\n".join(cli._csv_lines(records)), 0
+        return "\n".join(_csv_lines(records)), 0
     return "\n".join(serialize.dumps(rec) for rec in records), 0
+
+
+def _csv_lines(records: list[dict]) -> list[str]:
+    """The CSV table rebuilt row by row from the per-sample records."""
+    first = records[0]
+    n = len(first["lambdas"])
+    cols = (
+        ["t"]
+        + ["v%d" % i for i in range(n)]
+        + ["c%d" % i for i in range(n - 1)]
+        + ["lambda%d" % i for i in range(n)]
+        + ["rho%d" % i for i in range(n)]
+        + ["theta%d" % i for i in range(1, n)]
+        + ["gamma%d" % i for i in range(1, n)]
+        + ["pi%d" % i for i in range(1, n)]
+    )
+    lines = [",".join(cols)]
+    for rec in records:
+        row = (
+            [rec["t"]]
+            + list(rec["matrix"]["v"])
+            + list(rec["matrix"]["c"])
+            + list(rec["lambdas"])
+            + list(rec["rhos"])
+            + list(rec["thetas"])
+            + list(rec["gammas"])
+            + list(rec["pis"])
+        )
+        lines.append(",".join(serialize.dumps(float(x)) for x in row))
+    return lines
 
 
 class _PerSampleParser:

@@ -127,6 +127,44 @@ def test_sampled_flow_underflow_exits_as_overflow(capsys):
         assert capsys.readouterr().err == "error: a reweighted residue underflows float64\n"
 
 
+def test_transversal_flow_past_float64_is_overflow(capsys):
+    """A T flow whose move t * gamma^(j-1) leaves float64 at a finite time
+    raises Overflow (exit 1) with no numpy warning, not InvalidData, which
+    would blame a valid chart point."""
+    dq = pi_from(weyl(random_jacobi(np.random.default_rng(0), 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="leave float64"):
+            flow_T(dq, 2, 1e308)
+        with pytest.raises(InvalidData, match="flow time must be finite"):
+            flow_T(dq, 2, math.inf)
+    argv = ["flow", "--seed", "0", "--N", "4", "--family", "T", "--j", "2", "--t1", "1e308"]
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: quasimomenta leave float64 at this flow time\n"
+
+
+@pytest.mark.parametrize("family", ["H", "T"])
+@pytest.mark.parametrize(
+    "times,code,message",
+    [
+        (("--t1", "inf"), 2, "flow time must be finite"),
+        (("--t0", "nan"), 2, "flow time must be finite"),
+        (("--t0=-1e308", "--t1", "1e308"), 1, "flow time span t1 - t0 leaves float64"),
+    ],
+)
+def test_sampled_flow_times_are_checked_before_sampling(capsys, family, times, code, message):
+    """``toda flow`` checks t0, t1 and their span before it spaces the
+    sample times, so stderr holds the one error line and no numpy warning."""
+    for fmt in ((), ("--emit-csv",)):
+        argv = ["flow", "--seed", "1", "--N", "4", "--family", family, *times, *fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: %s\n" % message
+
+
 def random_times(rng, size):
     return np.concatenate(([0.0], rng.uniform(-2.0, 2.0, size - 1)))
 
@@ -164,8 +202,11 @@ def test_flow_rows_raise_what_the_lowest_failing_sample_raises():
         with pytest.raises(error, match=match):
             flows._flow_H_rows(w, 2, np.array(times))
     dq = pi_from(E1_W)
-    for times, match in (([0.0, math.inf], "flow time"), ([0.0, 1e308, -1e308], "chart values")):
-        with pytest.raises(InvalidData, match=match), np.errstate(over="ignore"):
+    for times, error, match in (
+        ([0.0, math.inf], InvalidData, "flow time"),
+        ([0.0, 1e308, -1e308], Overflow, "leave float64"),
+    ):
+        with pytest.raises(error, match=match):
             flows._flow_T_rows(DivisorQuasimomentum(dq.gammas, dq.pis + 1e308, 0.0),
                                1, np.array(times))
     with pytest.raises(InvalidData, match="flow index"):
@@ -450,11 +491,11 @@ def test_audit_never_reads_nan_steps_as_drift(monkeypatch):
     m = JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1])
     _, want = lax_integrate(m, 0.5, 0.02)
 
-    def nan_steps(v, c, x):
-        cnt, step = spectral_direct._pivot_sweep(v, c, x)
+    def nan_steps(v, c, x, nudge):
+        cnt, step = spectral_direct._nudged_sweep(v, c, x, nudge)
         return cnt, np.full_like(step, np.nan)
 
-    monkeypatch.setattr(flows, "_pivot_sweep", nan_steps)
+    monkeypatch.setattr(flows, "_nudged_sweep", nan_steps)
     _, drift = lax_integrate(m, 0.5, 0.02)
     assert want > 1e-10
     assert drift == pytest.approx(want, rel=1e-9)
@@ -537,24 +578,23 @@ def test_matrix_flow_single_site_is_static():
 
 def test_audit_takes_one_sweep_per_step(monkeypatch):
     """Performance guard: the block audit takes at most two pivot sweeps per
-    block of RK4 steps, plus one beside each sweep that met a rounding-level
-    pivot (a per-step audit took one to three sweeps per step)."""
-    calls, stuck = [0], [0]
+    block of RK4 steps, each with one more beside it where it met a
+    rounding-level pivot (``_nudged_sweep``; a per-step audit took one to
+    three sweeps per step)."""
+    calls = [0]
 
     def counting(*args):
         calls[0] += 1
-        cnt, step = spectral_direct._pivot_sweep(*args)
-        stuck[0] += int(not np.isfinite(step).all())
-        return cnt, step
+        return spectral_direct._nudged_sweep(*args)
 
-    monkeypatch.setattr(flows, "_pivot_sweep", counting)
+    monkeypatch.setattr(flows, "_nudged_sweep", counting)
     rng = np.random.default_rng(91)
     blocks = 0
     for n in (4, 8, 16):
         for _ in range(2):
             lax_integrate(random_jacobi(rng, n), 0.5)
             blocks += math.ceil(500 / _audit_rows(n))
-    assert calls[0] <= 2 * blocks + stuck[0]
+    assert calls[0] <= 2 * blocks
 
 
 def test_matrix_flow_past_float64_weights():

@@ -213,6 +213,28 @@ def test_gluing_pole_half_on_leading_block_eigenvalues():
         assert gluing_check(m) <= 1e-14
 
 
+def test_nudged_sweep_retakes_only_the_steps_that_are_not_finite():
+    """At 0, an eigenvalue of the leading 1x1 block, the first pivot
+    vanishes: that step is retaken from 0 + nudge and moved back, the other
+    steps are the plain sweep's, and a stack retakes only its stuck rows,
+    bitwise as each row on its own."""
+    m = JacobiMatrix(np.array([0.0, 1.0, 0.0]), np.ones(2))
+    x = np.array([0.0, 0.4, 1.7])
+    nudge = 8.0 * np.finfo(float).eps
+    cnt, step = spectral_direct._pivot_sweep(m.v, m.c, x)
+    assert not np.isfinite(step[0]) and np.isfinite(step[1:]).all()
+    got_cnt, got = spectral_direct._nudged_sweep(m.v, m.c, x, nudge)
+    beside = spectral_direct._pivot_sweep(m.v, m.c, x + nudge)[1]
+    np.testing.assert_array_equal(got_cnt, cnt)
+    np.testing.assert_array_equal(got, [beside[0] - nudge, step[1], step[2]])
+    stack_v, stack_c = np.array([m.v, [0.5, 1.0, 0.2]]), np.array([m.c, [0.3, 0.9]])
+    _, rows = spectral_direct._nudged_sweep(stack_v, stack_c, np.array([x, x]), nudge)
+    for b in range(2):
+        one = spectral_direct._nudged_sweep(stack_v[b:b + 1], stack_c[b:b + 1], x[None], nudge)
+        np.testing.assert_array_equal(rows[b], one[1][0])
+    assert np.isfinite(rows).all()
+
+
 def test_gluing_check_catches_a_moved_pole(monkeypatch):
     """Moving any one pole of the Weyl function by 1e-6 fails the 1e-9 bar;
     for the lowest pole here only the pole half of the check sees it."""
