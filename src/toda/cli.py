@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +48,10 @@ from .suites import SUITE_NAMES, random_jacobi, run_suites
 
 _VALIDATION_ERRORS = (InvalidData, CoincidentArguments, AtPole)
 _HERGLOTZ_ERRORS = (NotHerglotz, NotHerglotzInput, InterlacingViolated, NoHerglotzSolution)
+# argparse reads a token such as "-5e-1" as an option unless it looks like a
+# negative number, which on Python 3.10 and 3.11 means -5 or -1.5 only; the
+# subcommands with float options also read the exponent form as a number.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+|\d*\.\d+)([eE][+-]?\d+)?$")
 
 
 def _load_document(args) -> object:
@@ -240,12 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("bracket", help="two-point bracket closed forms")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     add_io(p)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("flow", help="sampled flow trajectory (JSON lines)")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     add_io(p)
     p.add_argument("--family", choices=("H", "T"), default="H")
     p.add_argument("--j", type=int, default=2, help="flow index (1-based)")

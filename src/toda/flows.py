@@ -46,12 +46,6 @@ from .rational_weyl import _NORMALIZATION_TOL, RationalHerglotz
 from .spectral_direct import _distinct_eigenvalues, _eigenvalues, _nudged_sweep
 from .spectral_inverse import _lanczos
 
-# Sign convention tying the residue flow to the matrix flow: with this
-# factor, integrating the matrix equations for time t reproduces the
-# exponential residue evolution at the same t (fixed by the N=2 quadratic
-# flow, where both sides are explicit exponentials, then invariant in N).
-HFLOW_LAX_TIME_SIGN = 1.0
-
 _EXP_LIMIT = 700.0
 _AUDIT_SWEEPS = 4
 _AUDIT_BLOCK = 64  # fewest RK4 steps per drift audit
@@ -222,7 +216,7 @@ def lax_integrate(
     if n == 1:
         return JacobiMatrix(m.v.copy(), m.c.copy()), 0.0
     nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
-    stepper = _LaxStepper(m, (HFLOW_LAX_TIME_SIGN * t) / nsteps)
+    stepper = _LaxStepper(m, t / nsteps)
     lam = _distinct_eigenvalues(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
     floor = 4.0 * _EPS * scale
@@ -383,20 +377,3 @@ def _block_drift(
         x[b] = _eigenvalues(v[b], c[b])
     return float(np.max(np.abs(np.sort(x, axis=1) - lam)))
 
-
-def flaschka(q: np.ndarray, p: np.ndarray) -> JacobiMatrix:
-    """Change of variables from particle positions/momenta to matrix
-    entries: v = -p, c_k = exp((q_k - q_{k+1})/2).  A half gap
-    |q_k - q_{k+1}| / 2 past 700 puts c_k outside float64 and raises
-    ``Overflow``."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if q.shape != p.shape or q.ndim != 1 or q.size < 1:
-        raise InvalidData("positions and momenta must be matching vectors")
-    if not (np.isfinite(q).all() and np.isfinite(p).all()):
-        raise InvalidData("positions and momenta must be finite")
-    with np.errstate(over="ignore"):
-        half = 0.5 * (q[:-1] - q[1:])
-    if np.any(np.abs(half) > _EXP_LIMIT):
-        raise Overflow("position gap out of float64 range for exp((q_k - q_{k+1})/2)")
-    return JacobiMatrix(-p, np.exp(half))

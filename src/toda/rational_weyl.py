@@ -302,16 +302,6 @@ def _exp_residual(lam0: np.ndarray, gam0: np.ndarray, rho: np.ndarray) -> float:
     return float(np.max(np.abs(_values(lam0, rho, pts) - _exp_values(lam0, gam0, pts))))
 
 
-def exp_representation_residual(w: RationalHerglotz) -> float:
-    """Max deviation of w from its exponential (shift-function) form.
-
-    After moving the leftmost pole to the origin, the function equals
-    -(1/z) times the product of (gamma_s - z)/(lambda_s - z) over the gaps.
-    Sampled at off-spectrum points.
-    """
-    return _exp_residual(*_shifted(w)[1:], w.residues)
-
-
 def krein(w: RationalHerglotz) -> KreinData:
     """Spectral-shift data of a normalized pole sum.
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Breakdown, InvalidData, NotHerglotz, NotHerglotzInput
-from .jacobi_core import JacobiMatrix, _matrix_distance
-from .rational_weyl import PolyQuotient, RationalHerglotz, to_quotient
-from .spectral_direct import SpectralData, eigen, weyl_from_spectral
+from .jacobi_core import JacobiMatrix
+from .rational_weyl import PolyQuotient, RationalHerglotz
+from .spectral_direct import SpectralData, eigen
 
 
 def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
@@ -92,8 +92,8 @@ def _lanczos(lam: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 u = u - (u @ block.transpose(0, 2, 1)) @ block
             c[:, k] = np.sqrt(u @ u.transpose(0, 2, 1))
             q[:, k + 1 : k + 2] = u / c[:, k]
-    phi = q[:, n - 1 : n]
-    v[:, n - 1] = (lam * phi) @ phi.transpose(0, 2, 1)
+        phi = q[:, n - 1 : n]
+        v[:, n - 1] = (lam * phi) @ phi.transpose(0, 2, 1)
     c = c[:, :-1, 0, 0]
     low = ~(c >= 1e-13)  # a row goes NaN after its breakdown
     if np.any(low):
@@ -101,10 +101,3 @@ def _lanczos(lam: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise Breakdown("orthogonalization norm underflow at step %d" % step)
     return v[:, :, 0, 0], c
 
-
-def roundtrip_error(m: JacobiMatrix) -> float:
-    """Worst entrywise error of both reconstruction routes against ``m``."""
-    sd = eigen(m)
-    cf = stieltjes_reconstruct(to_quotient(weyl_from_spectral(sd)))
-    lz = lanczos_reconstruct(sd)
-    return max(_matrix_distance(cf, m), _matrix_distance(lz, m))

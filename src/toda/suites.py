@@ -187,7 +187,6 @@ def suite_traces(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
         _merge(res, "first_moment_is_v0", abs(float(mom[1]) - float(m.v[0])), 1e-10)
         second = abs(float(mom[2]) - (float(m.v[0]) ** 2 + float(m.c[0]) ** 2))
         _merge(res, "second_moment_entries", second, 1e-10)
-        # exp_representation_residual(w), as krein's self-check read it.
         _merge(res, "exp_representation", kd.exp_residual, 1e-10)
     w1 = _e1_weyl()
     kd1 = krein(w1)

@@ -642,6 +642,30 @@ def test_negative_seed_and_zero_size_exit_two(capsys):
     assert len(run_json(capsys, "spectrum", "--seed", "0", "--N", "1")["lambdas"]) == 1
 
 
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        ("flow --seed 1 --N 4 --t0 -5e-1 --t1 0", "flow --seed 1 --N 4 --t0=-5e-1 --t1 0"),
+        ("flow --seed 0 --N 3 --family T --t1 -2.5E+0", "flow --seed 0 --N 3 --family T --t1=-2.5E+0"),
+        ("bracket --seed 0 --lam -1e1 --mu 9", "bracket --seed 0 --lam=-1e1 --mu 9"),
+        ("bracket --seed 0 --lam -9 --mu -.5e1", "bracket --seed 0 --lam -9 --mu=-.5e1"),
+    ],
+    ids=["flow-t0", "flow-t1", "bracket-lam", "bracket-mu"],
+)
+def test_negative_times_and_points_in_exponent_form(capsys, spaced, joined):
+    """A negative float in exponent form is a value, as in the ``=`` form."""
+    rc, out, err = run(capsys, *spaced.split())
+    assert rc == 0, err
+    assert (rc, out, err) == run(capsys, *joined.split())
+
+
+def test_an_option_after_a_float_option_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--seed", "1", "--N", "4", "--t0", "-x"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_exit_code_three_on_herglotz_failure(capsys):
     rc, _, err = run(capsys, "reconstruct", "--in",
                      '{"p": [0.0, -2.0, 1.0], "q": [1.0, 1.0]}', "--method", "cf")

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from toda import (
-    HFLOW_LAX_TIME_SIGN,
     ActionAngle,
     DivisorQuasimomentum,
     InvalidData,
@@ -23,7 +22,6 @@ from toda import (
     RationalHerglotz,
     StepTooLarge,
     eigen,
-    flaschka,
     flows,
     flow_H,
     flow_T,
@@ -289,7 +287,7 @@ def test_matrix_flow_is_isospectral():
 def test_matrix_flow_conserves_energy():
     """H = (1/2) sum v^2 + sum c^2 is the generating Hamiltonian and is
     conserved by its own flow."""
-    m = flaschka(np.array([0.4, 0.0, -0.6]), np.array([0.2, -0.1, 0.5]))
+    m = JacobiMatrix(np.array([-0.2, 0.1, -0.5]), np.exp([0.2, 0.3]))
     mt, _ = lax_integrate(m, 1.0)
     h0 = 0.5 * np.sum(m.v**2) + np.sum(m.c**2)
     h1 = 0.5 * np.sum(mt.v**2) + np.sum(mt.c**2)
@@ -627,34 +625,3 @@ def test_angle_flow_checks_its_chart_point(lambdas, thetas, match):
     with pytest.raises(InvalidData, match=match):
         theta_flow(np.array(thetas), np.array(lambdas), 2, 0.5)
 
-
-@pytest.mark.parametrize("q", [[0.0, -1500.0], [0.0, 1500.0], [0.0, 0.0, -1400.2], [1e308, -1e308]])
-def test_flaschka_out_of_float64_range_is_overflow(q):
-    """A half gap |q_k - q_{k+1}| / 2 past 700 raises Overflow, with no
-    numpy warning, rather than an overflowed or underflowed coupling."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(Overflow, match="float64"):
-            flaschka(np.array(q), np.zeros(len(q)))
-    m = flaschka(np.array([0.0, 1399.0]), np.zeros(2))  # half gap 699.5 is held
-    assert m.c[0] == np.exp(-699.5) > 0.0
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_flaschka_rejects_values_that_are_not_finite(bad):
-    with pytest.raises(InvalidData, match="finite"):
-        flaschka(np.array([0.0, bad]), np.zeros(2))
-    with pytest.raises(InvalidData, match="finite"):
-        flaschka(np.zeros(2), np.array([bad, 0.0]))
-
-
-def test_flaschka_change_of_variables():
-    m = flaschka(np.array([np.log(4.0), 0.0]), np.array([0.3, -0.7]))
-    np.testing.assert_array_equal(m.v, [-0.3, 0.7])
-    assert m.c[0] == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(InvalidData):
-        flaschka(np.array([0.0, 1.0]), np.array([0.0]))
-
-
-def test_time_sign_convention_is_frozen():
-    assert HFLOW_LAX_TIME_SIGN == 1.0

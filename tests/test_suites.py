@@ -162,11 +162,13 @@ def test_verify_all_computes_each_spectrum_once(monkeypatch, capsys):
 
 
 def test_traces_suite_reads_the_exponential_residual_of_each_sample():
-    """The check's value is exp_representation_residual of the worst sample,
-    bit for bit, though the suite reads it off ``krein``."""
+    """The check's value is the exponential-form residual of the worst
+    sample, recomputed from its shifted poles and divisor, bit for bit,
+    though the suite reads it off ``krein``."""
     for seed, n in ((3, 4), (5, 8)):
         want = max(
-            rational_weyl.exp_representation_residual(w) for _, _, w in suites._samples(seed, n)
+            rational_weyl._exp_residual(*rational_weyl._shifted(w)[1:], w.residues)
+            for _, _, w in suites._samples(seed, n)
         )
         got, _ = suites.suite_traces(seed, n)["exp_representation"]
         assert got == want
