@@ -264,6 +264,20 @@ def test_matrix_flow_matches_spectral_flow():
         np.testing.assert_allclose(evolved.c, exact.c, atol=1e-8)
 
 
+def test_time_sign_convention_is_frozen():
+    """The matrix flow for time t is the residue reweighting at the same t,
+    not at -t, in both directions (fixed by the two-site quadratic flow,
+    where both sides are explicit exponentials)."""
+    m = JacobiMatrix([0.3, -0.4], [0.8])
+    for t in (0.5, -0.5):
+        evolved, _ = lax_integrate(m, t)
+        same = matrix_of(flow_H(weyl(m), 2, t))
+        other = matrix_of(flow_H(weyl(m), 2, -t))
+        np.testing.assert_allclose(evolved.v, same.v, atol=1e-9)
+        np.testing.assert_allclose(evolved.c, same.c, atol=1e-9)
+        assert np.max(np.abs(evolved.v - other.v)) > 0.1
+
+
 def test_matrix_flow_two_site_closed_form():
     """v_0(t) = 2 e^{2t} / (1 + e^{2t}), c_0(t) = sech(t) from the
     symmetric two-site start."""

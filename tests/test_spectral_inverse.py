@@ -86,6 +86,20 @@ def test_lanczos_breakdown_on_degenerate_measure():
         lanczos_reconstruct(sd)
 
 
+def test_roundtrip_error_closed_forms():
+    """Both reconstruction routes return the symmetric two-site matrix to
+    rounding, and the one-site matrix exactly."""
+
+    def roundtrip_error(m):
+        sd = eigen(m)
+        cf = stieltjes_reconstruct(to_quotient(weyl_from_spectral(sd)))
+        lz = lanczos_reconstruct(sd)
+        return max(entry_distance(cf, m), entry_distance(lz, m))
+
+    assert roundtrip_error(JacobiMatrix(np.array([1.0, 1.0]), np.array([1.0]))) <= 1e-12
+    assert roundtrip_error(JacobiMatrix(np.array([0.6]), np.array([]))) == 0.0
+
+
 def test_lanczos_breakdown_raises_no_numpy_warning():
     """A coupling that underflows to zero raises only ``Breakdown``."""
     sd = SpectralData(np.array([0.0, 1e-300]), np.array([0.9999999999, 1e-10]))
