@@ -35,7 +35,6 @@ from .errors import (
     InvalidData,
     NoHerglotzSolution,
     NotHerglotz,
-    NotHerglotzInput,
     TodaError,
 )
 from .flows import _trajectory
@@ -47,7 +46,7 @@ from .spectral_inverse import from_quotient, lanczos_reconstruct, stieltjes_reco
 from .suites import SUITE_NAMES, random_jacobi, run_suites
 
 _VALIDATION_ERRORS = (InvalidData, CoincidentArguments, AtPole)
-_HERGLOTZ_ERRORS = (NotHerglotz, NotHerglotzInput, InterlacingViolated, NoHerglotzSolution)
+_HERGLOTZ_ERRORS = (NotHerglotz, InterlacingViolated, NoHerglotzSolution)
 # argparse reads a token such as "-5e-1" as an option unless it looks like a
 # negative number, which on Python 3.10 and 3.11 means -5 or -1.5 only; the
 # subcommands with float options also read the exponent form as a number.

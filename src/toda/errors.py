@@ -26,10 +26,6 @@ class NotHerglotz(TodaError):
     """A rational function fails positivity: some residue is not positive."""
 
 
-class NotHerglotzInput(TodaError):
-    """Continued-fraction input does not come from a positive spectral measure."""
-
-
 class Breakdown(TodaError):
     """Orthogonalization produced a vector with vanishing norm."""
 

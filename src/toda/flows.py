@@ -77,9 +77,9 @@ def _flow_H_rows(w0: RationalHerglotz, j: int, times: np.ndarray) -> np.ndarray:
     if not 1 <= j <= w0.n:
         raise InvalidData("flow index must lie in 1..N")
     speed = w0.poles ** (j - 1)
-    # A row with a time that is not finite, or past a failing one, may carry
-    # inf * 0 or inf - inf: only the checks read it.
-    with np.errstate(invalid="ignore"):
+    # A row with a time that is not finite, too large, or past a failing one
+    # may overflow or carry inf * 0 or inf - inf: only the checks read it.
+    with np.errstate(over="ignore", invalid="ignore"):
         moves = times[:, None] * speed
         logs = np.log(w0.residues) + moves
         logs -= logs.max(axis=1, keepdims=True)

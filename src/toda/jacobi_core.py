@@ -91,24 +91,6 @@ def _recurrence_table(m: JacobiMatrix, lam, first_kind: bool) -> np.ndarray:
     return out
 
 
-def eval_P(m: JacobiMatrix, lam: float) -> np.ndarray:
-    """First-kind polynomial values P_0..P_N at ``lam``, a read-only array.
-
-    P_N is the monic characteristic polynomial of the matrix.
-    """
-    return _readonly(_recurrence_table(m, float(lam), first_kind=True))
-
-
-def eval_Q(m: JacobiMatrix, lam: float) -> np.ndarray:
-    """Second-kind polynomial values Q_0..Q_N at ``lam``, a read-only array.
-
-    The sequence starts Q_0 = 0, Q_1 = 1/c_0 and obeys the recurrence from
-    the second row on; Q_N is the monic characteristic polynomial of the
-    matrix truncated past its first row and column.
-    """
-    return _readonly(_recurrence_table(m, float(lam), first_kind=False))
-
-
 def truncate(m: JacobiMatrix, k: int, p: int) -> JacobiMatrix:
     """Principal block on rows/columns k..p inclusive."""
     if not (0 <= k <= p < m.n):

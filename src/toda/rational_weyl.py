@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _poly
 from ._poly import _readonly
-from .errors import AtPole, InvalidData, NotHerglotz, NotHerglotzInput, Overflow, TodaError
+from .errors import AtPole, InvalidData, NotHerglotz, Overflow, TodaError
 from .jacobi_core import JacobiMatrix
 
 _NORMALIZATION_TOL = 1e-12
@@ -140,7 +140,7 @@ class PolyQuotient:
     @cached_property
     def _cf_matrix(self) -> tuple[JacobiMatrix, float]:
         """The continued-fraction matrix of -q/p over its total residue
-        q_top/p_top, and that total; ``NotHerglotzInput`` on a nonpositive
+        q_top/p_top, and that total; ``NotHerglotz`` on a nonpositive
         squared coupling.
 
         The division runs at ``_DEC_DIGITS`` digits on the decimal payload,
@@ -269,7 +269,9 @@ def _cf_division(p: list, q: list, m: int):
         r = [p[i] + v0 * q[i] - (q[i - 1] if i else zero) for i in range(step - 1)]
         c2 = -r[step - 2]
         if not c2.is_finite() or c2 <= 0:
-            raise NotHerglotzInput("division produced a nonpositive coupling")
+            raise NotHerglotz(
+                "quotient is not a positive pole sum: division produced a nonpositive coupling"
+            )
         csq[m - step] = float(c2)
         q_next = [ri / (-c2) for ri in r]
         q_next[-1] = Decimal(1)

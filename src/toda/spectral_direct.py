@@ -11,28 +11,23 @@ divisor, whose points interlace the eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jacobi_core
 from ._poly import _EPS, _TINY, _readonly, bracketed_newton, offspectrum_samples
 from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
-from .jacobi_core import JacobiMatrix, eval_P, eval_Q, truncate
+from .jacobi_core import JacobiMatrix, truncate
 from .rational_weyl import Divisor, RationalHerglotz, _values, evaluate
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Simple eigenvalues with positive weights summing to one.
-
-    ``conditioning`` is set when some spectral gap is below 1e-10, warning
-    that derived quantities (divisor, angles) lose accuracy.
-    """
+    """Simple eigenvalues with positive weights summing to one."""
 
     lambdas: np.ndarray
     rhos: np.ndarray
-    conditioning: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", _readonly(self.lambdas))
@@ -182,8 +177,7 @@ def eigen(m: JacobiMatrix) -> SpectralData:
         rho = rho / float(np.sum(rho))
     if not np.all(np.isfinite(rho) & (rho > 0.0)):
         raise PrecisionLimit("weights beyond float64: the recurrence sums overflow")
-    flag = bool(np.any(np.diff(lam) < 1e-10))
-    return SpectralData(lam, rho, conditioning=flag)
+    return SpectralData(lam, rho)
 
 
 def _distinct_eigenvalues(m: JacobiMatrix) -> np.ndarray:
@@ -216,19 +210,19 @@ def spectral_from_weyl(w: RationalHerglotz) -> SpectralData:
     return SpectralData(w.poles, w.residues)
 
 
-def weyl_solution_residual(m: JacobiMatrix, lam: float) -> float:
+def weyl_solution_residual(m: JacobiMatrix, w: RationalHerglotz, lam: float) -> float:
     """Max-norm residual of (L - lam) u = e_0 for the Weyl solution
-    u_n = Q_n + w(lam) P_n, built purely from recurrences and the pole sum."""
-    return _weyl_solution_residual(m, weyl(m), lam)
-
-
-def _weyl_solution_residual(m: JacobiMatrix, w: RationalHerglotz, lam: float) -> float:
-    """``weyl_solution_residual`` with w = weyl(m) already at hand."""
+    u_n = Q_n + w(lam) P_n, built purely from recurrences and the pole sum
+    w; at rounding level exactly when w is the Weyl function of m."""
     lam = float(lam)
     if np.min(np.abs(lam - w.poles)) < 1e-12:
         raise AtPole("the Weyl solution has a pole on the spectrum")
     wv = evaluate(w, lam)
-    u = eval_Q(m, lam)[: m.n] + wv * eval_P(m, lam)[: m.n]
+    n = m.n
+    u = (
+        jacobi_core._recurrence_table(m, lam, first_kind=False)[:n]
+        + wv * jacobi_core._recurrence_table(m, lam, first_kind=True)[:n]
+    )
     r = m.matvec(u) - lam * u
     r[0] -= 1.0
     return float(np.max(np.abs(r)))
@@ -251,22 +245,17 @@ def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
     return float(np.max(np.abs(step))) / top
 
 
-def gluing_check(m: JacobiMatrix) -> float:
-    """Consistency of the pole sum with the recurrence polynomials.
+def gluing_check(m: JacobiMatrix, w: RationalHerglotz) -> float:
+    """Consistency of the pole sum w with the recurrence polynomials of m.
 
-    Each pole of the Weyl function is an eigenvalue, so P_N must vanish
-    there: the pole check is ``_pole_residual``.  Off the spectrum the
-    defining identity Q_N + w P_N = 0 is sampled at 16 points, with the
-    deviation taken relative to the larger participating term (the
-    recurrence values grow rapidly off the spectrum, so an absolute
-    deviation would only measure their float64 magnitude).  Returns the
-    worst deviation over both checks; 0.0 for a 1x1 matrix.
+    If w is the Weyl function of m, each pole is an eigenvalue, so P_N
+    must vanish there: the pole check is ``_pole_residual``.  Off the
+    spectrum the defining identity Q_N + w P_N = 0 is sampled at 16
+    points, with the deviation taken relative to the larger participating
+    term (the recurrence values grow rapidly off the spectrum, so an
+    absolute deviation would only measure their float64 magnitude).
+    Returns the worst deviation over both checks; 0.0 for a 1x1 matrix.
     """
-    return _gluing_check(m, weyl(m))
-
-
-def _gluing_check(m: JacobiMatrix, w: RationalHerglotz) -> float:
-    """``gluing_check`` with w = weyl(m) already at hand."""
     n = m.n
     if n == 1:
         return 0.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Breakdown, InvalidData, NotHerglotz, NotHerglotzInput
+from .errors import Breakdown, InvalidData, NotHerglotz
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import PolyQuotient, RationalHerglotz
 from .spectral_direct import SpectralData, eigen
@@ -48,10 +48,7 @@ def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
     """
     if not pq.q[-1] > 0.0:
         raise NotHerglotz("quotient has a nonpositive total residue")
-    try:
-        m, total = pq._cf_matrix
-    except NotHerglotzInput as exc:
-        raise NotHerglotz("quotient is not a positive pole sum: %s" % exc) from exc
+    m, total = pq._cf_matrix
     sd = eigen(m)
     return RationalHerglotz(sd.lambdas, sd.rhos * total)
 

@@ -59,12 +59,12 @@ from .rational_weyl import (
 )
 from .spectral_direct import (
     SpectralData,
-    _gluing_check,
-    _weyl_solution_residual,
     eigen,
+    gluing_check,
     spectral_from_weyl,
     weyl,
     weyl_from_spectral,
+    weyl_solution_residual,
 )
 from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
 
@@ -161,8 +161,8 @@ def suite_roundtrip(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]
         dp = npoly.polyder(pq.p)
         unity = np.sum(npoly.polyval(sd.lambdas, pq.q) / npoly.polyval(sd.lambdas, dp))
         _merge(res, "partition_of_unity", abs(float(unity) - 1.0), 1e-10)
-        _merge(res, "weyl_solution", _weyl_solution_residual(m, w, _offpoint(sd.lambdas)), 1e-9)
-        _merge(res, "gluing", _gluing_check(m, w), 1e-9)
+        _merge(res, "weyl_solution", weyl_solution_residual(m, w, _offpoint(sd.lambdas)), 1e-9)
+        _merge(res, "gluing", gluing_check(m, w), 1e-9)
     return res
 
 

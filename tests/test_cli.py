@@ -674,6 +674,22 @@ def test_exit_code_three_on_herglotz_failure(capsys):
     assert rc == 3 and "error" in err
 
 
+def test_a_quotient_that_is_no_pole_sum_prints_one_line_by_every_method(capsys):
+    """The cf division raises the same class and line for every method."""
+    doc = '{"p": [1, 0, 1], "q": [-1, 1]}'
+    line = "error: quotient is not a positive pole sum: division produced a nonpositive coupling\n"
+    for method in ("cf", "lanczos", "both"):
+        assert run(capsys, "reconstruct", "--in", doc, "--method", method) == (3, "", line)
+
+
+@pytest.mark.parametrize("times", [("--t1", "1e308"), ("--t0", "-1e308", "--t1", "0")])
+def test_overflowing_flow_time_prints_only_the_error(capsys, times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "flow", "--seed", "1", "--N", "4", *times)
+    assert (rc, out, err) == (1, "", "error: flow time too large for stable reweighting\n")
+
+
 def test_exit_code_one_on_precision_limit(capsys):
     """Valid data beyond float64, with no warning escaping: Wilkinson's W23,
     where two eigenvalues round together, and N = 400, where the weight

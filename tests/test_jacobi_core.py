@@ -8,7 +8,7 @@ of lam*I - L, plus dense determinants and matrix powers from numpy.
 import numpy as np
 import pytest
 
-from toda import InvalidData, JacobiMatrix, eval_P, eval_Q, moments, truncate
+from toda import InvalidData, JacobiMatrix, moments, truncate
 from toda.jacobi_core import _recurrence_table
 
 
@@ -75,7 +75,7 @@ def test_first_kind_values_match_determinant_recursion():
     for n in (2, 3, 5, 7):
         m = random_matrix(rng, n)
         for lam in (-2.0, -0.3, 0.9, 2.7):
-            p = eval_P(m, lam)
+            p = _recurrence_table(m, lam, True)
             d = minor_dets(m, lam)
             scale = np.concatenate(([1.0], np.cumprod(m.c)))
             np.testing.assert_allclose(p[:n] * scale, d[:n], rtol=1e-10, atol=1e-10)
@@ -90,7 +90,7 @@ def test_last_first_kind_value_is_characteristic_polynomial():
         m = random_matrix(rng, n)
         for lam in (-1.7, 0.2, 3.1):
             det = np.linalg.det(lam * np.eye(n) - m.as_dense())
-            assert eval_P(m, lam)[n] == pytest.approx(det, rel=1e-9, abs=1e-9)
+            assert _recurrence_table(m, lam, True)[n] == pytest.approx(det, rel=1e-9, abs=1e-9)
 
 
 def test_second_kind_values_match_truncated_determinants():
@@ -100,7 +100,7 @@ def test_second_kind_values_match_truncated_determinants():
         m = random_matrix(rng, n)
         dense = m.as_dense()
         for lam in (-2.1, 0.4, 1.9):
-            q = eval_Q(m, lam)
+            q = _recurrence_table(m, lam, False)
             scale = np.concatenate(([1.0], np.cumprod(m.c)))
             assert q[0] == 0.0
             for k in range(1, n):
@@ -115,27 +115,14 @@ def test_second_kind_values_match_truncated_determinants():
 def test_two_site_values_at_zero():
     """For v=(1,1), c=(1): P(0) = (1,-1,0) and Q(0) = (0,1,-1)."""
     m = JacobiMatrix(np.array([1.0, 1.0]), np.array([1.0]))
-    np.testing.assert_allclose(eval_P(m, 0.0), [1.0, -1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(eval_Q(m, 0.0), [0.0, 1.0, -1.0], atol=1e-15)
-
-
-def test_polynomial_values_are_read_only_arrays_of_the_table():
-    rng = np.random.default_rng(9)
-    for n in (1, 2, 5):
-        m = random_matrix(rng, n)
-        for ev, first_kind in ((eval_P, True), (eval_Q, False)):
-            vals = ev(m, 0.5)
-            assert isinstance(vals, np.ndarray) and vals.dtype == np.float64
-            assert vals.shape == (n + 1,) and not vals.flags.writeable
-            np.testing.assert_array_equal(vals, _recurrence_table(m, 0.5, first_kind))
-            with pytest.raises(ValueError):
-                vals[0] = 2.0
+    np.testing.assert_allclose(_recurrence_table(m, 0.0, True), [1.0, -1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(_recurrence_table(m, 0.0, False), [0.0, 1.0, -1.0], atol=1e-15)
 
 
 def test_single_site_polynomials():
     m = JacobiMatrix(np.array([2.5]), np.array([]))
-    assert eval_P(m, 4.0)[1] == pytest.approx(1.5)
-    assert eval_Q(m, 4.0)[1] == pytest.approx(1.0)  # 1/closing_c with empty product
+    assert _recurrence_table(m, 4.0, True)[1] == pytest.approx(1.5)
+    assert _recurrence_table(m, 4.0, False)[1] == pytest.approx(1.0)  # 1/closing_c with empty product
 
 
 def test_truncate_selects_principal_block():

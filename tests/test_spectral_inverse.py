@@ -16,7 +16,7 @@ from toda import (
     Breakdown,
     InvalidData,
     JacobiMatrix,
-    NotHerglotzInput,
+    NotHerglotz,
     RationalHerglotz,
     SpectralData,
     eigen,
@@ -58,7 +58,7 @@ def test_stieltjes_closed_form_divisions():
 
 def test_stieltjes_rejects_nonpositive_coupling():
     """q = z+1 gives residue -1/2 at the pole 0; division must refuse."""
-    with pytest.raises(NotHerglotzInput):
+    with pytest.raises(NotHerglotz):
         stieltjes_reconstruct(PolyQuotient(p=np.array([0.0, -2.0, 1.0]), q=np.array([1.0, 1.0])))
 
 
