@@ -358,7 +358,8 @@ def _block_drift(
 ) -> float:
     """Largest |eigenvalue - lambda| over the matrices with diagonals v[b]
     and off-diagonals c[b], by Newton sweeps over the whole stack started
-    from ``lam``; rows Newton cannot vouch for go to ``_eigenvalues``."""
+    from ``lam``; the rows Newton cannot vouch for go to ``_eigenvalues``
+    together, as one stack, each row bitwise its own Sturm-certified solve."""
     x = np.tile(lam, (v.shape[0], 1))
     live = np.arange(v.shape[0])  # rows still iterating
     lost = np.zeros(v.shape[0], dtype=bool)
@@ -373,7 +374,7 @@ def _block_drift(
         if not live.size:
             break
     lost[live] = True
-    for b in np.flatnonzero(lost):
-        x[b] = _eigenvalues(v[b], c[b])
+    if lost.any():
+        x[lost] = _eigenvalues(v[lost], c[lost])
     return float(np.max(np.abs(np.sort(x, axis=1) - lam)))
 

@@ -236,6 +236,21 @@ def _zeros(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _poly.secular_roots(lam, rho, 0.0, 0.0, lo, hi, np.abs(lam).max(-1, keepdims=True))
 
 
+def _keep_zeros(ws) -> None:
+    """Solve the divisors of pole sums of one size as one ``_zeros`` stack
+    and keep each row on its pole sum, where ``zeros`` reads it: each row is
+    bitwise the solve ``zeros`` makes alone.  A stack that fails keeps
+    nothing, so each pole sum solves on first use and raises where it
+    would have."""
+    try:
+        gam = _zeros(np.array([w.poles for w in ws]), np.array([w.residues for w in ws]))
+        divisors = [Divisor(row) for row in gam]
+    except TodaError:
+        return
+    for w, divisor in zip(ws, divisors):
+        w.__dict__["_divisor"] = divisor  # the slot of the cached property
+
+
 def _dec_quotient(lam: np.ndarray, rho: np.ndarray):
     """Decimal coefficients of p = prod (x - lam_k) and q = sum_k rho_k p/(x - lam_k).
 

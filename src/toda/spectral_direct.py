@@ -5,17 +5,20 @@ factorization): one sweep at the top nodes of the bisection tree brackets
 every eigenvalue at once (multisection), bisection goes on only where
 eigenvalues still share a cell, and bracketed Newton on the same pivots
 finishes; weights are reciprocal sums of squared first-kind polynomial
-values.  The matrix with its first row and column removed supplies the
-divisor, whose points interlace the eigenvalues.
+values.  Both kernels also take a stack of matrices of one size
+(``_spectra``), each row bitwise its own ``eigen``.  The matrix with its
+first row and column removed supplies the divisor, whose points interlace
+the eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi_core
+from . import _poly, jacobi_core
 from ._poly import _EPS, _TINY, _readonly, bracketed_newton, offspectrum_samples
 from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
 from .jacobi_core import JacobiMatrix, truncate
@@ -60,33 +63,52 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
 
     A stack of B matrices (v of shape (B, N), c of shape (B, N - 1)) is
     swept in one pass at points x of shape (B, K), matrix b at x[b]; counts
-    and steps then have shape (B, K), and the pivot floor is set by the
-    largest coupling in the stack.
+    and steps then have shape (B, K).  Each row takes its pivot floor and
+    its rounding level from its own largest entries, so a row of a stack is
+    its own sweep, bit for bit.
     """
     if v.ndim == 1:
         c2 = (c * c).tolist()  # Python floats keep the site loop cheap
         scale = max(c2, default=1.0)
-        weak = _EPS * (float(np.abs(v).max()) + 2.0 * scale**0.5)
+        weak = _EPS * (float(np.abs(v).max()) + 2.0 * math.sqrt(scale))
+        pivmin = (_TINY / _EPS) * max(1.0, scale)
         piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
     else:
         c2 = c * c
         top = c2.max(1, keepdims=True, initial=0.0)
         weak = _EPS * (np.abs(v).max(1, keepdims=True) + 2.0 * np.sqrt(top))
+        pivmin = (_TINY / _EPS) * np.maximum(1.0, top)  # row b's floor
+        pivtop = float(pivmin.max())
         c2 = c2.T[:, :, None]  # c2[k]: column of c_k^2 over the stack
-        scale = float(top.max())
         piv = v.T[:, :, None] - x  # piv[k, b]: v_bk - x[b]
-    pivmin = (_TINY / _EPS) * max(1.0, scale)
+    # A pivot below the floor becomes -pivmin.
     ratio = np.empty_like(piv)  # row k: d_k'/d_k
-    piv[0][np.abs(piv[0]) < pivmin] = -pivmin
+    if v.ndim == 1:
+        piv[0][np.abs(piv[0]) < pivmin] = -pivmin
+    else:
+        _floor_rows(piv[0], pivmin, pivtop)
     np.divide(-1.0, piv[0], out=ratio[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(1, v.shape[-1]):
             r = c2[k - 1] / piv[k - 1]
             piv[k] -= r
-            piv[k][np.abs(piv[k]) < pivmin] = -pivmin
+            if v.ndim == 1:
+                piv[k][np.abs(piv[k]) < pivmin] = -pivmin
+            else:
+                _floor_rows(piv[k], pivmin, pivtop)
             np.divide(r * ratio[k - 1] - 1.0, piv[k], out=ratio[k])
         step = np.where((np.abs(piv[:-1]) > weak).all(0), 1.0 / ratio.sum(0), np.nan)
     return (piv < 0.0).sum(0), step
+
+
+def _floor_rows(d: np.ndarray, pivmin: np.ndarray, pivtop: float) -> None:
+    """Set each pivot of the stack d (B, K) below its row's floor (pivmin,
+    shape (B, 1)) in magnitude to minus that floor.  One compare with the
+    largest floor ``pivtop``, a scalar, finds the candidates; the rows' own
+    floors are read only when there are any, which is rare."""
+    low = np.abs(d) < pivtop
+    if low.any():
+        np.copyto(d, -pivmin, where=low & (np.abs(d) < pivmin))
 
 
 def _nudged_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray, nudge: float) -> tuple:
@@ -117,30 +139,71 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     each is alone (or to 1e-14 * max(1, |lambda|) for a pair too close to
     split).  Bracketed Newton then takes its side from the count and its
     step from the pivots.
+
+    A stack (v of shape (B, N), c of shape (B, N - 1)) is solved in one
+    pass per tree depth, with every sweep, bisection step and Newton step
+    taken on all the rows of that depth at once; each row stops where it
+    would alone and is its own solve, bit for bit.  A row that hits an
+    iteration cap raises ``ConvergenceFailure`` for the whole stack.
     """
-    n = v.size
-    reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
-    lo0 = float(np.min(v - reach))
-    hi0 = float(np.max(v + reach))
-    pad = 1e-6 * max(1.0, hi0 - lo0)
+    n = v.shape[-1]
+    deepest = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
+    if v.ndim == 1:
+        reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
+        lo0 = float(np.min(v - reach))
+        hi0 = float(np.max(v + reach))
+        pad = 1e-6 * max(1.0, hi0 - lo0)
+        a, b = lo0 - pad, hi0 + pad
+        # No level may reach bisection's 1e-14 floor below (twice it covers
+        # the rounding of the midpoints): a cluster then bisects on from the
+        # bracket that bisection from [a, b] would have reached.
+        levels = deepest
+        while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
+            levels -= 1
+        return _bracket_and_refine(v, c, np.array([a, b]), levels, max(abs(lo0), abs(hi0)))
+    edge = np.zeros((v.shape[0], 1))
+    reach = np.concatenate((c, edge), 1) + np.concatenate((edge, c), 1)
+    lo0, hi0 = np.min(v - reach, 1), np.max(v + reach, 1)
+    pad = 1e-6 * np.maximum(1.0, hi0 - lo0)
     a, b = lo0 - pad, hi0 + pad
-    levels = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
-    # No level may reach bisection's 1e-14 floor below (twice it covers the
-    # rounding of the midpoints): a cluster then bisects on from the bracket
-    # that bisection from [a, b] would have reached.
-    while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
-        levels -= 1
-    grid = np.array([a, b])
+    # The loop above, row by row: the cell widths (b - a) / 2^l shrink
+    # exactly, so the levels that reach the floor are the deepest few.
+    crowded = np.multiply.outer(b - a, 0.5 ** np.arange(1, deepest + 1)) <= (
+        2e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    )[:, None]
+    depth = deepest - crowded.sum(1)
+    scale = np.maximum(np.abs(lo0), np.abs(hi0))[:, None]
+    grid = np.stack((a, b), 1)
+    lam = np.empty(v.shape)
+    for levels in sorted(set(depth.tolist())):  # np.unique would import numpy.ma
+        rows = depth == levels
+        lam[rows] = _bracket_and_refine(v[rows], c[rows], grid[rows], levels, scale[rows])
+    return lam
+
+
+def _bracket_and_refine(v, c, grid: np.ndarray, levels: int, scale) -> np.ndarray:
+    """``_eigenvalues`` past its bounds: the multisection grid of ``levels``
+    levels on grid = [a, b], the cell lookup, bisection and Newton, on one
+    matrix or on a stack of matrices of one depth (grid of shape (B, 2),
+    ``scale`` of shape (B, 1))."""
+    n = v.shape[-1]
     for _ in range(levels):
-        finer = np.empty(2 * grid.size - 1)
-        finer[::2] = grid
-        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
+        finer = np.empty(grid.shape[:-1] + (2 * grid.shape[-1] - 1,))
+        finer[..., ::2] = grid
+        finer[..., 1::2] = 0.5 * (grid[..., :-1] + grid[..., 1:])
         grid = finer
-    counts = np.concatenate(([0], _pivot_sweep(v, c, grid[1:-1])[0], [n]))
+    counts = np.empty(grid.shape, dtype=np.intp)
+    counts[..., 0], counts[..., -1] = 0, n
+    counts[..., 1:-1] = _pivot_sweep(v, c, grid[..., 1:-1])[0]
     # count(lo) < want <= count(hi): eigenvalue want - 1 lies in [lo, hi].
     # The computed count never falls as x grows, so a search finds the cell.
     want = np.arange(1, n + 1)
-    cell = np.searchsorted(counts, want)
+    if counts.ndim == 1:
+        cell = np.searchsorted(counts, want)
+    else:  # the rows end to end, row r lifted by r (n + 1): one sorted run
+        lift = (n + 1) * np.arange(counts.shape[0])[:, None]
+        cell = np.searchsorted((counts + lift).ravel(), want + lift)
+    grid, counts = grid.ravel(), counts.ravel()
     lo, hi, clo, chi = grid[cell - 1], grid[cell], counts[cell - 1], counts[cell]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -160,24 +223,53 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
         cnt, step = _pivot_sweep(v, c, x)
         return step, cnt >= want
 
-    return bracketed_newton(step_side, lo, hi, scale=max(abs(lo0), abs(hi0)))
+    return bracketed_newton(step_side, lo, hi, scale=scale)
+
+
+def _weights(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Weights 1 / sum_k P_k(lambda)^2 at the eigenvalues ``lam``, from the
+    forward recurrence of the first-kind polynomials P_0..P_{N-1}, and
+    projected onto sum rho = 1; of one matrix, or of each row of a stack
+    (v, lam of shape (B, N), c of shape (B, N - 1)).  Entries past float64
+    come out as inf, NaN or 0 without a warning."""
+    n = v.shape[-1]
+    v, c = v.T[..., None], c.T[..., None]  # v[k]: v_k over the stack
+    p = np.empty((n,) + lam.shape)  # p[k]: P_k at each eigenvalue
+    p[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if n > 1:
+            p[1] = (lam - v[0]) / c[0]
+        for k in range(1, n - 1):
+            p[k + 1] = ((lam - v[k]) * p[k] - c[k - 1] * p[k - 1]) / c[k]
+        rho = 1.0 / (p**2).sum(axis=0)
+        # The weights satisfy sum rho = 1 identically; project the rounding
+        # drift of the recurrence sums back onto that constraint.
+        return rho / rho.sum(-1, keepdims=True)
+
+
+def _spectra(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and weights of the matrix with diagonal v and
+    off-diagonal c, or of each row of a stack of them (v of shape (B, N)).
+    Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
+    raise ``PrecisionLimit``, and so do weights whose recurrence sums
+    overflow (the documented random family from N of about 300); a stack
+    raises what its lowest failing row raises alone."""
+    lam = v.copy() if v.shape[-1] == 1 else _eigenvalues(v, c)
+    rho = _weights(v, c, lam)
+    _poly._raise_lowest(
+        (~(np.diff(lam) > 0.0).all(-1), PrecisionLimit,
+         "eigenvalues closer than float64 can separate"),
+        (~(np.isfinite(rho) & (rho > 0.0)).all(-1), PrecisionLimit,
+         "weights beyond float64: the recurrence sums overflow"),
+    )
+    return lam, rho
 
 
 def eigen(m: JacobiMatrix) -> SpectralData:
-    """Full spectral data of the matrix: ``_eigenvalues`` and their weights.
-    Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
-    raise ``PrecisionLimit``, and so do weights whose recurrence sums
-    overflow (the documented random family from N of about 300)."""
-    lam = _distinct_eigenvalues(m)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = jacobi_core._recurrence_table(m, lam, first_kind=True)
-        rho = 1.0 / (table[:-1] ** 2).sum(axis=0)
-        # The weights satisfy sum rho = 1 identically; project the rounding
-        # drift of the recurrence sums back onto that constraint.
-        rho = rho / float(np.sum(rho))
-    if not np.all(np.isfinite(rho) & (rho > 0.0)):
-        raise PrecisionLimit("weights beyond float64: the recurrence sums overflow")
-    return SpectralData(lam, rho)
+    """Full spectral data of the matrix: its ``_eigenvalues`` and their
+    ``_weights``, with the ``PrecisionLimit`` checks of ``_spectra``, which
+    solves a stack of matrices the same way, each row bitwise its ``eigen``."""
+    return SpectralData(*_spectra(m.v, m.c))
 
 
 def _distinct_eigenvalues(m: JacobiMatrix) -> np.ndarray:

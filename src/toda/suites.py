@@ -8,14 +8,16 @@ The suites mirror the package's invariants: reconstruction roundtrips,
 trace-formula agreement, bracket closed forms against the tensor route,
 canonical coordinate relations, the dual-data identities, and the flow
 cross-validations.  The roundtrip and traces suites check the same seeded
-matrices: they share one memoized draw (``_samples``), so each spectrum
-and Weyl function is computed once per seed and size.  Checks run
-sequentially, for deterministic accumulation.
+matrices: they share one memoized draw (``_samples``), solved as one
+stack per size, so each spectrum, divisor and Weyl function is computed
+once per seed and size.  Checks run sequentially, for deterministic
+accumulation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -29,7 +31,7 @@ from .coordinates import (
     w_from_gamma,
     w_from_theta,
 )
-from .errors import InvalidData
+from .errors import Breakdown, InvalidData
 from .flows import flow_H, flow_T, lax_integrate, theta_flow
 from .jacobi_core import JacobiMatrix, _matrix_distance, moments
 from .poisson import (
@@ -50,6 +52,7 @@ from .poisson import (
 )
 from .rational_weyl import (
     RationalHerglotz,
+    _keep_zeros,
     evaluate,
     krein,
     to_quotient,
@@ -59,6 +62,7 @@ from .rational_weyl import (
 )
 from .spectral_direct import (
     SpectralData,
+    _spectra,
     eigen,
     gluing_check,
     spectral_from_weyl,
@@ -66,7 +70,7 @@ from .spectral_direct import (
     weyl_from_spectral,
     weyl_solution_residual,
 )
-from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
+from .spectral_inverse import _lanczos, lanczos_reconstruct, stieltjes_reconstruct
 
 SUITE_NAMES = ("roundtrip", "traces", "brackets", "canonical", "dual", "flows")
 
@@ -126,6 +130,12 @@ def _samples(
     size in {2, 3, n} drawn from ``seed``, each with its spectral
     data and Weyl function.
 
+    The four matrices of a size are solved as one stack: one ``_spectra``
+    call gives their spectra, and one ``_zeros`` call their divisors, which
+    each Weyl function keeps (``rational_weyl._keep_zeros``).  Every row is
+    bitwise the ``eigen`` and ``zeros`` of its own matrix, and a stack that
+    fails raises what its first failing matrix raises alone.
+
     Only the last (seed, n) is kept, so a ``verify`` run computes each
     spectrum once.  The records are frozen and their arrays read-only, so
     the suites can share them.
@@ -133,21 +143,41 @@ def _samples(
     rng = np.random.default_rng(seed)
     out = []
     for size in sorted({2, 3, n}):
-        for _ in range(4):
-            m = random_jacobi(rng, size)
-            sd = eigen(m)
-            out.append((m, sd, weyl_from_spectral(sd)))
+        ms = [random_jacobi(rng, size) for _ in range(4)]
+        lam, rho = _spectra(np.array([m.v for m in ms]), np.array([m.c for m in ms]))
+        sds = [SpectralData(*row) for row in zip(lam, rho)]
+        ws = [weyl_from_spectral(sd) for sd in sds]
+        _keep_zeros(ws)
+        out += zip(ms, sds, ws)
     return tuple(out)
+
+
+def _lanczos_rows(samples) -> list:
+    """The entries (v, c) that ``lanczos_reconstruct`` gives each sample,
+    from one ``_lanczos`` call per size.  A size whose stack breaks down
+    gives None for each of its samples, which then invert alone in their
+    turn, so the first to break down raises where its own call would."""
+    rows: list = []
+    for _, group in groupby(samples, key=lambda sample: sample[0].n):
+        sds = [sd for _, sd, _ in group]
+        try:
+            v, c = _lanczos(np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds]))
+        except Breakdown:
+            rows += [None] * len(sds)
+        else:
+            rows += zip(v, c)
+    return rows
 
 
 def suite_roundtrip(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Reconstruction roundtrips, normalization, interlacing, and the
     partition-of-unity identity for the quotient numerator."""
     res: dict[str, tuple[float, float]] = {}
-    for m, sd, w in _samples(seed, n):
+    samples = _samples(seed, n)
+    for (m, sd, w), lz in zip(samples, _lanczos_rows(samples)):
         pq = to_quotient(w)
         m_cf = stieltjes_reconstruct(pq)
-        m_lz = lanczos_reconstruct(sd)
+        m_lz = lanczos_reconstruct(sd) if lz is None else JacobiMatrix(*lz)
         _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf), 1e-8)
         _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz), 1e-8)
         _merge(res, "methods_agree", _matrix_distance(m_cf, m_lz), 1e-8)

@@ -581,6 +581,31 @@ def test_audit_falls_back_inside_tight_clusters(monkeypatch):
     assert fallbacks[0] > 0
 
 
+def test_audit_fallback_solves_its_rows_as_one_stack(monkeypatch):
+    """The rows Newton cannot vouch for go to the Sturm-certified solve as
+    one stack (24 rows in one call at t = -0.5, where a loop over them
+    made 24 calls), and give the matrix and drift of a solve row by row,
+    bit for bit."""
+    m = JacobiMatrix([0.0, 2.0, 1.0, 0.0, 2.0, 1.0], [9.3e-11, 2.1e-7, 2.2e-6, 1.6e-7, 1.2e-8])
+    stacks = []
+
+    def recording(v, c):
+        stacks.append(v.shape)
+        return spectral_direct._eigenvalues(v, c)
+
+    def row_by_row(v, c):
+        return np.array([spectral_direct._eigenvalues(v[b], c[b]) for b in range(len(v))])
+
+    monkeypatch.setattr(flows, "_eigenvalues", recording)
+    mt, drift = lax_integrate(m, -0.5)
+    assert stacks == [(24, 6)]
+    monkeypatch.setattr(flows, "_eigenvalues", row_by_row)
+    want, want_drift = lax_integrate(m, -0.5)
+    np.testing.assert_array_equal(mt.v, want.v)
+    np.testing.assert_array_equal(mt.c, want.c)
+    assert drift == want_drift
+
+
 def test_matrix_flow_single_site_is_static():
     m = JacobiMatrix([0.7], [])
     mt, drift = lax_integrate(m, 0.5)

@@ -11,6 +11,7 @@ from numpy.polynomial import polynomial as npoly
 
 from toda import (
     AtPole,
+    ConvergenceFailure,
     Divisor,
     InvalidData,
     JacobiMatrix,
@@ -200,6 +201,41 @@ def test_divisor_is_solved_once(monkeypatch):
     calls.clear()
     zeros(RationalHerglotz(w.poles, w.residues))
     assert len(calls) == 1
+
+
+def test_kept_stack_rows_are_the_divisors_zeros_solves(monkeypatch):
+    """``_keep_zeros`` solves pole sums of one size as one stack and keeps
+    each row, bitwise what ``zeros`` solves alone, so no reader solves
+    again; a stack that fails keeps nothing, and each pole sum then solves
+    alone on first use."""
+    rng = np.random.default_rng(40)
+    ws = [random_w(rng, 6) for _ in range(5)]
+    rational_weyl._keep_zeros(ws)
+    calls = []
+    solve = rational_weyl._zeros
+
+    def counting(lam, rho):
+        calls.append(lam.shape)
+        return solve(lam, rho)
+
+    monkeypatch.setattr(rational_weyl, "_zeros", counting)
+    for w in ws:
+        krein(w)
+        alone = zeros(RationalHerglotz(w.poles, w.residues))
+        np.testing.assert_array_equal(zeros(w).gammas, alone.gammas)
+    assert calls == [(6,)] * 5
+
+    def failing(lam, rho):
+        raise ConvergenceFailure("bracketed Newton hit the iteration cap")
+
+    fresh = [RationalHerglotz(w.poles, w.residues) for w in ws]
+    monkeypatch.setattr(rational_weyl, "_zeros", failing)
+    rational_weyl._keep_zeros(fresh)
+    monkeypatch.setattr(rational_weyl, "_zeros", counting)
+    calls.clear()
+    for w, kept in zip(fresh, ws):
+        np.testing.assert_array_equal(zeros(w).gammas, zeros(kept).gammas)
+    assert calls == [(6,)] * 5
 
 
 def test_divisor_and_krein_data_are_read_only():

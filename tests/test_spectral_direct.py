@@ -30,6 +30,7 @@ from toda import (
 )
 from families import krawtchouk
 from toda._poly import bracketed_newton, offspectrum_samples
+from toda.jacobi_core import _recurrence_table
 
 
 def random_matrix(rng, n):
@@ -398,6 +399,36 @@ def test_stacked_sweep_matches_row_by_row_sweeps():
             want_cnt, want_step = spectral_direct._pivot_sweep(v[b], c[b], x[b])
             np.testing.assert_array_equal(cnt[b], want_cnt)
             np.testing.assert_array_equal(step[b], want_step)
+
+
+def test_stacked_sweep_floors_each_row_by_its_own_couplings():
+    """Rows with couplings up to 1 and 1e3 have pivot floors of about
+    1e-292 and 1e-286; the last pivot of the first row at x = 0 is about
+    1e-289, between them.  Each row keeps its own floor, so the stack counts
+    and steps as the rows do alone (under the larger floor that pivot would
+    turn negative and count an eigenvalue below 0)."""
+    v = np.array([[2.0, 1.5, 1e-289], [0.2, 0.0, 0.1]])
+    c = np.array([[1.0, 1e-150], [1e3, 2.0]])
+    x = np.array([[0.0, 3.0], [0.3, -0.6]])
+    cnt, step = spectral_direct._pivot_sweep(v, c, x)
+    for b in range(2):
+        want_cnt, want_step = spectral_direct._pivot_sweep(v[b], c[b], x[b])
+        np.testing.assert_array_equal(cnt[b], want_cnt)
+        np.testing.assert_array_equal(step[b], want_step)
+    assert cnt[0, 0] == 0
+
+
+def test_eigen_weights_are_the_recurrence_table_weights_bitwise():
+    """``eigen``'s weights kernel is the first-kind recurrence table route it
+    replaced, bit for bit, on sizes 1 to 64."""
+    rng = np.random.default_rng(54)
+    for n in range(1, 65):
+        m = random_jacobi(rng, n)
+        sd = eigen(m)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            table = _recurrence_table(m, sd.lambdas, first_kind=True)
+        rho = 1.0 / (table[:-1] ** 2).sum(axis=0)
+        np.testing.assert_array_equal(sd.rhos, rho / float(np.sum(rho)))
 
 
 def _bisected_eigenvalues(v, c):

@@ -1,7 +1,10 @@
 """Tests for the named verification suites and their random generators."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from toda import (
     CHART_RESTRICTED,
@@ -172,3 +175,131 @@ def test_traces_suite_reads_the_exponential_residual_of_each_sample():
         )
         got, _ = suites.suite_traces(seed, n)["exp_representation"]
         assert got == want
+
+
+@lru_cache(maxsize=1)
+def _per_sample_draw(seed, n):
+    """``suites._samples`` as it was before the stacks: each matrix solved
+    by its own ``eigen`` as it was drawn, each divisor by its own ``zeros``
+    on first use.  Kept frozen, with the two suites below, as the oracle of
+    the stacked suites' reports."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for size in sorted({2, 3, n}):
+        for _ in range(4):
+            m = random_jacobi(rng, size)
+            sd = spectral_direct.eigen(m)
+            out.append((m, sd, spectral_direct.weyl_from_spectral(sd)))
+    return tuple(out)
+
+
+def _per_sample_roundtrip(seed, n):
+    res = {}
+    for m, sd, w in _per_sample_draw(seed, n):
+        pq = rational_weyl.to_quotient(w)
+        m_cf = spectral_inverse.stieltjes_reconstruct(pq)
+        m_lz = spectral_inverse.lanczos_reconstruct(sd)
+        suites._merge(res, "stieltjes_roundtrip", suites._matrix_distance(m, m_cf), 1e-8)
+        suites._merge(res, "lanczos_roundtrip", suites._matrix_distance(m, m_lz), 1e-8)
+        suites._merge(res, "methods_agree", suites._matrix_distance(m_cf, m_lz), 1e-8)
+        suites._merge(res, "residue_normalization", abs(float(np.sum(sd.rhos)) - 1.0), 1e-12)
+        gam = rational_weyl.zeros(w).gammas
+        viol = max(
+            float(np.max(sd.lambdas[:-1] - gam)),
+            float(np.max(gam - sd.lambdas[1:])),
+        )
+        suites._merge(res, "interlacing", max(0.0, viol), 0.0)
+        dp = npoly.polyder(pq.p)
+        unity = np.sum(npoly.polyval(sd.lambdas, pq.q) / npoly.polyval(sd.lambdas, dp))
+        suites._merge(res, "partition_of_unity", abs(float(unity) - 1.0), 1e-10)
+        resid = spectral_direct.weyl_solution_residual(m, w, suites._offpoint(sd.lambdas))
+        suites._merge(res, "weyl_solution", resid, 1e-9)
+        suites._merge(res, "gluing", spectral_direct.gluing_check(m, w), 1e-9)
+    return res
+
+
+def _per_sample_traces(seed, n):
+    res = {}
+    for m, _, w in _per_sample_draw(seed, n):
+        shift = float(w.poles[0])
+        kd = rational_weyl.krein(w)
+        s_delta = rational_weyl.trace_via_delta(kd, 3)
+        s_krein = rational_weyl.trace_via_krein(kd)
+        s_direct = suites.moments(suites.JacobiMatrix(m.v - shift, m.c), 3)
+        suites._merge(res, "delta_vs_direct", float(np.max(np.abs(s_delta - s_direct))), 1e-10)
+        suites._merge(res, "krein_vs_direct", float(np.max(np.abs(s_krein - s_direct))), 1e-10)
+        mom = suites.moments(m, 2)
+        suites._merge(res, "first_moment_is_v0", abs(float(mom[1]) - float(m.v[0])), 1e-10)
+        second = abs(float(mom[2]) - (float(m.v[0]) ** 2 + float(m.c[0]) ** 2))
+        suites._merge(res, "second_moment_entries", second, 1e-10)
+        suites._merge(res, "exp_representation", kd.exp_residual, 1e-10)
+    kd1 = rational_weyl.krein(suites._e1_weyl())
+    target = np.array([1.0, 1.0, 2.0, 4.0])
+    spot = max(
+        float(np.max(np.abs(rational_weyl.trace_via_delta(kd1, 3) - target))),
+        float(np.max(np.abs(rational_weyl.trace_via_krein(kd1) - target))),
+        float(np.max(np.abs(suites.moments(suites._E1, 3) - target))),
+    )
+    suites._merge(res, "e1_spot", spot, 1e-12)
+    return res
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16])
+def test_stacked_samples_report_what_the_per_sample_suites_reported(monkeypatch, n):
+    """The roundtrip and traces suites, which read the stacked draw, report
+    to the byte what the per-sample oracle reports, over seeds 0-9 (the
+    other suites draw their own data)."""
+    names = ("roundtrip", "traces")
+    reports = []
+    for seed in range(10):
+        suites._samples.cache_clear()
+        reports.append(repr(run_suites(names, seed, n)))
+    monkeypatch.setitem(suites._SUITES, "roundtrip", _per_sample_roundtrip)
+    monkeypatch.setitem(suites._SUITES, "traces", _per_sample_traces)
+    for seed in range(10):
+        assert repr(run_suites(names, seed, n)) == reports[seed], seed
+
+
+def test_each_size_is_one_eigen_zeros_and_lanczos_stack(monkeypatch):
+    """Performance guard: the roundtrip and traces suites make one
+    ``_eigenvalues``, one ``_zeros`` and one ``_lanczos`` call per size
+    (three sizes at N = 4, two at N = 2); traces solves no divisor again.
+    Before the stacks they made one of each per matrix, 12 at N = 4."""
+    rational_weyl.zeros(suites._e1_weyl())  # solved once per process
+    counts = [
+        _count_calls(monkeypatch, fn)
+        for fn in (spectral_direct._eigenvalues, rational_weyl._zeros, spectral_inverse._lanczos)
+    ]
+    for seed, n, sizes in ((0, 4, 3), (5, 4, 3), (1, 2, 2)):
+        suites._samples.cache_clear()
+        for calls in counts:
+            calls.clear()
+        run_suites(("roundtrip", "traces"), seed, n)
+        assert [len(calls) for calls in counts] == [sizes] * 3, (seed, n)
+
+
+def test_a_size_whose_lanczos_stack_breaks_down_inverts_sample_by_sample():
+    """``_lanczos_rows`` gives each sample of a size the bitwise row of its
+    ``lanczos_reconstruct``; a size whose stack breaks down gives None for
+    each of its samples, which then invert alone in the suite's order, and
+    the other sizes keep their rows."""
+    fine = [
+        spectral_direct.eigen(random_jacobi(np.random.default_rng(s), 3)) for s in range(3)
+    ]
+    early = spectral_direct.SpectralData(
+        np.array([0.0, 1e-8, 2e-8]), np.array([1 - 2e-12, 1e-12, 1e-12])
+    )
+    two = [spectral_direct.eigen(random_jacobi(np.random.default_rng(s), 2)) for s in range(2)]
+    samples = [(suites.JacobiMatrix(np.zeros(sd.n), np.ones(sd.n - 1)), sd, None)
+               for sd in [*two, fine[0], early, *fine[1:]]]
+    rows = suites._lanczos_rows(samples)
+    assert rows[2:] == [None] * 4
+    for (v, c), sd in zip(rows[:2], two):
+        m = spectral_inverse.lanczos_reconstruct(sd)
+        np.testing.assert_array_equal(v, m.v)
+        np.testing.assert_array_equal(c, m.c)
+    samples = [sample for sample in samples if sample[1] is not early]
+    for (v, c), (_, sd, _) in zip(suites._lanczos_rows(samples), samples):
+        m = spectral_inverse.lanczos_reconstruct(sd)
+        np.testing.assert_array_equal(v, m.v)
+        np.testing.assert_array_equal(c, m.c)
