@@ -52,6 +52,14 @@ class SpectralData:
         return self.lambdas.size
 
 
+# A sweep of one matrix at 2.._SCALAR_LANES points runs lane by lane on
+# Python floats (``_scalar_sweep``): there numpy's cost per call, about eight
+# calls per site, outweighs the arithmetic.  16 is the measured crossover
+# (per sweep at N = 12 on a 2-vCPU VM: 14 us against numpy's 86 at 4 points,
+# 48 against 73 at 16, 78 against 87 or 86 against 81 at 32).
+_SCALAR_LANES = 16
+
+
 def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sturm count and Newton step at each x from one LDL^T sweep of T - x.
 
@@ -61,20 +69,26 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     overflow): the step is then NaN, a bisection step for bracketed Newton;
     a zero sum gives an infinite step, which is one as well.
 
-    A stack of B matrices (v of shape (B, N), c of shape (B, N - 1)) is
-    swept in one pass at points x of shape (B, K), matrix b at x[b]; counts
-    and steps then have shape (B, K).  Each row takes its pivot floor and
+    Three kernels, one recurrence, bitwise the same on the same points.
+    One matrix (v and x 1-D) at 2 to ``_SCALAR_LANES`` points, as in
+    bisection and Newton up to N = 16, runs on Python floats
+    (``_scalar_sweep``).  One matrix at more points, as in the multisection
+    grid of about 32 N points, runs on numpy rows, one row per site over all
+    points; so does one point, whose ratios numpy sums pairwise.  A stack of
+    B matrices (v of shape (B, N), c of shape (B, N - 1)) is swept in one
+    pass at points x of shape (B, K), matrix b at x[b]; counts and steps
+    then have shape (B, K).  Each row takes its pivot floor and
     its rounding level from its own largest entries, so a row of a stack is
     its own sweep, bit for bit.
     """
     if v.ndim == 1:
-        c2 = (c * c).tolist()  # Python floats keep the site loop cheap
-        scale = max(c2, default=1.0)
-        weak = _EPS * (float(np.abs(v).max()) + 2.0 * math.sqrt(scale))
-        pivmin = (_TINY / _EPS) * max(1.0, scale)
+        if 2 <= x.size <= _SCALAR_LANES:
+            return _scalar_sweep(v, c, x)
+        c2, weak, pivmin = _floors(v, c)
         piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
     else:
-        c2 = c * c
+        with np.errstate(over="ignore"):
+            c2 = c * c
         top = c2.max(1, keepdims=True, initial=0.0)
         weak = _EPS * (np.abs(v).max(1, keepdims=True) + 2.0 * np.sqrt(top))
         pivmin = (_TINY / _EPS) * np.maximum(1.0, top)  # row b's floor
@@ -99,6 +113,53 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
             np.divide(r * ratio[k - 1] - 1.0, piv[k], out=ratio[k])
         step = np.where((np.abs(piv[:-1]) > weak).all(0), 1.0 / ratio.sum(0), np.nan)
     return (piv < 0.0).sum(0), step
+
+
+def _floors(v: np.ndarray, c: np.ndarray) -> tuple[list, float, float]:
+    """Of one matrix: the squared couplings (Python floats keep the site
+    loops cheap, and an overflow there is inf without a warning), the
+    rounding level of an interior pivot and the pivot floor."""
+    c2 = [ck * ck for ck in c.tolist()]
+    scale = max(c2, default=1.0)
+    weak = _EPS * (max(map(abs, v.tolist())) + 2.0 * math.sqrt(scale))
+    return c2, weak, (_TINY / _EPS) * max(1.0, scale)
+
+
+def _scalar_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pivot_sweep`` of one matrix at the points x (1-D), lane by lane on
+    Python floats, with the numpy rows' operations in their order: the same
+    floors, the ratios summed from the first site on (numpy sums the rows of
+    two or more lanes so), a zero sum giving a signed infinite step.  Counts
+    and steps are bitwise those of the numpy rows."""
+    c2, weak, pivmin = _floors(v, c)
+    v0, *rest = v.tolist()
+    sites = list(zip(rest, c2))
+    counts, steps = [], []
+    for xj in x.tolist():
+        d = v0 - xj
+        if abs(d) < pivmin:
+            d = -pivmin
+        ratio = total = -1.0 / d
+        below = d < 0.0
+        clear = True  # every pivot but the last above rounding level
+        for vk, ck2 in sites:
+            if not abs(d) > weak:
+                clear = False
+            r = ck2 / d
+            d = (vk - xj) - r
+            if abs(d) < pivmin:
+                d = -pivmin
+            ratio = (r * ratio - 1.0) / d
+            total += ratio
+            below += d < 0.0
+        counts.append(below)
+        if not clear:
+            steps.append(math.nan)
+        elif total:
+            steps.append(1.0 / total)
+        else:
+            steps.append(math.copysign(math.inf, total))
+    return np.array(counts, dtype=np.intp), np.array(steps)
 
 
 def _floor_rows(d: np.ndarray, pivmin: np.ndarray, pivtop: float) -> None:
@@ -253,7 +314,10 @@ def _spectra(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
     raise ``PrecisionLimit``, and so do weights whose recurrence sums
     overflow (the documented random family from N of about 300); a stack
-    raises what its lowest failing row raises alone."""
+    raises what its lowest failing row raises alone.  Couplings whose
+    squares overflow raise ``PrecisionLimit`` before any sweep; of a stack,
+    the lowest such row raises."""
+    _raise_wide_couplings(c)
     lam = v.copy() if v.shape[-1] == 1 else _eigenvalues(v, c)
     rho = _weights(v, c, lam)
     _poly._raise_lowest(
@@ -272,8 +336,18 @@ def eigen(m: JacobiMatrix) -> SpectralData:
     return SpectralData(*_spectra(m.v, m.c))
 
 
+def _raise_wide_couplings(c: np.ndarray) -> None:
+    """``PrecisionLimit`` where a row's c_k^2 leaves float64: every pivot
+    sweep of it would floor all pivots at an infinite ``pivmin``."""
+    with np.errstate(over="ignore"):
+        wide = ~np.isfinite(c * c).all(-1)
+    _poly._raise_lowest((wide, PrecisionLimit, "couplings beyond float64: their squares overflow"))
+
+
 def _distinct_eigenvalues(m: JacobiMatrix) -> np.ndarray:
-    """Eigenvalues of a matrix of any size; ``PrecisionLimit`` unless distinct."""
+    """Eigenvalues of a matrix of any size; ``PrecisionLimit`` unless distinct
+    or where the couplings' squares overflow."""
+    _raise_wide_couplings(m.c)
     lam = np.array([m.v[0]]) if m.n == 1 else _eigenvalues(m.v, m.c)
     if not np.all(np.diff(lam) > 0.0):
         raise PrecisionLimit("eigenvalues closer than float64 can separate")

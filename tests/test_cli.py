@@ -702,6 +702,18 @@ def test_exit_code_one_on_precision_limit(capsys):
         assert rc == 1 and out == "" and "float64" in err, argv
 
 
+@pytest.mark.parametrize(
+    "argv", [("spectrum",), ("weyl",), ("coords", "--chart", "angle"), ("flow", "--t1", "0.5")]
+)
+def test_couplings_whose_squares_overflow_exit_one(capsys, argv):
+    """c = 1.35e154 squares past float64: one error line, no warning, no
+    spectrum off by the bracket's pad."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv, "--in", '{"v": [0, 0], "c": [1.35e154]}')
+    assert (rc, out, err) == (1, "", "error: couplings beyond float64: their squares overflow\n")
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

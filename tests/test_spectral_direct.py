@@ -4,6 +4,7 @@ Oracle: numpy's dense symmetric eigensolver; weights are the squared first
 components of the normalized eigenvectors.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -28,8 +29,8 @@ from toda import (
     weyl_solution_residual,
     zeros,
 )
-from families import krawtchouk
-from toda._poly import bracketed_newton, offspectrum_samples
+from families import hahn, krawtchouk
+from toda._poly import _EPS, _TINY, bracketed_newton, offspectrum_samples
 from toda.jacobi_core import _recurrence_table
 
 
@@ -558,3 +559,152 @@ def test_eigen_brackets_from_one_multisection_sweep(monkeypatch):
         for _ in range(50):
             eigen(random_jacobi(rng, n))
         assert calls[0] / 50 <= 8
+
+
+def _numpy_rows_sweep(v, c, x):
+    """``_pivot_sweep`` of one matrix as it was before ``_scalar_sweep``:
+    the LDL^T recurrence on numpy rows, one row per site over all points.
+    Kept frozen as the oracle of the scalar kernel."""
+    with np.errstate(over="ignore"):
+        c2 = (c * c).tolist()
+    scale = max(c2, default=1.0)
+    weak = _EPS * (float(np.abs(v).max()) + 2.0 * math.sqrt(scale))
+    pivmin = (_TINY / _EPS) * max(1.0, scale)
+    piv = np.subtract.outer(v, x)
+    ratio = np.empty_like(piv)
+    piv[0][np.abs(piv[0]) < pivmin] = -pivmin
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(-1.0, piv[0], out=ratio[0])
+        for k in range(1, v.size):
+            r = c2[k - 1] / piv[k - 1]
+            piv[k] -= r
+            piv[k][np.abs(piv[k]) < pivmin] = -pivmin
+            np.divide(r * ratio[k - 1] - 1.0, piv[k], out=ratio[k])
+        step = np.where((np.abs(piv[:-1]) > weak).all(0), 1.0 / ratio.sum(0), np.nan)
+    return (piv < 0.0).sum(0), step
+
+
+def _assert_scalar_sweep_is_the_numpy_rows(v, c, x):
+    """Counts and steps equal in dtype, value and sign (zeros and
+    infinities included); NaN where the rows give NaN."""
+    got = spectral_direct._scalar_sweep(v, c, x)
+    want = _numpy_rows_sweep(v, c, x)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True), (g, w)
+        signed = ~np.isnan(w)
+        assert np.array_equal(np.signbit(g[signed]), np.signbit(w[signed]))
+    return got
+
+
+@pytest.mark.parametrize("exponent", [-600, -300, 0, 300, 600])
+def test_scalar_sweep_is_the_numpy_rows_on_random_matrices(exponent):
+    """Random matrices at N = 2..32, 2 to 16 points spread around the
+    spectrum and on the eigenvalues, scaled by 2^exponent (at
+    2^600 the squared couplings overflow, at 2^-600 they underflow; the
+    kernels agree on those too)."""
+    rng = np.random.default_rng(55)
+    for n in range(2, 33):
+        for m in (random_jacobi(rng, n), random_matrix(rng, n)):
+            v, c = np.ldexp(m.v, exponent), np.ldexp(m.c, exponent)
+            lam = np.linalg.eigvalsh(m.as_dense())
+            for lanes in (2, int(rng.integers(3, 16)), 16):
+                x = rng.uniform(lam[0] - 1.0, lam[-1] + 1.0, lanes)
+                x[: lanes // 2] = rng.choice(lam, lanes // 2)
+                _assert_scalar_sweep_is_the_numpy_rows(v, c, np.ldexp(x, exponent))
+
+
+def test_scalar_sweep_is_the_numpy_rows_on_exact_zero_pivots():
+    """Integer diagonals at integer and half-integer points, and the exact
+    families at their eigenvalues: pivots that are exactly zero and take
+    the floor.  At the minimum of det(x - T) = x^2 - 2 the ratios sum to
+    exactly zero, and the step is +inf."""
+    _, step = _assert_scalar_sweep_is_the_numpy_rows(
+        np.array([1.0, -1.0]), np.ones(1), np.array([0.0, 0.5])
+    )
+    assert step[0] == np.inf
+    rng = np.random.default_rng(56)
+    hit_floor = False
+    for n in range(2, 20):
+        v = rng.integers(-3, 4, n).astype(float)
+        x = rng.integers(-8, 9, 16) / 2.0
+        _assert_scalar_sweep_is_the_numpy_rows(v, np.ones(n - 1), x)
+        hit_floor |= bool(np.any(x == v[0]))  # d_0 = 0 exactly
+        for fv, fc, lam, _ in (krawtchouk(n, 0.3), krawtchouk(n, 0.5), hahn(n, 0.5, 1.5)):
+            for at in (lam[:16], lam[-16:], np.resize(lam, 16)):
+                if at.size >= 2:
+                    _assert_scalar_sweep_is_the_numpy_rows(fv, fc, at)
+    assert hit_floor
+
+
+def test_scalar_sweep_is_the_numpy_rows_on_nan_and_rounding_level_pivots():
+    """NaN points give NaN lanes beside finite ones; a point one ulp from
+    an eigenvalue of a leading block puts an interior pivot at rounding
+    level, and both kernels give that lane a NaN step."""
+    rng = np.random.default_rng(57)
+    nan_steps = 0
+    for n in range(3, 17):
+        m = random_jacobi(rng, n)
+        x = rng.uniform(-2.0, 2.0, 6)
+        x[2] = np.nan
+        cnt, step = _assert_scalar_sweep_is_the_numpy_rows(m.v, m.c, x)
+        assert np.isnan(step[2]) and np.isfinite(step[[0, 1, 3, 4, 5]]).all()
+        for j in range(1, n):
+            block = eigen(truncate(m, 0, j - 1)).lambdas
+            for toward in (-np.inf, np.inf):
+                x = np.r_[np.nextafter(block, toward), 0.1]
+                _, step = _assert_scalar_sweep_is_the_numpy_rows(m.v, m.c, x)
+                nan_steps += int(np.isnan(step).sum())
+    assert nan_steps > 100
+
+
+def test_newton_and_bisection_take_the_scalar_kernel(monkeypatch):
+    """Selection guard: at N = 8 and 12 ``eigen``'s bisection and Newton
+    sweeps (N points) run on Python floats, its multisection sweep (about
+    32 N points) on numpy rows; so do sweeps at one point and at 17."""
+    sweeps, scalar = [], []
+    sweep, kernel = spectral_direct._pivot_sweep, spectral_direct._scalar_sweep
+
+    def recording(v, c, x):
+        sweeps.append(x.size)
+        scalar.append(False)
+        return sweep(v, c, x)
+
+    def counting(v, c, x):
+        scalar[-1] = True
+        return kernel(v, c, x)
+
+    monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
+    monkeypatch.setattr(spectral_direct, "_scalar_sweep", counting)
+    rng = np.random.default_rng(51)
+    for n in (8, 12):
+        for _ in range(10):
+            del sweeps[:], scalar[:]
+            eigen(random_jacobi(rng, n))
+            assert sweeps[0] >= 31 and not scalar[0]
+            assert len(sweeps) > 1 and set(sweeps[1:]) == {n} and all(scalar[1:])
+        m = random_jacobi(rng, n)
+        for lanes in (1, 17):
+            del scalar[:]
+            spectral_direct._pivot_sweep(m.v, m.c, np.linspace(-1.0, 1.0, lanes))
+            assert scalar == [False]
+
+
+def test_couplings_whose_squares_overflow_raise():
+    """c^2 at 1.69e308 is still finite and the 2x2 spectrum +-c exact; at
+    c = 1.35e154 the square overflows, and eigen, divisor and a stack raise
+    ``PrecisionLimit``, with no warning, instead of a spectrum off by the
+    bracket's pad."""
+    sd = eigen(JacobiMatrix(np.zeros(2), np.array([1.3e154])))
+    np.testing.assert_array_equal(sd.lambdas, [-1.3e154, 1.3e154])
+    np.testing.assert_array_equal(sd.rhos, [0.5, 0.5])
+    message = "couplings beyond float64: their squares overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLimit, match=message):
+            eigen(JacobiMatrix(np.zeros(2), np.array([1.35e154])))
+        with pytest.raises(PrecisionLimit, match=message):
+            divisor(JacobiMatrix(np.zeros(3), np.array([1.0, 1.35e154])))
+        # Row 0 alone solves; row 1 overflows.
+        with pytest.raises(PrecisionLimit, match=message):
+            spectral_direct._spectra(np.zeros((2, 2)), np.array([[1.0], [1.35e154]]))
