@@ -6,9 +6,12 @@ every eigenvalue at once (multisection), bisection goes on only where
 eigenvalues still share a cell, and bracketed Newton on the same pivots
 finishes; weights are reciprocal sums of squared first-kind polynomial
 values.  Both kernels also take a stack of matrices of one size
-(``_spectra``), each row bitwise its own ``eigen``.  The matrix with its
-first row and column removed supplies the divisor, whose points interlace
-the eigenvalues.
+(``_spectra``), each row bitwise its own ``eigen``.  Bisection and Newton
+run in lockstep over all the eigenvalues of a stack, or of one matrix above
+N = 16; one matrix up to N = 16 takes them eigenvalue by eigenvalue on
+Python floats (``_scalar_refine``), bitwise the lockstep loops.  The matrix
+with its first row and column removed supplies the divisor, whose points
+interlace the eigenvalues.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class SpectralData:
 # Python floats (``_scalar_sweep``): there numpy's cost per call, about eight
 # calls per site, outweighs the arithmetic.  16 is the measured crossover
 # (per sweep at N = 12 on a 2-vCPU VM: 14 us against numpy's 86 at 4 points,
-# 48 against 73 at 16, 78 against 87 or 86 against 81 at 32).
+# 48 against 73 at 16, 78 against 87 or 86 against 81 at 32).  The same
+# bound sends one matrix's bisection and Newton to ``_scalar_refine``.
 _SCALAR_LANES = 16
 
 
@@ -70,16 +74,17 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     a zero sum gives an infinite step, which is one as well.
 
     Three kernels, one recurrence, bitwise the same on the same points.
-    One matrix (v and x 1-D) at 2 to ``_SCALAR_LANES`` points, as in
-    bisection and Newton up to N = 16, runs on Python floats
-    (``_scalar_sweep``).  One matrix at more points, as in the multisection
-    grid of about 32 N points, runs on numpy rows, one row per site over all
-    points; so does one point, whose ratios numpy sums pairwise.  A stack of
-    B matrices (v of shape (B, N), c of shape (B, N - 1)) is swept in one
-    pass at points x of shape (B, K), matrix b at x[b]; counts and steps
-    then have shape (B, K).  Each row takes its pivot floor and
-    its rounding level from its own largest entries, so a row of a stack is
-    its own sweep, bit for bit.
+    One matrix (v and x 1-D) at 2 to ``_SCALAR_LANES`` points runs on
+    Python floats (``_scalar_sweep``, one ``_scalar_point`` per point; one
+    matrix's bisection and Newton up to N = 16 call that kernel point by
+    point themselves, in ``_scalar_refine``).  One matrix at more points, as
+    in the multisection grid of about 32 N points or Newton above N = 16,
+    runs on numpy rows, one row per site over all points; so does one point,
+    whose ratios numpy sums pairwise.  A stack of B matrices (v of shape
+    (B, N), c of shape (B, N - 1)) is swept in one pass at points x of shape
+    (B, K), matrix b at x[b]; counts and steps then have shape (B, K).  Each
+    row takes its pivot floor and its rounding level from its own largest
+    entries, so a row of a stack is its own sweep, bit for bit.
     """
     if v.ndim == 1:
         if 2 <= x.size <= _SCALAR_LANES:
@@ -126,40 +131,50 @@ def _floors(v: np.ndarray, c: np.ndarray) -> tuple[list, float, float]:
 
 
 def _scalar_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pivot_sweep`` of one matrix at the points x (1-D), lane by lane on
-    Python floats, with the numpy rows' operations in their order: the same
-    floors, the ratios summed from the first site on (numpy sums the rows of
-    two or more lanes so), a zero sum giving a signed infinite step.  Counts
-    and steps are bitwise those of the numpy rows."""
+    """``_pivot_sweep`` of one matrix at the points x (1-D), one
+    ``_scalar_point`` per lane on Python floats.  Counts and steps are
+    bitwise those of the numpy rows."""
+    matrix = _scalar_matrix(v, c)
+    counts, steps = zip(*[_scalar_point(matrix, xj) for xj in x.tolist()])
+    return np.array(counts, dtype=np.intp), np.array(steps)
+
+
+def _scalar_matrix(v: np.ndarray, c: np.ndarray) -> tuple[float, list, float, float]:
+    """One matrix as ``_scalar_point`` reads it: v_0, the (v_k, c_{k-1}^2)
+    of the sites past the first, and the ``_floors``."""
     c2, weak, pivmin = _floors(v, c)
     v0, *rest = v.tolist()
-    sites = list(zip(rest, c2))
-    counts, steps = [], []
-    for xj in x.tolist():
-        d = v0 - xj
+    return v0, list(zip(rest, c2)), weak, pivmin
+
+
+def _scalar_point(matrix: tuple, xj: float) -> tuple[int, float]:
+    """Sturm count and Newton step of the ``_scalar_matrix`` at the one
+    point xj, on Python floats with the numpy rows' operations in their
+    order: the same floors, the ratios summed from the first site on (numpy
+    sums the rows of two or more lanes so), a zero sum giving a signed
+    infinite step."""
+    v0, sites, weak, pivmin = matrix
+    d = v0 - xj
+    if abs(d) < pivmin:
+        d = -pivmin
+    ratio = total = -1.0 / d
+    below = d < 0.0
+    clear = True  # every pivot but the last above rounding level
+    for vk, ck2 in sites:
+        if not abs(d) > weak:
+            clear = False
+        r = ck2 / d
+        d = (vk - xj) - r
         if abs(d) < pivmin:
             d = -pivmin
-        ratio = total = -1.0 / d
-        below = d < 0.0
-        clear = True  # every pivot but the last above rounding level
-        for vk, ck2 in sites:
-            if not abs(d) > weak:
-                clear = False
-            r = ck2 / d
-            d = (vk - xj) - r
-            if abs(d) < pivmin:
-                d = -pivmin
-            ratio = (r * ratio - 1.0) / d
-            total += ratio
-            below += d < 0.0
-        counts.append(below)
-        if not clear:
-            steps.append(math.nan)
-        elif total:
-            steps.append(1.0 / total)
-        else:
-            steps.append(math.copysign(math.inf, total))
-    return np.array(counts, dtype=np.intp), np.array(steps)
+        ratio = (r * ratio - 1.0) / d
+        total += ratio
+        below += d < 0.0
+    if not clear:
+        return below, math.nan
+    if total:
+        return below, 1.0 / total
+    return below, math.copysign(math.inf, total)
 
 
 def _floor_rows(d: np.ndarray, pivmin: np.ndarray, pivtop: float) -> None:
@@ -187,6 +202,11 @@ def _nudged_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray, nudge: float) -> 
     return cnt, step
 
 
+# A bracket [a, b] whose ends, width b - a or midpoint sum a + b leave
+# float64 cannot be bisected: its cell widths or midpoints overflow.
+_WIDE_BRACKET = "diagonal beyond float64: the eigenvalue bracket overflows"
+
+
 def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Jacobi matrix with diagonal v and off-diagonal c
     (at least 2x2), one per rank; not checked to be strictly increasing.
@@ -205,7 +225,9 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     pass per tree depth, with every sweep, bisection step and Newton step
     taken on all the rows of that depth at once; each row stops where it
     would alone and is its own solve, bit for bit.  A row that hits an
-    iteration cap raises ``ConvergenceFailure`` for the whole stack.
+    iteration cap raises ``ConvergenceFailure`` for the whole stack.  A
+    diagonal whose bracket leaves float64 raises ``PrecisionLimit`` before
+    any sweep; of a stack, the lowest such row raises.
     """
     n = v.shape[-1]
     deepest = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
@@ -215,6 +237,8 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
         hi0 = float(np.max(v + reach))
         pad = 1e-6 * max(1.0, hi0 - lo0)
         a, b = lo0 - pad, hi0 + pad
+        if not all(map(math.isfinite, (a, b, b - a, a + b))):
+            raise PrecisionLimit(_WIDE_BRACKET)
         # No level may reach bisection's 1e-14 floor below (twice it covers
         # the rounding of the midpoints): a cluster then bisects on from the
         # bracket that bisection from [a, b] would have reached.
@@ -225,8 +249,11 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     edge = np.zeros((v.shape[0], 1))
     reach = np.concatenate((c, edge), 1) + np.concatenate((edge, c), 1)
     lo0, hi0 = np.min(v - reach, 1), np.max(v + reach, 1)
-    pad = 1e-6 * np.maximum(1.0, hi0 - lo0)
-    a, b = lo0 - pad, hi0 + pad
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = 1e-6 * np.maximum(1.0, hi0 - lo0)
+        a, b = lo0 - pad, hi0 + pad
+        wide = ~np.isfinite([a, b, b - a, a + b]).all(0)
+    _poly._raise_lowest((wide, PrecisionLimit, _WIDE_BRACKET))
     # The loop above, row by row: the cell widths (b - a) / 2^l shrink
     # exactly, so the levels that reach the floor are the deepest few.
     crowded = np.multiply.outer(b - a, 0.5 ** np.arange(1, deepest + 1)) <= (
@@ -244,9 +271,12 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _bracket_and_refine(v, c, grid: np.ndarray, levels: int, scale) -> np.ndarray:
     """``_eigenvalues`` past its bounds: the multisection grid of ``levels``
-    levels on grid = [a, b], the cell lookup, bisection and Newton, on one
-    matrix or on a stack of matrices of one depth (grid of shape (B, 2),
-    ``scale`` of shape (B, 1))."""
+    levels on grid = [a, b] (one ``_pivot_sweep``), the cell lookup,
+    bisection and Newton, on one matrix or on a stack of matrices of one
+    depth (grid of shape (B, 2), ``scale`` of shape (B, 1)).  Bisection and
+    Newton step all eigenvalues in lockstep, one sweep per step, except for
+    one matrix up to ``_SCALAR_LANES`` sites: that takes them eigenvalue by
+    eigenvalue on Python floats (``_scalar_refine``), bitwise the same."""
     n = v.shape[-1]
     for _ in range(levels):
         finer = np.empty(grid.shape[:-1] + (2 * grid.shape[-1] - 1,))
@@ -266,6 +296,8 @@ def _bracket_and_refine(v, c, grid: np.ndarray, levels: int, scale) -> np.ndarra
         cell = np.searchsorted((counts + lift).ravel(), want + lift)
     grid, counts = grid.ravel(), counts.ravel()
     lo, hi, clo, chi = grid[cell - 1], grid[cell], counts[cell - 1], counts[cell]
+    if v.ndim == 1 and n <= _SCALAR_LANES:
+        return _scalar_refine(v, c, (lo, hi, clo, chi), scale)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         floor = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(mid))
@@ -285,6 +317,61 @@ def _bracket_and_refine(v, c, grid: np.ndarray, levels: int, scale) -> np.ndarra
         return step, cnt >= want
 
     return bracketed_newton(step_side, lo, hi, scale=scale)
+
+
+def _scalar_refine(v: np.ndarray, c: np.ndarray, cells: tuple, scale: float) -> np.ndarray:
+    """The bisection and bracketed Newton of ``_bracket_and_refine`` for one
+    matrix, eigenvalue by eigenvalue on Python floats, one ``_scalar_point``
+    per step, from the ``cells`` (lo, hi, count(lo), count(hi)), arrays over
+    the eigenvalues.
+
+    The lanes of the lockstep loops never mix: each sweeps at its own
+    point, stops on its own test and keeps its own iteration count.  So
+    each lane here takes the same IEEE operations in the same order, with
+    NaN read as ``np.maximum`` reads it, and the result is bitwise theirs.
+    Every lane bisects before any takes a Newton step, so a capped solve
+    raises what the lockstep loops raise."""
+    matrix = _scalar_matrix(v, c)
+    isolated = []
+    for want, (lo, hi, clo, chi) in enumerate(zip(*(a.tolist() for a in cells)), 1):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            mag = abs(mid)
+            if chi - clo <= 1 or hi - lo <= 1e-14 * (1.0 if 1.0 >= mag else mag):
+                break
+            cnt = _scalar_point(matrix, mid)[0]
+            if cnt >= want:
+                hi, chi = mid, cnt
+            else:
+                lo, clo = mid, cnt
+        else:
+            raise ConvergenceFailure("eigenvalue bisection hit the iteration cap")
+        isolated.append((lo, hi))
+    lam = []
+    for want, (lo, hi) in enumerate(isolated, 1):
+        x = 0.5 * (lo + hi)
+        if lo != hi:  # bracketed_newton, one lane
+            last = older = hi - lo
+            for _ in range(200):
+                cnt, step = _scalar_point(matrix, x)
+                if cnt >= want:
+                    hi = x
+                else:
+                    lo = x
+                mag = abs(x)
+                tol = 4.0 * _EPS * (scale if scale >= mag else mag)
+                small = abs(step) <= tol
+                nxt = x - step
+                if not (small or (lo < nxt < hi and 2.0 * abs(step) <= older)):
+                    nxt = 0.5 * (lo + hi)
+                older, last = last, abs(nxt - x)
+                x = nxt
+                if small or hi - lo <= tol:
+                    break
+            else:
+                raise ConvergenceFailure("bracketed Newton hit the iteration cap")
+        lam.append(x)
+    return np.array(lam)
 
 
 def _weights(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -315,8 +402,9 @@ def _spectra(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise ``PrecisionLimit``, and so do weights whose recurrence sums
     overflow (the documented random family from N of about 300); a stack
     raises what its lowest failing row raises alone.  Couplings whose
-    squares overflow raise ``PrecisionLimit`` before any sweep; of a stack,
-    the lowest such row raises."""
+    squares overflow, and diagonals whose eigenvalue bracket overflows,
+    raise ``PrecisionLimit`` before any sweep; of a stack, the lowest such
+    row raises."""
     _raise_wide_couplings(c)
     lam = v.copy() if v.shape[-1] == 1 else _eigenvalues(v, c)
     rho = _weights(v, c, lam)
@@ -346,7 +434,7 @@ def _raise_wide_couplings(c: np.ndarray) -> None:
 
 def _distinct_eigenvalues(m: JacobiMatrix) -> np.ndarray:
     """Eigenvalues of a matrix of any size; ``PrecisionLimit`` unless distinct
-    or where the couplings' squares overflow."""
+    or where the couplings' squares or the eigenvalue bracket overflow."""
     _raise_wide_couplings(m.c)
     lam = np.array([m.v[0]]) if m.n == 1 else _eigenvalues(m.v, m.c)
     if not np.all(np.diff(lam) > 0.0):

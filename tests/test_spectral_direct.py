@@ -12,11 +12,13 @@ import pytest
 
 from toda import (
     AtPole,
+    ConvergenceFailure,
     InvalidData,
     JacobiMatrix,
     PrecisionLimit,
     RationalHerglotz,
     SpectralData,
+    TodaError,
     divisor,
     eigen,
     gluing_check,
@@ -432,19 +434,30 @@ def test_eigen_weights_are_the_recurrence_table_weights_bitwise():
         np.testing.assert_array_equal(sd.rhos, rho / float(np.sum(rho)))
 
 
-def _bisected_eigenvalues(v, c):
-    """The eigenvalue solve without multisection: bisection from the padded
-    Gershgorin interval until each eigenvalue is alone (or at the 1e-14
-    floor), then bracketed Newton; the reference the tree grid must match."""
+def _lockstep_eigenvalues(v, c, tree=True):
+    """``_eigenvalues`` of one matrix as it was before ``_scalar_refine``:
+    the multisection grid and cell lookup (with ``tree=False``, none: every
+    eigenvalue bisects from the padded Gershgorin interval), then bisection
+    until each eigenvalue is alone (or at the 1e-14 floor) and bracketed
+    Newton, both in lockstep over all eigenvalues, one ``_pivot_sweep`` per
+    step.  Kept frozen as the oracle of the lane-by-lane refine."""
     sweep = spectral_direct._pivot_sweep
     n = v.size
     reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
     lo0, hi0 = float(np.min(v - reach)), float(np.max(v + reach))
     pad = 1e-6 * max(1.0, hi0 - lo0)
-    lo, hi = np.full(n, lo0 - pad), np.full(n, hi0 + pad)
+    a, b = lo0 - pad, hi0 + pad
+    levels = (min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1) if tree else 0
+    while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
+        levels -= 1
+    grid = np.array([a, b])
+    for _ in range(levels):
+        grid = np.insert(grid, np.arange(1, grid.size), 0.5 * (grid[:-1] + grid[1:]))
+    counts = np.r_[0, sweep(v, c, grid[1:-1])[0], n]
     want = np.arange(1, n + 1)
-    clo, chi = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
-    while True:
+    cell = np.searchsorted(counts, want)
+    lo, hi, clo, chi = grid[cell - 1], grid[cell], counts[cell - 1], counts[cell]
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         todo = (chi - clo > 1) & ((hi - lo) > 1e-14 * np.maximum(1.0, np.abs(mid)))
         if not todo.any():
@@ -453,12 +466,20 @@ def _bisected_eigenvalues(v, c):
         upper, lower = todo & (cnt >= want), todo & (cnt < want)
         hi, chi = np.where(upper, mid, hi), np.where(upper, cnt, chi)
         lo, clo = np.where(lower, mid, lo), np.where(lower, cnt, clo)
+    else:
+        raise ConvergenceFailure("eigenvalue bisection hit the iteration cap")
 
     def step_side(x):
         cnt, step = sweep(v, c, x)
         return step, cnt >= want
 
     return bracketed_newton(step_side, lo, hi, scale=max(abs(lo0), abs(hi0)))
+
+
+def _bisected_eigenvalues(v, c):
+    """The eigenvalue solve without multisection; the reference the tree
+    grid must match."""
+    return _lockstep_eigenvalues(v, c, tree=False)
 
 
 def _wilkinson(n):
@@ -659,35 +680,96 @@ def test_scalar_sweep_is_the_numpy_rows_on_nan_and_rounding_level_pivots():
 
 
 def test_newton_and_bisection_take_the_scalar_kernel(monkeypatch):
-    """Selection guard: at N = 8 and 12 ``eigen``'s bisection and Newton
-    sweeps (N points) run on Python floats, its multisection sweep (about
-    32 N points) on numpy rows; so do sweeps at one point and at 17."""
-    sweeps, scalar = [], []
+    """Selection guard: at N = 8 and 12 ``eigen`` makes one pivot sweep, the
+    multisection grid (about 32 N points, on numpy rows), and bisects and
+    takes its Newton steps lane by lane (``_scalar_refine``) without
+    ``bracketed_newton``; at N = 17 Newton runs in lockstep again.  Sweeps
+    at one point and at 17 stay on numpy rows."""
+    sweeps, newton, scalar = [], [], []
     sweep, kernel = spectral_direct._pivot_sweep, spectral_direct._scalar_sweep
+    lockstep = spectral_direct.bracketed_newton
 
     def recording(v, c, x):
         sweeps.append(x.size)
-        scalar.append(False)
         return sweep(v, c, x)
 
-    def counting(v, c, x):
-        scalar[-1] = True
+    def counting(*args, **kwargs):
+        newton.append(1)
+        return lockstep(*args, **kwargs)
+
+    def scalar_sweep(v, c, x):
+        scalar.append(x.size)
         return kernel(v, c, x)
 
     monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
-    monkeypatch.setattr(spectral_direct, "_scalar_sweep", counting)
+    monkeypatch.setattr(spectral_direct, "bracketed_newton", counting)
+    monkeypatch.setattr(spectral_direct, "_scalar_sweep", scalar_sweep)
     rng = np.random.default_rng(51)
     for n in (8, 12):
         for _ in range(10):
-            del sweeps[:], scalar[:]
+            del sweeps[:], newton[:]
             eigen(random_jacobi(rng, n))
-            assert sweeps[0] >= 31 and not scalar[0]
-            assert len(sweeps) > 1 and set(sweeps[1:]) == {n} and all(scalar[1:])
-        m = random_jacobi(rng, n)
-        for lanes in (1, 17):
-            del scalar[:]
-            spectral_direct._pivot_sweep(m.v, m.c, np.linspace(-1.0, 1.0, lanes))
-            assert scalar == [False]
+            assert len(sweeps) == 1 and sweeps[0] >= 31 and not newton
+    eigen(random_jacobi(rng, 17))
+    assert newton
+    m = random_jacobi(rng, 12)
+    del scalar[:]
+    for lanes in (1, 17):
+        spectral_direct._pivot_sweep(m.v, m.c, np.linspace(-1.0, 1.0, lanes))
+    assert not scalar
+
+
+def _outcome(solve, v, c):
+    try:
+        return solve(v, c)
+    except TodaError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_lane_refine_is_the_lockstep(v, c):
+    """``_eigenvalues`` of one matrix equals the frozen lockstep solve in
+    value and sign (NaN where it has NaN), or raises the same class with
+    the same message."""
+    got = _outcome(spectral_direct._eigenvalues, v, c)
+    want = _outcome(_lockstep_eigenvalues, v, c)
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("exponent", [-600, -300, 0, 300, 600])
+def test_lane_refine_is_the_lockstep_on_random_matrices(exponent):
+    """Random matrices at N = 2..17 scaled by 2^exponent: at 2^-600 Newton
+    hits its cap on both paths, at 2^600 the squared couplings overflow."""
+    rng = np.random.default_rng(58)
+    for n in range(2, 18):
+        for m in (random_jacobi(rng, n), random_matrix(rng, n), random_matrix(rng, n)):
+            _assert_lane_refine_is_the_lockstep(np.ldexp(m.v, exponent), np.ldexp(m.c, exponent))
+
+
+def test_lane_refine_is_the_lockstep_on_exact_and_close_eigenvalues():
+    """Integer diagonals (exact zero pivots at the grid nodes), Krawtchouk
+    and Hahn up to 16 sites, Wilkinson W_3..W_15, the close clusters, and
+    couplings 1e50 to 1e100 beside couplings of 1, whose pivot floor stalls
+    bisection at its cap on both paths, and diagonals from 9e307 on beside
+    small ones: the bracket stays finite, but midpoints near its top
+    overflow, and both paths give the same NaN lanes or raise alike."""
+    rng = np.random.default_rng(59)
+    for n in range(2, 17):
+        for _ in range(4):
+            _assert_lane_refine_is_the_lockstep(rng.integers(-3, 4, n).astype(float), np.ones(n - 1))
+        for v, c, _, _ in (krawtchouk(n, 0.3), krawtchouk(n, 0.5), hahn(n, 0.5, 1.5)):
+            _assert_lane_refine_is_the_lockstep(v, c)
+    for m in (*map(_wilkinson, range(3, 16)), *CLOSE_EIGENVALUES.values(), *OFFSET_CLUSTERS.values()):
+        _assert_lane_refine_is_the_lockstep(m.v, m.c)
+    for c in ([1.0, 1e100], [1.0, 1e100, 1.0], [1e100, 1.0, 1.0, 1.0], [0.75, 0.75, 1e50, 1e100, 0.5]):
+        _assert_lane_refine_is_the_lockstep(np.zeros(len(c) + 1), np.array(c))
+    with np.errstate(over="ignore", invalid="ignore"):  # the grid's midpoints
+        for top in (9e307, 1e308, 1.2e308, -1e308, -1.7e308):
+            for n in range(2, 7):
+                _assert_lane_refine_is_the_lockstep(np.r_[top, np.arange(n - 1.0)], np.ones(n - 1))
 
 
 def test_couplings_whose_squares_overflow_raise():
@@ -708,3 +790,39 @@ def test_couplings_whose_squares_overflow_raise():
         # Row 0 alone solves; row 1 overflows.
         with pytest.raises(PrecisionLimit, match=message):
             spectral_direct._spectra(np.zeros((2, 2)), np.array([[1.0], [1.35e154]]))
+
+
+@pytest.mark.parametrize(
+    "v", [[1e308, -1e308], [1e308, 9e307], [-9e307, -1e308, -9e307], [1.7e308, 1.7e308]],
+    ids=["width", "sum", "negative-sum", "equal-ends"],
+)
+def test_diagonals_whose_bracket_overflows_raise(v):
+    """A Gershgorin bracket [a, b] whose width b - a or sum a + b (the
+    first midpoint's) leaves float64 raises ``PrecisionLimit`` before any
+    sweep, with no warning, from eigen, divisor and a stack (row 1; row 0
+    alone solves).  Before, bisection ran on NaN midpoints and raised
+    ``ConvergenceFailure`` or blamed eigenvalues 1e307 apart for being too
+    close."""
+    message = "diagonal beyond float64: the eigenvalue bracket overflows"
+    v = np.array(v)
+    c = np.ones(v.size - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLimit, match=message):
+            eigen(JacobiMatrix(v, c))
+        with pytest.raises(PrecisionLimit, match=message):
+            divisor(JacobiMatrix(np.r_[0.0, v], np.ones(v.size)))
+        with pytest.raises(PrecisionLimit, match=message):
+            spectral_direct._spectra(np.array([np.arange(v.size, dtype=float), v]), np.array([c, c]))
+
+
+def test_diagonals_near_the_float64_limit_still_solve():
+    """Brackets just inside the limit solve as before: eigenvalues +-8e307
+    and a diagonal from -5e307 to 8e307, to rounding of the dense solver on
+    the matrix scaled down by 2^-60."""
+    for v, c in (([8e307, -8e307], [1.3e154]), ([8e307, 1e307, -5e307], [1.0, 1.0])):
+        v, c = np.array(v), np.array(c)
+        lam = spectral_direct._distinct_eigenvalues(JacobiMatrix(v, c))
+        m = JacobiMatrix(np.ldexp(v, -60), np.ldexp(c, -60))
+        want = np.ldexp(np.linalg.eigvalsh(m.as_dense()), 60)
+        np.testing.assert_allclose(lam, want, rtol=1e-15, atol=1e-15 * float(np.max(np.abs(want))))
