@@ -59,4 +59,5 @@ class StepTooLarge(TodaError):
 class PrecisionLimit(TodaError):
     """Valid data beyond float64: distinct eigenvalues closer than the
     rounding of their magnitude, which the computation cannot hold apart,
-    or spectral weights whose recurrence sums overflow."""
+    spectral weights whose recurrence sums overflow, or spectral data whose
+    reconstruction overflows."""

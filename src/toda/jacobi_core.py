@@ -33,9 +33,9 @@ class JacobiMatrix:
             raise InvalidData("diagonal must be a nonempty 1-d array")
         if self.c.shape != (self.v.size - 1,):
             raise InvalidData("off-diagonal must have length N-1")
-        if not np.all(np.isfinite(self.v)) or not np.all(np.isfinite(self.c)):
+        if not np.isfinite(self.v).all() or not np.isfinite(self.c).all():
             raise InvalidData("matrix entries must be finite")
-        if self.c.size and not np.all(self.c > 0.0):
+        if self.c.size and not (self.c > 0.0).all():
             raise InvalidData("off-diagonal entries must be positive")
 
     @property

@@ -77,11 +77,11 @@ class RationalHerglotz:
             raise InvalidData("pole list must be a nonempty 1-d array")
         if self.residues.shape != self.poles.shape:
             raise InvalidData("residue list must match pole list")
-        if not (np.all(np.isfinite(self.poles)) and np.all(np.isfinite(self.residues))):
+        if not (np.isfinite(self.poles).all() and np.isfinite(self.residues).all()):
             raise InvalidData("poles and residues must be finite")
-        if self.poles.size > 1 and not np.all(np.diff(self.poles) > 0.0):
+        if self.poles.size > 1 and not (np.diff(self.poles) > 0.0).all():
             raise InvalidData("poles must be strictly increasing")
-        if not np.all(self.residues > 0.0):
+        if not (self.residues > 0.0).all():
             raise NotHerglotz("all residues must be positive")
 
     @property
@@ -126,7 +126,7 @@ class PolyQuotient:
             raise InvalidData("need deg p = deg q + 1 = N")
         if self.p.size < 2:
             raise InvalidData("quotient needs at least one pole")
-        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.q))):
+        if not (np.isfinite(self.p).all() and np.isfinite(self.q).all()):
             raise InvalidData("coefficients must be finite")
         if abs(self.p[-1] - 1.0) > 1e-8:
             raise InvalidData("p must be monic")

@@ -2,9 +2,10 @@
 
 Two independent routes are kept deliberately separate so they can
 cross-check each other.  The continued-fraction route peels one diagonal
-entry at a time from the quotient form by polynomial division; the
-orthogonalization route runs the discrete Stieltjes procedure (Lanczos with
-full reorthogonalization) against the spectral measure.
+entry at a time from the quotient form by polynomial division; the Lanczos
+route rebuilds the matrix from the spectral measure, one point mass at a
+time, by the rotation recursion of Gragg and Harrod, in O(N^2) work and with
+no reorthogonalization.
 
 The division is also the one reader of the quotient form (``from_quotient``);
 it runs in ``rational_weyl``, once per quotient, and both readers share it.
@@ -14,10 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Breakdown, InvalidData, NotHerglotz
+from ._poly import _raise_lowest
+from .errors import Breakdown, InvalidData, NotHerglotz, PrecisionLimit
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import PolyQuotient, RationalHerglotz
 from .spectral_direct import SpectralData, eigen
+
+_OVERFLOW = "spectral data beyond float64: the reconstruction overflows"
 
 
 def stieltjes_reconstruct(pq: PolyQuotient) -> JacobiMatrix:
@@ -54,12 +58,15 @@ def from_quotient(pq: PolyQuotient) -> RationalHerglotz:
 
 
 def lanczos_reconstruct(sd: SpectralData) -> JacobiMatrix:
-    """Discrete Stieltjes / Lanczos inversion of the spectral data.
+    """Inversion of the spectral data by the Gragg-Harrod rotation recursion.
 
-    Orthonormalizes 1, z, z^2, ... against the measure sum rho_k delta(lambda_k)
-    with full reorthogonalization (applied twice) at every step; recurrence
-    coefficients of the orthonormal family are the matrix entries.
-    ``_lanczos`` inverts a stack of spectral data at once.
+    The matrix of the measure sum rho_k delta(lambda_k) is built up one
+    eigenvalue at a time: each new point mass is rotated into the Jacobi
+    matrix of the ones before it (Gragg & Harrod, Numer. Math. 44, 1984).
+    This is the Lanczos process on the diagonal matrix of eigenvalues with
+    the start vector sqrt(rho), carried out by plane rotations, so it needs
+    no reorthogonalization.  ``_lanczos`` inverts a stack of spectral data
+    at once.
     """
     v, c = _lanczos(sd.lambdas[None], sd.rhos[None])
     return JacobiMatrix(v[0], c[0])
@@ -68,33 +75,50 @@ def lanczos_reconstruct(sd: SpectralData) -> JacobiMatrix:
 def _lanczos(lam: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries v (B, N), c (B, N - 1) from rows of eigenvalues and weights.
 
-    The family is a block of vectors times sqrt(rho), orthonormal in the
-    plain inner product; each new one is reorthogonalized against the block
-    twice (classical Gram-Schmidt, two contractions per pass).
+    Each row runs, on Python floats, the square-root-free form of the
+    recursion (Gautschi's RKPW, *Orthogonal Polynomials: Computation and
+    Approximation*, OUP 2004), so each stacked row is bitwise its single
+    call.  A stack raises what its lowest failing row raises: first
+    ``PrecisionLimit`` when an entry overflows float64, then ``Breakdown``
+    when a coupling is below the absolute floor 1e-13.
     """
-    b, n = lam.shape
-    lam = lam[:, None, :]
-    q = np.zeros((b, n, n))  # q[:, k]: the k-th orthonormal vector, times sqrt(rho)
-    q[:, 0] = np.sqrt(rho / rho.sum(axis=1, keepdims=True))
-    v = np.empty((b, n, 1, 1))
-    c = np.zeros((b, n, 1, 1))  # c[:, k - 1] couples vectors k - 1 and k; c[:, -1] stays 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            phi = q[:, k : k + 1]
-            w = lam * phi
-            v[:, k] = w @ phi.transpose(0, 2, 1)
-            u = w - v[:, k] * phi - c[:, k - 1] * q[:, k - 1, None]
-            block = q[:, : k + 1]
-            for _ in range(2):
-                u = u - (u @ block.transpose(0, 2, 1)) @ block
-            c[:, k] = np.sqrt(u @ u.transpose(0, 2, 1))
-            q[:, k + 1 : k + 2] = u / c[:, k]
-        phi = q[:, n - 1 : n]
-        v[:, n - 1] = (lam * phi) @ phi.transpose(0, 2, 1)
-    c = c[:, :-1, 0, 0]
-    low = ~(c >= 1e-13)  # a row goes NaN after its breakdown
-    if np.any(low):
-        step = np.argmax(low[np.any(low, axis=1)][0])  # of the lowest such row
-        raise Breakdown("orthogonalization norm underflow at step %d" % step)
-    return v[:, :, 0, 0], c
+    n = lam.shape[1]
+    w = rho / rho.sum(axis=1, keepdims=True)
+    vb = np.array([_rkpw(x, p) for x, p in zip(lam.tolist(), w.tolist())])
+    v, c = vb[:, :n], np.sqrt(vb[:, n:])
+    high = c >= 1e-13
+    if not (np.isfinite(vb).all() and high.all()):
+        low_rows = ~high.all(axis=1)
+        step = int(high[low_rows.argmax()].argmin())  # of the lowest such row
+        _raise_lowest(
+            (~np.isfinite(vb).all(axis=1), PrecisionLimit, _OVERFLOW),
+            (low_rows, Breakdown, "orthogonalization norm underflow at step %d" % step),
+        )
+    return v, c
 
+
+def _rkpw(lam: list, w: list) -> list:
+    """The diagonal, then the squared couplings, of the Jacobi matrix of one
+    row.  Point n enters as a rotation through rows 0..n of the matrix of
+    points 0..n - 1; b[0] carries the total weight.  The new squared
+    coupling is t * (t / sig): t * t underflows once a weight is below
+    about 1e-154."""
+    a = list(lam)
+    b = [w[0]] + [0.0] * (len(lam) - 1)
+    for n in range(1, len(lam)):
+        pn, x = w[n], lam[n]
+        gam, sig, t = 1.0, 0.0, 0.0
+        for k in range(n + 1):
+            bk = b[k]
+            r = bk + pn
+            b[k] = gam * r
+            tsig = sig
+            if r <= 0.0:
+                gam, sig = 1.0, 0.0
+            else:
+                gam, sig = bk / r, pn / r
+            tk = sig * (a[k] - x) - gam * t
+            a[k] -= tk - t
+            t = tk
+            pn = tsig * bk if sig <= 0.0 else t * (t / sig)
+    return a + b[1:]

@@ -20,6 +20,7 @@ FAMILIES = {
     "hahn(1/2, 2)": lambda n: hahn(n, 0.5, 2.0),
     "dual_hahn(1/2, 2)": lambda n: dual_hahn(n, 0.5, 2.0),
 }
+LANCZOS_FAMILIES = dict(FAMILIES, **{"krawtchouk(1/10)": lambda n: krawtchouk(n, 0.1)})
 
 
 def _scale(lam):
@@ -37,13 +38,31 @@ def test_eigenvalues_are_exact(name, n):
     assert float(np.max(np.abs(got - lam))) <= 1e-15 * _scale(lam)
 
 
-@pytest.mark.parametrize("name", FAMILIES)
-@pytest.mark.parametrize("n", [64, 128, 256])
-def test_lanczos_rebuilds_the_exact_matrix(name, n):
-    v, c, lam, log_rho = FAMILIES[name](n)
+def _assert_lanczos_rebuilds(family):
+    v, c, lam, log_rho = family
     m = lanczos_reconstruct(SpectralData(lam, np.exp(log_rho)))
     err = max(float(np.max(np.abs(m.v - v))), float(np.max(np.abs(m.c - c))))
     assert err <= 1e-13 * _scale(lam)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_lanczos_rebuilds_the_exact_matrix(name, n):
+    _assert_lanczos_rebuilds(FAMILIES[name](n))
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("krawtchouk(1/2)", n) for n in (8, 1024)]
+    + [("krawtchouk(1/10)", n) for n in (8, 64, 128, 256)]
+    + [("hahn(1/2, 2)", n) for n in (8, 512, 1024)]
+    + [("dual_hahn(1/2, 2)", n) for n in (8, 512)],
+)
+def test_lanczos_rebuilds_the_exact_matrix_out_to_1024_sites(name, n):
+    """Out to the sizes where the smallest weights fall below 1e-154, so
+    that a squared coupling formed as t * t / sig underflows; past them
+    (Krawtchouk(1/10) at 512 sites) the weights underflow themselves."""
+    _assert_lanczos_rebuilds(LANCZOS_FAMILIES[name](n))
 
 
 def test_matrix_flow_carries_krawtchouk_along_its_family():

@@ -9,6 +9,7 @@ alone.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -190,14 +191,15 @@ def test_secular_kernel_is_bitwise_the_two_closures_it_replaced(n):
             np.testing.assert_array_equal(_poles_from_divisor(*chart)[0], poles)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", [*SIZES, 16, 32, 64])
 def test_stacked_lanczos_matches_single_calls(n):
-    sds = [eigen(random_jacobi(np.random.default_rng(2000 + n + k), n)) for k in range(7)]
+    """Stacks of 11 rows, as many as a sampled flow inverts at once."""
+    sds = [eigen(random_jacobi(np.random.default_rng(2000 + n + k), n)) for k in range(11)]
     v, c = _lanczos(np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds]))
     for i, sd in enumerate(sds):
         m = lanczos_reconstruct(sd)
-        assert close_in_ulps(v[i], m.v)
-        assert close_in_ulps(c[i], m.c)
+        np.testing.assert_array_equal(v[i], m.v)
+        np.testing.assert_array_equal(c[i], m.c)
 
 
 def test_raise_lowest_picks_the_lowest_row_then_the_first_check():
@@ -257,6 +259,21 @@ def test_stacked_lanczos_raises_for_its_lowest_failing_row():
         lanczos_reconstruct(early)
     for rows, step in (((fine, late, early), 1), ((fine, early, late), 0)):
         with pytest.raises(Breakdown, match="step %d" % step):
+            _lanczos(np.array([sd.lambdas for sd in rows]), np.array([sd.rhos for sd in rows]))
+
+
+def test_stacked_lanczos_raises_overflow_or_breakdown_for_its_lowest_failing_row():
+    """A row whose matrix overflows float64 raises ``PrecisionLimit`` alone
+    and in a stack below a row that breaks down; above it, ``Breakdown``."""
+    over = SpectralData(np.array([-1e300, 0.0, 1e300]), np.array([0.25, 0.5, 0.25]))
+    late = SpectralData(np.array([0.0, 1.0, 1.0 + 1e-8]), np.array([0.5, 0.5 - 1e-20, 1e-20]))
+    fine = SpectralData(np.array([-1.0, 0.0, 1.0]), np.array([0.25, 0.5, 0.25]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLimit, match="reconstruction overflows"):
+            lanczos_reconstruct(over)
+    for rows, error in (((fine, over, late), PrecisionLimit), ((fine, late, over), Breakdown)):
+        with pytest.raises(error):
             _lanczos(np.array([sd.lambdas for sd in rows]), np.array([sd.rhos for sd in rows]))
 
 
