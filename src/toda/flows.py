@@ -203,8 +203,9 @@ def lax_integrate(
 
     Where Newton still cannot vouch for a step (no finite step from above
     either, a Sturm count outside x_k's cluster, or no convergence within
-    four sweeps), that step is audited by the Sturm-certified solve behind
-    ``eigen`` instead.  NaN steps are never read as a drift.
+    four sweeps), that step is audited by its own call of the
+    Sturm-certified solve behind ``eigen`` instead.  NaN steps are never
+    read as a drift.
     """
     t = _flow_time(t)
     dt = float(dt)
@@ -358,8 +359,8 @@ def _block_drift(
 ) -> float:
     """Largest |eigenvalue - lambda| over the matrices with diagonals v[b]
     and off-diagonals c[b], by Newton sweeps over the whole stack started
-    from ``lam``; the rows Newton cannot vouch for go to ``_eigenvalues``
-    together, as one stack, each row bitwise its own Sturm-certified solve."""
+    from ``lam``; each row Newton cannot vouch for goes to its own
+    ``_eigenvalues`` call, the Sturm-certified solve."""
     x = np.tile(lam, (v.shape[0], 1))
     live = np.arange(v.shape[0])  # rows still iterating
     lost = np.zeros(v.shape[0], dtype=bool)
@@ -374,7 +375,7 @@ def _block_drift(
         if not live.size:
             break
     lost[live] = True
-    if lost.any():
-        x[lost] = _eigenvalues(v[lost], c[lost])
+    for b in np.flatnonzero(lost):
+        x[b] = _eigenvalues(v[b], c[b])
     return float(np.max(np.abs(np.sort(x, axis=1) - lam)))
 

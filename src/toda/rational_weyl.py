@@ -47,9 +47,9 @@ class Divisor:
     def __post_init__(self):
         object.__setattr__(self, "gammas", _readonly(self.gammas))
         g = self.gammas
-        if g.ndim != 1 or not np.all(np.isfinite(g)):
+        if g.ndim != 1 or not np.isfinite(g).all():
             raise InvalidData("divisor must be a finite 1-d array")
-        if g.size > 1 and not np.all(np.diff(g) > 0.0):
+        if g.size > 1 and not (np.diff(g) > 0.0).all():
             raise InvalidData("divisor points must be strictly increasing")
 
     @property

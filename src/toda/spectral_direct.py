@@ -5,11 +5,10 @@ factorization): one sweep at the top nodes of the bisection tree brackets
 every eigenvalue at once (multisection), bisection goes on only where
 eigenvalues still share a cell, and bracketed Newton on the same pivots
 finishes; weights are reciprocal sums of squared first-kind polynomial
-values.  Both kernels also take a stack of matrices of one size
-(``_spectra``), each row bitwise its own ``eigen``.  Bisection and Newton
-run in lockstep over all the eigenvalues of a stack, or of one matrix above
-N = 16; one matrix up to N = 16 takes them eigenvalue by eigenvalue on
-Python floats (``_scalar_refine``), bitwise the lockstep loops.  The matrix
+values.  Both kernels solve one matrix.  Bisection and Newton run in
+lockstep over all its eigenvalues above N = 16; up to N = 16 they take them
+eigenvalue by eigenvalue on Python floats (``_scalar_refine``), bitwise the
+lockstep loops.  The matrix
 with its first row and column removed supplies the divisor, whose points
 interlace the eigenvalues.
 """
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _poly, jacobi_core
+from . import jacobi_core
 from ._poly import _EPS, _TINY, _readonly, bracketed_newton, offspectrum_samples
 from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
 from .jacobi_core import JacobiMatrix, truncate
@@ -41,11 +40,11 @@ class SpectralData:
         lam, rho = self.lambdas, self.rhos
         if lam.ndim != 1 or lam.size < 1 or rho.shape != lam.shape:
             raise InvalidData("need matching 1-d eigenvalue and weight arrays")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(rho))):
+        if not (np.isfinite(lam).all() and np.isfinite(rho).all()):
             raise InvalidData("spectral data must be finite")
-        if lam.size > 1 and not np.all(np.diff(lam) > 0.0):
+        if lam.size > 1 and not (np.diff(lam) > 0.0).all():
             raise InvalidData("eigenvalues must be strictly increasing")
-        if not np.all(rho > 0.0):
+        if not (rho > 0.0).all():
             raise InvalidData("weights must be positive")
         if abs(float(np.sum(rho)) - 1.0) > 1e-8:
             raise InvalidData("weights must sum to one")
@@ -202,11 +201,6 @@ def _nudged_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray, nudge: float) -> 
     return cnt, step
 
 
-# A bracket [a, b] whose ends, width b - a or midpoint sum a + b leave
-# float64 cannot be bisected: its cell widths or midpoints overflow.
-_WIDE_BRACKET = "diagonal beyond float64: the eigenvalue bracket overflows"
-
-
 def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Jacobi matrix with diagonal v and off-diagonal c
     (at least 2x2), one per rank; not checked to be strictly increasing.
@@ -219,84 +213,46 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     counts; eigenvalues still sharing a cell bisect on Sturm counts until
     each is alone (or to 1e-14 * max(1, |lambda|) for a pair too close to
     split).  Bracketed Newton then takes its side from the count and its
-    step from the pivots.
+    step from the pivots.  Bisection and Newton step all eigenvalues in
+    lockstep, one sweep per step, except up to ``_SCALAR_LANES`` sites:
+    there they take them eigenvalue by eigenvalue on Python floats
+    (``_scalar_refine``), bitwise the same.
 
-    A stack (v of shape (B, N), c of shape (B, N - 1)) is solved in one
-    pass per tree depth, with every sweep, bisection step and Newton step
-    taken on all the rows of that depth at once; each row stops where it
-    would alone and is its own solve, bit for bit.  A row that hits an
-    iteration cap raises ``ConvergenceFailure`` for the whole stack.  A
-    diagonal whose bracket leaves float64 raises ``PrecisionLimit`` before
-    any sweep; of a stack, the lowest such row raises.
+    A diagonal whose bracket leaves float64 raises ``PrecisionLimit``
+    before any sweep.
     """
-    n = v.shape[-1]
-    deepest = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
-    if v.ndim == 1:
-        reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
-        lo0 = float(np.min(v - reach))
-        hi0 = float(np.max(v + reach))
-        pad = 1e-6 * max(1.0, hi0 - lo0)
-        a, b = lo0 - pad, hi0 + pad
-        if not all(map(math.isfinite, (a, b, b - a, a + b))):
-            raise PrecisionLimit(_WIDE_BRACKET)
-        # No level may reach bisection's 1e-14 floor below (twice it covers
-        # the rounding of the midpoints): a cluster then bisects on from the
-        # bracket that bisection from [a, b] would have reached.
-        levels = deepest
-        while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
-            levels -= 1
-        return _bracket_and_refine(v, c, np.array([a, b]), levels, max(abs(lo0), abs(hi0)))
-    edge = np.zeros((v.shape[0], 1))
-    reach = np.concatenate((c, edge), 1) + np.concatenate((edge, c), 1)
-    lo0, hi0 = np.min(v - reach, 1), np.max(v + reach, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pad = 1e-6 * np.maximum(1.0, hi0 - lo0)
-        a, b = lo0 - pad, hi0 + pad
-        wide = ~np.isfinite([a, b, b - a, a + b]).all(0)
-    _poly._raise_lowest((wide, PrecisionLimit, _WIDE_BRACKET))
-    # The loop above, row by row: the cell widths (b - a) / 2^l shrink
-    # exactly, so the levels that reach the floor are the deepest few.
-    crowded = np.multiply.outer(b - a, 0.5 ** np.arange(1, deepest + 1)) <= (
-        2e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    )[:, None]
-    depth = deepest - crowded.sum(1)
-    scale = np.maximum(np.abs(lo0), np.abs(hi0))[:, None]
-    grid = np.stack((a, b), 1)
-    lam = np.empty(v.shape)
-    for levels in sorted(set(depth.tolist())):  # np.unique would import numpy.ma
-        rows = depth == levels
-        lam[rows] = _bracket_and_refine(v[rows], c[rows], grid[rows], levels, scale[rows])
-    return lam
-
-
-def _bracket_and_refine(v, c, grid: np.ndarray, levels: int, scale) -> np.ndarray:
-    """``_eigenvalues`` past its bounds: the multisection grid of ``levels``
-    levels on grid = [a, b] (one ``_pivot_sweep``), the cell lookup,
-    bisection and Newton, on one matrix or on a stack of matrices of one
-    depth (grid of shape (B, 2), ``scale`` of shape (B, 1)).  Bisection and
-    Newton step all eigenvalues in lockstep, one sweep per step, except for
-    one matrix up to ``_SCALAR_LANES`` sites: that takes them eigenvalue by
-    eigenvalue on Python floats (``_scalar_refine``), bitwise the same."""
-    n = v.shape[-1]
+    n = v.size
+    reach = np.concatenate((c, [0.0])) + np.concatenate(([0.0], c))
+    lo0 = float(np.min(v - reach))
+    hi0 = float(np.max(v + reach))
+    pad = 1e-6 * max(1.0, hi0 - lo0)
+    a, b = lo0 - pad, hi0 + pad
+    # A bracket whose ends, width b - a or midpoint sum a + b leave float64
+    # cannot be bisected: its cell widths or midpoints overflow.
+    if not all(map(math.isfinite, (a, b, b - a, a + b))):
+        raise PrecisionLimit("diagonal beyond float64: the eigenvalue bracket overflows")
+    # No level may reach bisection's 1e-14 floor below (twice it covers the
+    # rounding of the midpoints): a cluster then bisects on from the bracket
+    # that bisection from [a, b] would have reached.
+    levels = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
+    while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
+        levels -= 1
+    grid = np.array([a, b])
     for _ in range(levels):
-        finer = np.empty(grid.shape[:-1] + (2 * grid.shape[-1] - 1,))
-        finer[..., ::2] = grid
-        finer[..., 1::2] = 0.5 * (grid[..., :-1] + grid[..., 1:])
+        finer = np.empty(2 * grid.size - 1)
+        finer[::2] = grid
+        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
         grid = finer
-    counts = np.empty(grid.shape, dtype=np.intp)
-    counts[..., 0], counts[..., -1] = 0, n
-    counts[..., 1:-1] = _pivot_sweep(v, c, grid[..., 1:-1])[0]
+    counts = np.empty(grid.size, dtype=np.intp)
+    counts[0], counts[-1] = 0, n
+    counts[1:-1] = _pivot_sweep(v, c, grid[1:-1])[0]
     # count(lo) < want <= count(hi): eigenvalue want - 1 lies in [lo, hi].
     # The computed count never falls as x grows, so a search finds the cell.
     want = np.arange(1, n + 1)
-    if counts.ndim == 1:
-        cell = np.searchsorted(counts, want)
-    else:  # the rows end to end, row r lifted by r (n + 1): one sorted run
-        lift = (n + 1) * np.arange(counts.shape[0])[:, None]
-        cell = np.searchsorted((counts + lift).ravel(), want + lift)
-    grid, counts = grid.ravel(), counts.ravel()
+    cell = np.searchsorted(counts, want)
     lo, hi, clo, chi = grid[cell - 1], grid[cell], counts[cell - 1], counts[cell]
-    if v.ndim == 1 and n <= _SCALAR_LANES:
+    scale = max(abs(lo0), abs(hi0))
+    if n <= _SCALAR_LANES:
         return _scalar_refine(v, c, (lo, hi, clo, chi), scale)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -320,7 +276,7 @@ def _bracket_and_refine(v, c, grid: np.ndarray, levels: int, scale) -> np.ndarra
 
 
 def _scalar_refine(v: np.ndarray, c: np.ndarray, cells: tuple, scale: float) -> np.ndarray:
-    """The bisection and bracketed Newton of ``_bracket_and_refine`` for one
+    """The bisection and bracketed Newton of ``_eigenvalues`` for one
     matrix, eigenvalue by eigenvalue on Python floats, one ``_scalar_point``
     per step, from the ``cells`` (lo, hi, count(lo), count(hi)), arrays over
     the eigenvalues.
@@ -377,12 +333,10 @@ def _scalar_refine(v: np.ndarray, c: np.ndarray, cells: tuple, scale: float) -> 
 def _weights(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Weights 1 / sum_k P_k(lambda)^2 at the eigenvalues ``lam``, from the
     forward recurrence of the first-kind polynomials P_0..P_{N-1}, and
-    projected onto sum rho = 1; of one matrix, or of each row of a stack
-    (v, lam of shape (B, N), c of shape (B, N - 1)).  Entries past float64
-    come out as inf, NaN or 0 without a warning."""
-    n = v.shape[-1]
-    v, c = v.T[..., None], c.T[..., None]  # v[k]: v_k over the stack
-    p = np.empty((n,) + lam.shape)  # p[k]: P_k at each eigenvalue
+    projected onto sum rho = 1.  Entries past float64 come out as inf, NaN
+    or 0 without a warning."""
+    n = v.size
+    p = np.empty((n, lam.size))  # p[k]: P_k at each eigenvalue
     p[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if n > 1:
@@ -392,54 +346,33 @@ def _weights(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:
         rho = 1.0 / (p**2).sum(axis=0)
         # The weights satisfy sum rho = 1 identically; project the rounding
         # drift of the recurrence sums back onto that constraint.
-        return rho / rho.sum(-1, keepdims=True)
-
-
-def _spectra(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and weights of the matrix with diagonal v and
-    off-diagonal c, or of each row of a stack of them (v of shape (B, N)).
-    Distinct eigenvalues that float64 rounds together (Wilkinson's W23)
-    raise ``PrecisionLimit``, and so do weights whose recurrence sums
-    overflow (the documented random family from N of about 300); a stack
-    raises what its lowest failing row raises alone.  Couplings whose
-    squares overflow, and diagonals whose eigenvalue bracket overflows,
-    raise ``PrecisionLimit`` before any sweep; of a stack, the lowest such
-    row raises."""
-    _raise_wide_couplings(c)
-    lam = v.copy() if v.shape[-1] == 1 else _eigenvalues(v, c)
-    rho = _weights(v, c, lam)
-    _poly._raise_lowest(
-        (~(np.diff(lam) > 0.0).all(-1), PrecisionLimit,
-         "eigenvalues closer than float64 can separate"),
-        (~(np.isfinite(rho) & (rho > 0.0)).all(-1), PrecisionLimit,
-         "weights beyond float64: the recurrence sums overflow"),
-    )
-    return lam, rho
-
-
-def eigen(m: JacobiMatrix) -> SpectralData:
-    """Full spectral data of the matrix: its ``_eigenvalues`` and their
-    ``_weights``, with the ``PrecisionLimit`` checks of ``_spectra``, which
-    solves a stack of matrices the same way, each row bitwise its ``eigen``."""
-    return SpectralData(*_spectra(m.v, m.c))
-
-
-def _raise_wide_couplings(c: np.ndarray) -> None:
-    """``PrecisionLimit`` where a row's c_k^2 leaves float64: every pivot
-    sweep of it would floor all pivots at an infinite ``pivmin``."""
-    with np.errstate(over="ignore"):
-        wide = ~np.isfinite(c * c).all(-1)
-    _poly._raise_lowest((wide, PrecisionLimit, "couplings beyond float64: their squares overflow"))
+        return rho / rho.sum()
 
 
 def _distinct_eigenvalues(m: JacobiMatrix) -> np.ndarray:
-    """Eigenvalues of a matrix of any size; ``PrecisionLimit`` unless distinct
-    or where the couplings' squares or the eigenvalue bracket overflow."""
-    _raise_wide_couplings(m.c)
+    """Eigenvalues of a matrix of any size.  ``PrecisionLimit`` where the
+    couplings' squares leave float64 (every pivot sweep would floor all
+    pivots at an infinite ``pivmin``), where the eigenvalue bracket
+    overflows, and where distinct eigenvalues round together (Wilkinson's
+    W23)."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(m.c * m.c).all():
+            raise PrecisionLimit("couplings beyond float64: their squares overflow")
     lam = np.array([m.v[0]]) if m.n == 1 else _eigenvalues(m.v, m.c)
-    if not np.all(np.diff(lam) > 0.0):
+    if not (np.diff(lam) > 0.0).all():
         raise PrecisionLimit("eigenvalues closer than float64 can separate")
     return lam
+
+
+def eigen(m: JacobiMatrix) -> SpectralData:
+    """Full spectral data of the matrix: its ``_distinct_eigenvalues`` and
+    their ``_weights``.  Weights whose recurrence sums overflow (the
+    documented random family from N of about 300) raise ``PrecisionLimit``."""
+    lam = _distinct_eigenvalues(m)
+    rho = _weights(m.v, m.c, lam)
+    if not (np.isfinite(rho) & (rho > 0.0)).all():
+        raise PrecisionLimit("weights beyond float64: the recurrence sums overflow")
+    return SpectralData(lam, rho)
 
 
 def divisor(m: JacobiMatrix) -> Divisor:

@@ -8,10 +8,10 @@ The suites mirror the package's invariants: reconstruction roundtrips,
 trace-formula agreement, bracket closed forms against the tensor route,
 canonical coordinate relations, the dual-data identities, and the flow
 cross-validations.  The roundtrip and traces suites check the same seeded
-matrices: they share one memoized draw (``_samples``), solved as one
-stack per size, so each spectrum, divisor and Weyl function is computed
-once per seed and size.  Checks run sequentially, for deterministic
-accumulation.
+matrices: they share one memoized draw (``_samples``), with the divisors
+solved as one stack per size, so each spectrum, divisor and Weyl function
+is computed once per seed and size.  Checks run sequentially, for
+deterministic accumulation.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .rational_weyl import (
 )
 from .spectral_direct import (
     SpectralData,
-    _spectra,
     eigen,
     gluing_check,
     spectral_from_weyl,
@@ -130,11 +129,11 @@ def _samples(
     size in {2, 3, n} drawn from ``seed``, each with its spectral
     data and Weyl function.
 
-    The four matrices of a size are solved as one stack: one ``_spectra``
-    call gives their spectra, and one ``_zeros`` call their divisors, which
-    each Weyl function keeps (``rational_weyl._keep_zeros``).  Every row is
-    bitwise the ``eigen`` and ``zeros`` of its own matrix, and a stack that
-    fails raises what its first failing matrix raises alone.
+    Each matrix takes its own ``eigen``; the four Weyl functions of a size
+    take their divisors from one ``_zeros`` call and keep them
+    (``rational_weyl._keep_zeros``).  Every row of that stack is bitwise the
+    ``zeros`` of its own Weyl function, and a stack that fails raises what
+    its first failing function raises alone.
 
     Only the last (seed, n) is kept, so a ``verify`` run computes each
     spectrum once.  The records are frozen and their arrays read-only, so
@@ -144,8 +143,7 @@ def _samples(
     out = []
     for size in sorted({2, 3, n}):
         ms = [random_jacobi(rng, size) for _ in range(4)]
-        lam, rho = _spectra(np.array([m.v for m in ms]), np.array([m.c for m in ms]))
-        sds = [SpectralData(*row) for row in zip(lam, rho)]
+        sds = [eigen(m) for m in ms]
         ws = [weyl_from_spectral(sd) for sd in sds]
         _keep_zeros(ws)
         out += zip(ms, sds, ws)

@@ -582,28 +582,19 @@ def test_audit_falls_back_inside_tight_clusters(monkeypatch):
 
 
 def test_audit_fallback_solves_its_rows_as_one_stack(monkeypatch):
-    """The rows Newton cannot vouch for go to the Sturm-certified solve as
-    one stack (24 rows in one call at t = -0.5, where a loop over them
-    made 24 calls), and give the matrix and drift of a solve row by row,
-    bit for bit."""
+    """The rows Newton cannot vouch for go to the Sturm-certified solve one
+    by one: the 24 fallback rows at t = -0.5 take one ``_eigenvalues`` call
+    each, on one matrix."""
     m = JacobiMatrix([0.0, 2.0, 1.0, 0.0, 2.0, 1.0], [9.3e-11, 2.1e-7, 2.2e-6, 1.6e-7, 1.2e-8])
-    stacks = []
+    shapes = []
 
     def recording(v, c):
-        stacks.append(v.shape)
+        shapes.append(v.shape)
         return spectral_direct._eigenvalues(v, c)
 
-    def row_by_row(v, c):
-        return np.array([spectral_direct._eigenvalues(v[b], c[b]) for b in range(len(v))])
-
     monkeypatch.setattr(flows, "_eigenvalues", recording)
-    mt, drift = lax_integrate(m, -0.5)
-    assert stacks == [(24, 6)]
-    monkeypatch.setattr(flows, "_eigenvalues", row_by_row)
-    want, want_drift = lax_integrate(m, -0.5)
-    np.testing.assert_array_equal(mt.v, want.v)
-    np.testing.assert_array_equal(mt.c, want.c)
-    assert drift == want_drift
+    lax_integrate(m, -0.5)
+    assert shapes == [(6,)] * 24
 
 
 def test_matrix_flow_single_site_is_static():
@@ -637,9 +628,10 @@ def test_audit_takes_one_sweep_per_step(monkeypatch):
 def test_matrix_flow_past_float64_weights():
     """The audit reads only the eigenvalues: weights that overflow float64
     (the random family from N of about 300) do not stop the integration."""
+    message = "weights beyond float64: the recurrence sums overflow"
     for n in (320, 400):
         m = random_jacobi(np.random.default_rng(0), n)
-        with pytest.raises(PrecisionLimit):
+        with pytest.raises(PrecisionLimit, match=message):
             eigen(m)
         _, drift = lax_integrate(m, 1e-2)
         assert drift < 1e-12

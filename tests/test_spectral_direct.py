@@ -341,7 +341,7 @@ def test_wilkinson_close_pair_is_resolved():
 def test_eigenvalues_float64_cannot_separate(m):
     """Distinct eigenvalues that round together raise the precision-limit
     class, not the invalid-data one that would blame the matrix."""
-    with pytest.raises(PrecisionLimit) as exc:
+    with pytest.raises(PrecisionLimit, match="eigenvalues closer than float64 can separate") as exc:
         eigen(m)
     assert not isinstance(exc.value, InvalidData)
 
@@ -755,7 +755,9 @@ def test_lane_refine_is_the_lockstep_on_exact_and_close_eigenvalues():
     couplings 1e50 to 1e100 beside couplings of 1, whose pivot floor stalls
     bisection at its cap on both paths, and diagonals from 9e307 on beside
     small ones: the bracket stays finite, but midpoints near its top
-    overflow, and both paths give the same NaN lanes or raise alike."""
+    overflow, and both paths give the same NaN lanes or raise alike.
+    Diagonal offsets of 1e11 and 1e13 cut the multisection tree short (its
+    cells would reach bisection's floor)."""
     rng = np.random.default_rng(59)
     for n in range(2, 17):
         for _ in range(4):
@@ -770,11 +772,15 @@ def test_lane_refine_is_the_lockstep_on_exact_and_close_eigenvalues():
         for top in (9e307, 1e308, 1.2e308, -1e308, -1.7e308):
             for n in range(2, 7):
                 _assert_lane_refine_is_the_lockstep(np.r_[top, np.arange(n - 1.0)], np.ones(n - 1))
+    rng = np.random.default_rng(61)
+    for offset in (0.0, 1e11, 1e13):
+        m = random_jacobi(rng, 6)
+        _assert_lane_refine_is_the_lockstep(m.v + offset, m.c)
 
 
 def test_couplings_whose_squares_overflow_raise():
     """c^2 at 1.69e308 is still finite and the 2x2 spectrum +-c exact; at
-    c = 1.35e154 the square overflows, and eigen, divisor and a stack raise
+    c = 1.35e154 the square overflows, and eigen and divisor raise
     ``PrecisionLimit``, with no warning, instead of a spectrum off by the
     bracket's pad."""
     sd = eigen(JacobiMatrix(np.zeros(2), np.array([1.3e154])))
@@ -787,9 +793,6 @@ def test_couplings_whose_squares_overflow_raise():
             eigen(JacobiMatrix(np.zeros(2), np.array([1.35e154])))
         with pytest.raises(PrecisionLimit, match=message):
             divisor(JacobiMatrix(np.zeros(3), np.array([1.0, 1.35e154])))
-        # Row 0 alone solves; row 1 overflows.
-        with pytest.raises(PrecisionLimit, match=message):
-            spectral_direct._spectra(np.zeros((2, 2)), np.array([[1.0], [1.35e154]]))
 
 
 @pytest.mark.parametrize(
@@ -799,10 +802,9 @@ def test_couplings_whose_squares_overflow_raise():
 def test_diagonals_whose_bracket_overflows_raise(v):
     """A Gershgorin bracket [a, b] whose width b - a or sum a + b (the
     first midpoint's) leaves float64 raises ``PrecisionLimit`` before any
-    sweep, with no warning, from eigen, divisor and a stack (row 1; row 0
-    alone solves).  Before, bisection ran on NaN midpoints and raised
-    ``ConvergenceFailure`` or blamed eigenvalues 1e307 apart for being too
-    close."""
+    sweep, with no warning, from eigen and divisor.  Before, bisection ran
+    on NaN midpoints and raised ``ConvergenceFailure`` or blamed eigenvalues
+    1e307 apart for being too close."""
     message = "diagonal beyond float64: the eigenvalue bracket overflows"
     v = np.array(v)
     c = np.ones(v.size - 1)
@@ -812,8 +814,6 @@ def test_diagonals_whose_bracket_overflows_raise(v):
             eigen(JacobiMatrix(v, c))
         with pytest.raises(PrecisionLimit, match=message):
             divisor(JacobiMatrix(np.r_[0.0, v], np.ones(v.size)))
-        with pytest.raises(PrecisionLimit, match=message):
-            spectral_direct._spectra(np.array([np.arange(v.size, dtype=float), v]), np.array([c, c]))
 
 
 def test_diagonals_near_the_float64_limit_still_solve():

@@ -1,9 +1,8 @@
 """Stacked kernels against the single-point functions that wrap them.
 
-Each chart map, the eigen solve, the divisor solve and the Lanczos
-inversion run on one array kernel with a leading stack axis; the typed
-public functions call the same kernel on one point (``eigen`` on its own
-1-d path).  Every row of a stack must match its own public
+Each chart map, the divisor solve and the Lanczos inversion run on one
+array kernel with a leading stack axis; the typed public functions call the
+same kernel on one point.  Every row of a stack must match its own public
 call, and a stack that fails must raise what its lowest failing row raises
 alone.
 """
@@ -14,11 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from test_spectral_direct import CLOSE_EIGENVALUES, OFFSET_CLUSTERS
 from toda import (
     Breakdown,
     DivisorQuasimomentum,
-    JacobiMatrix,
     NoHerglotzSolution,
     Overflow,
     PrecisionLimit,
@@ -28,7 +25,6 @@ from toda import (
     lanczos_reconstruct,
     pi_from,
     random_jacobi,
-    spectral_direct,
     theta_from,
     w_from_divisor,
     weyl,
@@ -37,7 +33,6 @@ from toda import (
 from toda._poly import _EPS, _raise_lowest, bracketed_newton, secular_roots
 from toda.coordinates import _log_abs_dp, _poles_from_divisor, _quasimomenta, _thetas
 from toda.rational_weyl import _values, _zeros
-from toda.spectral_direct import _eigenvalues, _spectra
 from toda.spectral_inverse import _lanczos
 
 SIZES = range(2, 13)
@@ -324,97 +319,3 @@ def test_lanczos_at_128_sites_is_fast():
         best = min(best, time.perf_counter() - start)
     assert best < 10e-3
 
-
-def _eigen_outcome(m):
-    """``eigen(m)`` as its two arrays, or as the class and message it raises."""
-    try:
-        sd = eigen(m)
-    except PrecisionLimit as exc:
-        return type(exc), str(exc)
-    return sd.lambdas, sd.rhos
-
-
-def assert_stacked_eigen_is_single_eigen(ms):
-    """The rows of one ``_spectra`` stack are bitwise ``eigen`` of each
-    matrix, its ``_eigenvalues`` rows bitwise each solo solve, and a stack
-    with a failing matrix raises what its lowest one raises alone."""
-    v, c = np.array([m.v for m in ms]), np.array([m.c for m in ms])
-    lam = _eigenvalues(v, c)
-    for i, m in enumerate(ms):
-        np.testing.assert_array_equal(lam[i], _eigenvalues(m.v, m.c))
-    outcomes = [_eigen_outcome(m) for m in ms]
-    failed = [out for out in outcomes if isinstance(out[0], type)]
-    if failed:
-        with pytest.raises(failed[0][0]) as exc:
-            _spectra(v, c)
-        assert str(exc.value) == failed[0][1]
-        return
-    lam, rho = _spectra(v, c)
-    for i, (want_lam, want_rho) in enumerate(outcomes):
-        np.testing.assert_array_equal(lam[i], want_lam)
-        np.testing.assert_array_equal(rho[i], want_rho)
-
-
-@pytest.mark.parametrize("n", range(2, 33))
-def test_stacked_eigen_rows_are_bitwise_single_calls(n):
-    """Random draws, and draws rescaled by up to 1e2 either way (diagonal
-    and couplings apart), so that the rows of a stack differ in scale."""
-    rng = np.random.default_rng(5000 + n)
-    ms = [random_jacobi(rng, n) for _ in range(4)]
-    ms += [
-        JacobiMatrix(m.v * 10.0 ** rng.uniform(-2, 2), m.c * 10.0 ** rng.uniform(-2, 2))
-        for m in (random_jacobi(rng, n) for _ in range(3))
-    ]
-    assert_stacked_eigen_is_single_eigen(ms)
-
-
-@pytest.mark.parametrize(
-    "m", [*CLOSE_EIGENVALUES.values(), *OFFSET_CLUSTERS.values()],
-    ids=[*CLOSE_EIGENVALUES, *OFFSET_CLUSTERS],
-)
-def test_stacked_eigen_rows_on_close_eigenvalues(m):
-    """Each matrix of the multisection close set, stacked with its mirror
-    image and a random draw of its size."""
-    rng = np.random.default_rng(m.n)
-    assert_stacked_eigen_is_single_eigen(
-        [m, JacobiMatrix(m.v[::-1], m.c[::-1]), random_jacobi(rng, m.n)]
-    )
-
-
-def test_stacked_eigen_rows_of_mixed_grid_depths(monkeypatch):
-    """Offsets of 1e11 and 1e13 cut the multisection tree short (its cells
-    would reach bisection's floor), so the stack solves in three depth
-    groups; every row is still its own solve."""
-    depths = []
-    refine = spectral_direct._bracket_and_refine
-
-    def recording(v, c, grid, levels, scale):
-        depths.append(levels)
-        return refine(v, c, grid, levels, scale)
-
-    rng = np.random.default_rng(61)
-    ms = []
-    for offset in (0.0, 1e11, 1e13, 0.0, 1e13):
-        m = random_jacobi(rng, 6)
-        ms.append(JacobiMatrix(m.v + offset, m.c))
-    monkeypatch.setattr(spectral_direct, "_bracket_and_refine", recording)
-    _eigenvalues(np.array([m.v for m in ms]), np.array([m.c for m in ms]))
-    assert len(depths) == len(set(depths)) == 3
-    monkeypatch.undo()
-    assert_stacked_eigen_is_single_eigen(ms)
-
-
-def test_stacked_eigen_raises_for_its_lowest_failing_row():
-    """Wilkinson's W23 raises ``PrecisionLimit`` for eigenvalues float64
-    cannot separate, a chain with couplings of 1e-30 for weights past
-    float64; a stack raises the message of whichever row comes first."""
-    rng = np.random.default_rng(23)
-    fine = random_jacobi(rng, 23)
-    w23 = JacobiMatrix(np.abs(np.arange(23) - 11.0), np.ones(22))
-    heavy = JacobiMatrix(np.arange(23.0), np.full(22, 1e-30))
-    close, overflow = _eigen_outcome(w23), _eigen_outcome(heavy)
-    assert close[0] is overflow[0] is PrecisionLimit and close[1] != overflow[1]
-    for rows, want in (((fine, w23, heavy), close), ((fine, heavy, w23), overflow)):
-        with pytest.raises(PrecisionLimit, match=want[1]):
-            _spectra(np.array([m.v for m in rows]), np.array([m.c for m in rows]))
-    assert_stacked_eigen_is_single_eigen([fine, heavy, w23])

@@ -261,21 +261,22 @@ def test_stacked_samples_report_what_the_per_sample_suites_reported(monkeypatch,
 
 
 def test_each_size_is_one_eigen_zeros_and_lanczos_stack(monkeypatch):
-    """Performance guard: the roundtrip and traces suites make one
-    ``_eigenvalues``, one ``_zeros`` and one ``_lanczos`` call per size
-    (three sizes at N = 4, two at N = 2); traces solves no divisor again.
-    Before the stacks they made one of each per matrix, 12 at N = 4."""
+    """Performance guard: the roundtrip and traces suites make one ``eigen``
+    call per matrix and one ``_zeros`` and one ``_lanczos`` call per size
+    (three sizes of four matrices at N = 4, two at N = 2); neither suite
+    solves a spectrum or a divisor again.  Before the stacks they made one
+    ``_zeros`` and one ``_lanczos`` call per matrix, 12 each at N = 4."""
     rational_weyl.zeros(suites._e1_weyl())  # solved once per process
     counts = [
         _count_calls(monkeypatch, fn)
-        for fn in (spectral_direct._eigenvalues, rational_weyl._zeros, spectral_inverse._lanczos)
+        for fn in (spectral_direct.eigen, rational_weyl._zeros, spectral_inverse._lanczos)
     ]
     for seed, n, sizes in ((0, 4, 3), (5, 4, 3), (1, 2, 2)):
         suites._samples.cache_clear()
         for calls in counts:
             calls.clear()
         run_suites(("roundtrip", "traces"), seed, n)
-        assert [len(calls) for calls in counts] == [sizes] * 3, (seed, n)
+        assert [len(calls) for calls in counts] == [4 * sizes, sizes, sizes], (seed, n)
 
 
 def test_a_size_whose_lanczos_stack_breaks_down_inverts_sample_by_sample():
