@@ -4,7 +4,9 @@ Each chart map, the divisor solve and the Lanczos inversion run on one
 array kernel with a leading stack axis; the typed public functions call the
 same kernel on one point.  Every row of a stack must match its own public
 call, and a stack that fails must raise what its lowest failing row raises
-alone.
+alone.  ``eigen`` solves one matrix; of its kernels only the Newton sweep
+keeps a stack axis, for the audit of ``lax_integrate``, and each row of
+that sweep must be its own sweep.
 """
 
 import time
@@ -13,9 +15,11 @@ import warnings
 import numpy as np
 import pytest
 
+from test_spectral_direct import CLOSE_EIGENVALUES, OFFSET_CLUSTERS
 from toda import (
     Breakdown,
     DivisorQuasimomentum,
+    JacobiMatrix,
     NoHerglotzSolution,
     Overflow,
     PrecisionLimit,
@@ -25,6 +29,8 @@ from toda import (
     lanczos_reconstruct,
     pi_from,
     random_jacobi,
+    spectral_direct,
+    suites,
     theta_from,
     w_from_divisor,
     weyl,
@@ -33,6 +39,7 @@ from toda import (
 from toda._poly import _EPS, _raise_lowest, bracketed_newton, secular_roots
 from toda.coordinates import _log_abs_dp, _poles_from_divisor, _quasimomenta, _thetas
 from toda.rational_weyl import _values, _zeros
+from toda.spectral_direct import _eigenvalues, _nudged_sweep
 from toda.spectral_inverse import _lanczos
 
 SIZES = range(2, 13)
@@ -319,3 +326,119 @@ def test_lanczos_at_128_sites_is_fast():
         best = min(best, time.perf_counter() - start)
     assert best < 10e-3
 
+
+
+def _eigen_outcome(m):
+    """``eigen(m)`` as its two arrays, or as the class and message it raises."""
+    try:
+        sd = eigen(m)
+    except PrecisionLimit as exc:
+        return type(exc), str(exc)
+    return sd.lambdas, sd.rhos
+
+
+def assert_stacked_eigen_is_single_eigen(ms):
+    """Each matrix's ``_eigenvalues`` are bitwise the eigenvalues of its
+    ``eigen`` (where that does not raise), and the Newton sweep of the
+    stack (``_nudged_sweep``, as the audit of ``lax_integrate`` runs it) at
+    each row's eigenvalues, and at points a little off them, is bitwise
+    each row's own sweep."""
+    lam = np.array([_eigenvalues(m.v, m.c) for m in ms])
+    for row, m in zip(lam, ms):
+        out = _eigen_outcome(m)
+        if not isinstance(out[0], type):
+            np.testing.assert_array_equal(row, out[0])
+    v, c = np.array([m.v for m in ms]), np.array([m.c for m in ms])
+    scale = float(np.max(np.abs(lam)))
+    nudge = 8.0 * _EPS * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (lam, lam * (1.0 + 1e-9), lam + 1e-3 * scale):
+            cnt, step = _nudged_sweep(v, c, x, nudge)
+            assert cnt.shape == step.shape == x.shape
+            for b in range(len(ms)):
+                want_cnt, want_step = _nudged_sweep(v[b], c[b], x[b], nudge)
+                np.testing.assert_array_equal(cnt[b], want_cnt)
+                np.testing.assert_array_equal(step[b], want_step)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_stacked_eigen_rows_are_bitwise_single_calls(n):
+    """Random draws, and draws rescaled by up to 1e2 either way (diagonal
+    and couplings apart), so that the rows of a stack differ in scale."""
+    rng = np.random.default_rng(5000 + n)
+    ms = [random_jacobi(rng, n) for _ in range(4)]
+    ms += [
+        JacobiMatrix(m.v * 10.0 ** rng.uniform(-2, 2), m.c * 10.0 ** rng.uniform(-2, 2))
+        for m in (random_jacobi(rng, n) for _ in range(3))
+    ]
+    assert_stacked_eigen_is_single_eigen(ms)
+
+
+@pytest.mark.parametrize(
+    "m", [*CLOSE_EIGENVALUES.values(), *OFFSET_CLUSTERS.values()],
+    ids=[*CLOSE_EIGENVALUES, *OFFSET_CLUSTERS],
+)
+def test_stacked_eigen_rows_on_close_eigenvalues(m):
+    """Each matrix of the multisection close set, stacked with its mirror
+    image and a random draw of its size."""
+    rng = np.random.default_rng(m.n)
+    assert_stacked_eigen_is_single_eigen(
+        [m, JacobiMatrix(m.v[::-1], m.c[::-1]), random_jacobi(rng, m.n)]
+    )
+
+
+def test_stacked_eigen_rows_of_mixed_grid_depths(monkeypatch):
+    """Offsets of 1e11 and 1e13 cut the multisection tree short (its cells
+    would reach bisection's floor): each matrix takes the depth of its own
+    bracket, so the unshifted draws take the full tree and the shifted ones
+    two shorter depths, and every row is still
+    its own solve and its own sweep."""
+    grids = []
+    sweep = spectral_direct._pivot_sweep
+
+    def recording(v, c, x):
+        grids.append(x.size)
+        return sweep(v, c, x)
+
+    rng = np.random.default_rng(61)
+    ms = []
+    for offset in (0.0, 1e11, 1e13, 0.0, 1e13):
+        m = random_jacobi(rng, 6)
+        ms.append(JacobiMatrix(m.v + offset, m.c))
+    monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
+    for m in ms:
+        _eigenvalues(m.v, m.c)
+    monkeypatch.undo()
+    # N = 6 refines lane by lane, so the grid is each solve's only sweep.
+    assert len(grids) == len(ms)
+    assert grids[0] == grids[3] == max(grids) and len(set(grids)) == 3
+    assert_stacked_eigen_is_single_eigen(ms)
+
+
+def test_stacked_eigen_raises_for_its_lowest_failing_row(monkeypatch):
+    """Wilkinson's W23 raises ``PrecisionLimit`` for eigenvalues float64
+    cannot separate, a chain with couplings of 1e-30 for weights past
+    float64.  The verify samples solve their matrices one by one in draw
+    order, so a draw with both raises the message of whichever comes
+    first."""
+    rng = np.random.default_rng(23)
+    fine = random_jacobi(rng, 23)
+    w23 = JacobiMatrix(np.abs(np.arange(23) - 11.0), np.ones(22))
+    heavy = JacobiMatrix(np.arange(23.0), np.full(22, 1e-30))
+    close, overflow = _eigen_outcome(w23), _eigen_outcome(heavy)
+    assert close[0] is overflow[0] is PrecisionLimit and close[1] != overflow[1]
+    draw = suites.random_jacobi
+    for rows, want in (((fine, w23, heavy, fine), close), ((fine, heavy, w23, fine), overflow)):
+        queue = list(rows)
+        monkeypatch.setattr(
+            suites, "random_jacobi", lambda rng, n: queue.pop(0) if n == 23 else draw(rng, n)
+        )
+        suites._samples.cache_clear()
+        try:
+            with pytest.raises(PrecisionLimit, match=want[1]):
+                suites._samples(7, 23)
+        finally:
+            suites._samples.cache_clear()
+        assert queue == []
+    monkeypatch.undo()
+    assert_stacked_eigen_is_single_eigen([fine, heavy, w23])
