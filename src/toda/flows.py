@@ -13,11 +13,15 @@ and the charts.  The same tangent
 dynamics acts on matrix entries through a commutator equation, integrated
 here with classical fourth-order Runge-Kutta and a per-step spectrum-drift
 audit (the spectrum is conserved, so drift measures integration error).
-The RK4 stepper owns its buffers, laid out as
-[c^2 (N + 1) | v (N) | 0 | c (N - 1) | 0]: a stage is three ufunc calls
-(square the padded couplings, subtract the buffer from itself shifted by
-one slot, multiply the v differences by c), with the 1/2 of dc carried by
-stage weights halved on the c part, and a step is 23 calls.  The audit is
+Up to ``_SCALAR_SITES`` sites, the measured crossover, a block of RK4 steps
+is straight-line code on Python floats, generated once per N from a
+template filled with site indices.  Above it the stepper owns numpy
+buffers, laid out as [c^2 (N + 1) | v (N) | 0 | c (N - 1) | 0]: a stage is
+three ufunc calls (square the padded couplings, subtract the buffer from
+itself shifted by one slot, multiply the v differences by c), with the 1/2
+of dc carried by stage weights halved on the c part, and a step is 23
+calls.  Both steppers take the same operations in the same order, so their
+rows are bitwise equal.  The audit is
 Newton on the LDL^T pivots started from the initial eigenvalues, run on a
 whole block of steps at once (max(64, 2^16 / N^2) steps), which takes one
 pivot sweep per block.  Every flow raises InvalidData on a flow time that
@@ -27,6 +31,7 @@ float64.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -49,6 +54,13 @@ from .spectral_inverse import _lanczos
 _EXP_LIMIT = 700.0
 _AUDIT_SWEEPS = 4
 _AUDIT_BLOCK = 64  # fewest RK4 steps per drift audit
+# ``lax_integrate`` steps 2.._SCALAR_SITES sites on Python floats
+# (``_ScalarLaxStepper``): there numpy's cost per call, 23 calls a step,
+# outweighs the arithmetic.  16 is the measured crossover (500 steps, best of
+# 7 on a 2-vCPU VM: 1.01 against numpy's 4.35 ms at N = 4, 4.33 against 4.62
+# at 16, 4.84 against 4.67 at 17, 9.39 against 4.72 at 32).  Compiling one
+# N's kernel takes 0.7 ms at N = 4 and about 5 ms at 16, once per process.
+_SCALAR_SITES = 16
 
 
 def _flow_time(t) -> float:
@@ -172,9 +184,12 @@ def lax_integrate(
     keep the order of the steps: a drift raises before a later step that
     diverges or loses positivity.
 
-    The steps are taken by ``_LaxStepper`` on buffers allocated once, 23
-    ufunc calls a step (its stage weights carry the 1/2 of dc, so each step
-    is bitwise the plain RK4 step).  The audit does not feed back into the
+    The steps are taken by ``_ScalarLaxStepper`` up to N = ``_SCALAR_SITES``
+    (straight-line Python-float code, generated once per N) and by
+    ``_LaxStepper`` above it (buffers allocated once, 23 ufunc calls a
+    step).  Both carry the 1/2 of dc in their stage weights, so each step is
+    bitwise the plain RK4 step, and their rows are bitwise each other's.
+    The audit does not feed back into the
     integration, so the steps run in blocks of max(``_AUDIT_BLOCK``,
     2^16 // N^2) rows (64 from N = 32 on, 4096 at N = 4, where a 500-step
     trajectory is one block), whose pivot table stays within
@@ -217,7 +232,7 @@ def lax_integrate(
     if n == 1:
         return JacobiMatrix(m.v.copy(), m.c.copy()), 0.0
     nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
-    stepper = _LaxStepper(m, t / nsteps)
+    stepper = (_ScalarLaxStepper if n <= _SCALAR_SITES else _LaxStepper)(m, t / nsteps)
     lam = _distinct_eigenvalues(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
     floor = 4.0 * _EPS * scale
@@ -258,7 +273,9 @@ def lax_integrate(
 
 
 class _LaxStepper:
-    """Classical RK4 on the first matrix flow, on buffers it owns.
+    """Classical RK4 on the first matrix flow, on buffers it owns; it steps
+    N above ``_SCALAR_SITES``, where numpy's cost per call is spread over
+    enough sites.
 
     The state and the stage point are laid out as
 
@@ -276,10 +293,12 @@ class _LaxStepper:
 
     A stage row, one of the four rows of ``_k``, lines up with the
     [v | 0 | c] part of the state.  The junk slot has stage weight 0, so
-    the padding zero stays +0, and the 1/2 of dc_k = c_k (v_{k+1} - v_k) / 2
-    is carried by the stage weights, halved on the c part: halving is exact
-    in binary (above the subnormal range).  A step forms k1 + 2 k2 + 2 k3 + k4
-    with one exact multiply by the column [1, 2, 2, 1] and one
+    the padding zero stays +0 while the junk and its stage sum are finite
+    (0 * inf is NaN, and then the slot stays NaN).  The 1/2 of
+    dc_k = c_k (v_{k+1} - v_k) / 2 is carried by the stage weights, halved
+    on the c part: halving is exact in binary (above the subnormal range).
+    A step forms k1 + 2 k2 + 2 k3 + k4 with one exact multiply by the
+    column [1, 2, 2, 1] and one
     ``np.add.reduce`` down the rows, which adds them in order, so it is
     bitwise y + (h/6) (k1 + 2 k2 + 2 k3 + k4) on the plain right-hand side
     with the sum taken left to right.  A step is 23 ufunc calls, the last
@@ -347,6 +366,112 @@ class _LaxStepper:
             mul(sixth, total, total)
             add(y_state, total, y_state)
             row[:] = out
+
+
+class _ScalarLaxStepper:
+    """``_LaxStepper`` on Python floats, for N up to ``_SCALAR_SITES``.
+
+    Each block of steps is one call of ``_scalar_rk4(N)``, straight-line
+    code for N sites that takes ``_LaxStepper``'s operations in its order:
+    the squares c_k^2; dv_k = c_k^2 - c_{k-1}^2 with the end terms c_0^2 - z
+    and 0 - c_{N-2}^2; 2 dc_k = (v_{k+1} - v_k) c_k; the stage points y + w k
+    and the step y + s (((k1 + 2 k2) + 2 k3) + k4), with the same weights
+    (w and w/2 for w in h/2, h, h/6).  It also carries the padding slot z
+    between v and c as numpy does: z is +0 until a stage meets a v_0 that
+    is not finite or the sum of the four stages' v_0 overflows, and NaN from
+    then on (its square is itself).  So every row is bitwise the numpy
+    stepper's, inf and NaN rows included.  Python-float + - * give inf or
+    NaN without raising, and a step has no division and no power.
+    """
+
+    def __init__(self, m: JacobiMatrix, h: float):
+        self._kernel = _scalar_rk4(m.n)
+        self._y = [*m.v.tolist(), 0.0, *m.c.tolist()]  # [v | z | c]
+        self._weights = [x for w in (0.5 * h, h, h / 6.0) for x in (w, 0.5 * w)]
+
+    def run(self, rows: np.ndarray) -> None:
+        """Take one step per row of ``rows`` (the [v | 0 | c | 0] part of
+        the state) and store each new state there."""
+        out = self._kernel(self._y, rows.shape[0], *self._weights)
+        rows.flat = out
+        self._y = out[-rows.shape[1] : -1]
+
+
+@functools.cache
+def _scalar_rk4(n: int):
+    """The block kernel of ``_ScalarLaxStepper`` for n >= 2 sites, compiled
+    once per n from ``_rk4_source(n)``."""
+    namespace: dict = {}
+    exec(compile(_rk4_source(n), f"<RK4 kernel, N = {n}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
+def _rk4_source(n: int) -> str:
+    """Source of ``rk4(y, count, h2v, h2c, h1v, h1c, h6v, h6c)``, which takes
+    ``count`` RK4 steps from the state y = [v | z | c] and returns the new
+    [v | z | c | 0] rows as one flat list.  The weights are w on v and w/2
+    on c for w = h/2, h and h/6; the template is filled only with site
+    indices.  k1 goes into the sums sv, sc; k2..k4 into dv, dc."""
+    state = ", ".join([f"v{i}" for i in range(n)] + ["z"] + [f"c{i}" for i in range(n - 1)])
+
+    def lines(template, count, start=0):
+        return [template.format(i=i, j=i - 1, k=i + 1) for i in range(start, count)]
+
+    def rhs(p, z, dv, dc):
+        # The right-hand side at the point (p v, z, p c) into dv and dc.
+        return [
+            *lines("q{i} = %sc{i} * %sc{i}" % (p, p), n - 1),
+            f"{dv}0 = q0 - {z}",
+            *lines("%s{i} = q{i} - q{j}" % dv, n - 1, 1),
+            f"{dv}{n - 1} = 0.0 - q{n - 2}",
+            *lines("%s{i} = (%sv{k} - %sv{i}) * %sc{i}" % (dc, p, p, p), n - 1),
+        ]
+
+    def point(wv, wc, dv, dc):
+        # The stage point y + w k, into pv and pc.
+        return [*lines("pv{i} = v{i} + %s * %s{i}" % (wv, dv), n),
+                *lines("pc{i} = c{i} + %s * %s{i}" % (wc, dc), n - 1)]
+
+    def add(twice):
+        # k into the sums, doubled for k2 and k3.
+        f = "2.0 * " if twice else ""
+        return [*lines("sv{i} = sv{i} + %sdv{i}" % f, n),
+                *lines("sc{i} = sc{i} + %sdc{i}" % f, n - 1)]
+
+    step = [
+        *rhs("", "z", "sv", "sc"),
+        # numpy squares the stage point's padding slot z + 0 v0, which is +0
+        # or NaN; z v0 is that square but for the sign of a zero, which
+        # q0 - pz drops (q0 is never -0).
+        "pz = z * v0",
+        *point("h2v", "h2c", "sv", "sc"),
+        *rhs("p", "pz", "dv", "dc"),
+        *add(True),
+        "jz = v0 + 2.0 * pv0",  # the padding slot's own stage sum
+        "pz = z * pv0",
+        *point("h2v", "h2c", "dv", "dc"),
+        *rhs("p", "pz", "dv", "dc"),
+        *add(True),
+        "jz = jz + 2.0 * pv0",
+        "pz = z * pv0",
+        *point("h1v", "h1c", "dv", "dc"),
+        *rhs("p", "pz", "dv", "dc"),
+        *add(False),
+        "z = z + 0.0 * (jz + pv0)",
+        *lines("v{i} = v{i} + h6v * sv{i}", n),
+        *lines("c{i} = c{i} + h6c * sc{i}", n - 1),
+        f"put(({state}, 0.0))",
+    ]
+    body = "\n        ".join(step)
+    return (
+        "def rk4(y, count, h2v, h2c, h1v, h1c, h6v, h6c):\n"
+        f"    {state} = y\n"
+        "    out = []\n"
+        "    put = out.extend\n"
+        "    for _ in range(count):\n"
+        f"        {body}\n"
+        "    return out\n"
+    )
 
 
 def _block_drift(

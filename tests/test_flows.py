@@ -392,11 +392,14 @@ def _fresh_array_lax(m, t, dt=1e-3):
     return y[:n], y[n:], worst
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 16, 64])
+@pytest.mark.parametrize(
+    "n", sorted({2, 3, 4, 16, 64, flows._SCALAR_SITES, flows._SCALAR_SITES + 1})
+)
 def test_stepper_is_bitwise_the_fresh_array_loop(n):
-    """The stepper on preallocated buffers, with the 1/2 of dc in its stage
-    weights and larger audit blocks, gives bitwise the matrix and the drift
-    of RK4 on fresh arrays audited in blocks of 64."""
+    """Both steppers (Python floats up to the crossover, preallocated numpy
+    buffers above it), with the 1/2 of dc in their stage weights and larger
+    audit blocks, give bitwise the matrix and the drift of RK4 on fresh
+    arrays audited in blocks of 64."""
     rng = np.random.default_rng(700 + n)
     m = random_jacobi(rng, n)
     for t in (0.35, 0.5, -0.2):
@@ -484,15 +487,114 @@ def test_step_errors_keep_step_order(monkeypatch):
     with pytest.raises(StepTooLarge, match="lost positivity"):
         lax_integrate(JacobiMatrix([3.07, 2.87], [2.4745]), 4.0, 1.0)
 
-    run = flows._LaxStepper.run
+    _flip_couplings_from_step_five(monkeypatch, flows._ScalarLaxStepper)
+    with pytest.raises(StepTooLarge, match="lost positivity"):
+        lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.02)
+
+
+def _flip_couplings_from_step_five(monkeypatch, stepper):
+    """Make ``stepper``'s blocks lose positivity from their fifth step on."""
+    run = stepper.run
 
     def flips_on_step_five(self, rows):
         run(self, rows)
-        rows[4:, 4:6] *= -1.0  # rows are [v | 0 | c | 0]: c < 0 from step five on
+        n = rows.shape[1] // 2
+        rows[4:, n + 1 : 2 * n] *= -1.0  # rows are [v | 0 | c | 0]: c < 0 from step five on
 
-    monkeypatch.setattr(flows._LaxStepper, "run", flips_on_step_five)
+    monkeypatch.setattr(stepper, "run", flips_on_step_five)
+
+
+def test_step_errors_keep_step_order_above_the_crossover(monkeypatch):
+    """The numpy stepper, which serves N above the crossover, keeps the step
+    order too: a later step made to lose positivity after accurate steps of
+    the same block is named as such."""
+    _flip_couplings_from_step_five(monkeypatch, flows._LaxStepper)
+    m = random_jacobi(np.random.default_rng(31), flows._SCALAR_SITES + 1)
     with pytest.raises(StepTooLarge, match="lost positivity"):
-        lax_integrate(JacobiMatrix([1.0, -0.5, 0.3], [0.7, 1.1]), 0.02)
+        lax_integrate(m, 0.02)
+
+
+def _stepper_rows(stepper, n, blocks):
+    """The rows ``stepper`` fills over consecutive blocks of the given sizes."""
+    rows = []
+    for size in blocks:
+        block = np.empty((size, 2 * n + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepper.run(block)
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+def _step_blocks(n, t, dt):
+    """The block sizes ``lax_integrate`` steps ``t`` in."""
+    nsteps = max(1, math.ceil(abs(t) / dt - 1e-12))
+    block = _audit_rows(n)
+    return t / nsteps, [min(block, nsteps - s) for s in range(0, nsteps, block)]
+
+
+@pytest.mark.parametrize("n", range(2, flows._SCALAR_SITES + 3))
+def test_scalar_stepper_is_bitwise_the_numpy_stepper(n):
+    """The generated Python-float stepper fills bitwise the numpy stepper's
+    rows, in ``lax_integrate``'s blocks: on random draws, on diagonals
+    scaled by 2^300 and 2^-300, and with a coupling of 1e150, whose stages
+    overflow in the first step, so its rows are inf and NaN (compared with
+    ``equal_nan``, the padding slot included)."""
+    rng = np.random.default_rng(500 + n)
+    m = random_jacobi(rng, n)
+    c = m.c.copy()
+    c[n // 2 - 1] = 1e150
+    cases = (m, JacobiMatrix(m.v * 2.0**300, m.c), JacobiMatrix(m.v * 2.0**-300, m.c),
+             JacobiMatrix(m.v, c))
+    for t in (0.35, 0.5, -0.2):
+        for dt in (1e-3, 0.02):
+            h, blocks = _step_blocks(n, t, dt)
+            for x in cases:
+                want = _stepper_rows(flows._LaxStepper(x, h), n, blocks)
+                got = _stepper_rows(flows._ScalarLaxStepper(x, h), n, blocks)
+                np.testing.assert_array_equal(got, want)
+    assert np.isnan(got).any()  # the 1e150 case diverged
+
+
+def test_scalar_stepper_carries_its_state_across_blocks():
+    """At N = 12 a block is 455 rows, so 500 steps take two ``run`` calls:
+    the second picks up where the first stopped, as one block of 500 does."""
+    n = 12
+    m = random_jacobi(np.random.default_rng(12), n)
+    h, blocks = _step_blocks(n, 0.5, 1e-3)
+    assert blocks == [455, 45]
+    two = _stepper_rows(flows._ScalarLaxStepper(m, h), n, blocks)
+    np.testing.assert_array_equal(two, _stepper_rows(flows._ScalarLaxStepper(m, h), n, [500]))
+    np.testing.assert_array_equal(two, _stepper_rows(flows._LaxStepper(m, h), n, blocks))
+
+
+def test_scalar_stepper_carries_the_padding_slot():
+    """At v_0 = v_1 = 4e307 the stages of v_0 sum past float64: numpy's
+    padding slot turns NaN while v and c stay finite, so the row is not
+    finite and ``lax_integrate`` would call it divergent.  The generated
+    stepper carries that slot the same way."""
+    m = JacobiMatrix([4e307, 4e307], [1.0])
+    want = _stepper_rows(flows._LaxStepper(m, 1e-3), 2, [2])
+    got = _stepper_rows(flows._ScalarLaxStepper(m, 1e-3), 2, [2])
+    np.testing.assert_array_equal(got, want)
+    assert np.isfinite(got[0, [0, 1, 3]]).all() and np.isnan(got[0, 2])
+
+
+def test_lax_integrate_takes_the_scalar_stepper_up_to_the_crossover(monkeypatch):
+    """Selection guard: N up to ``_SCALAR_SITES`` steps on Python floats,
+    one more site on the numpy buffers; each N's kernel is compiled once."""
+    calls = {flows._ScalarLaxStepper: 0, flows._LaxStepper: 0}
+    for stepper in calls:
+        def counting(self, rows, run=stepper.run, stepper=stepper):
+            calls[stepper] += 1
+            run(self, rows)
+
+        monkeypatch.setattr(stepper, "run", counting)
+    rng = np.random.default_rng(93)
+    lax_integrate(random_jacobi(rng, flows._SCALAR_SITES), 0.02)
+    assert calls == {flows._ScalarLaxStepper: 1, flows._LaxStepper: 0}
+    lax_integrate(random_jacobi(rng, flows._SCALAR_SITES + 1), 0.02)
+    assert calls == {flows._ScalarLaxStepper: 1, flows._LaxStepper: 1}
+    assert flows._scalar_rk4(5) is flows._scalar_rk4(5)
 
 
 def test_audit_never_reads_nan_steps_as_drift(monkeypatch):
