@@ -238,7 +238,13 @@ def lax_integrate(
     floor = 4.0 * _EPS * scale
     gaps = np.maximum(np.abs(np.subtract.outer(lam, lam)), floor)
     np.fill_diagonal(gaps, np.inf)
-    tol = np.maximum(np.sqrt(_EPS * scale / (1.0 / gaps).sum(axis=1)), floor)
+    sums = (1.0 / gaps).sum(axis=1)
+    with np.errstate(over="ignore"):
+        tol = np.sqrt(_EPS * scale / sums)
+    # Where eps * scale / S overflows (eigenvalues near 1e200 and beyond),
+    # its root is still finite: take it as sqrt(eps * scale) / sqrt(S).
+    tol = np.where(np.isfinite(tol), tol, math.sqrt(_EPS * scale) / np.sqrt(sums))
+    tol = np.maximum(tol, floor)
     # Lane k may see any count from the first to one past the last index of
     # its cluster; a lone eigenvalue is a cluster of one (k or k + 1).
     split = 1e-14 * scale

@@ -8,7 +8,7 @@ finishes; weights are reciprocal sums of squared first-kind polynomial
 values.  Both kernels solve one matrix.  Bisection and Newton run in
 lockstep over all its eigenvalues above N = 16; up to N = 16 they take them
 eigenvalue by eigenvalue on Python floats (``_scalar_refine``), bitwise the
-lockstep loops.  The matrix
+lockstep loops, and so does the pole check of ``gluing_check``.  The matrix
 with its first row and column removed supplies the divisor, whose points
 interlace the eigenvalues.
 """
@@ -54,12 +54,13 @@ class SpectralData:
         return self.lambdas.size
 
 
-# A sweep of one matrix at 2.._SCALAR_LANES points runs lane by lane on
-# Python floats (``_scalar_sweep``): there numpy's cost per call, about eight
-# calls per site, outweighs the arithmetic.  16 is the measured crossover
-# (per sweep at N = 12 on a 2-vCPU VM: 14 us against numpy's 86 at 4 points,
-# 48 against 73 at 16, 78 against 87 or 86 against 81 at 32).  The same
-# bound sends one matrix's bisection and Newton to ``_scalar_refine``.
+# A matrix of at most _SCALAR_LANES sites goes lane by lane on Python
+# floats, one ``_scalar_point`` per point: its bisection and Newton
+# (``_scalar_refine``) and its pole check (``_pole_residual``).  There
+# numpy's cost per call, about eight calls per site, outweighs the
+# arithmetic.  16 is the measured crossover (per sweep at N = 12 on a
+# 2-vCPU VM: 14 us against numpy's 86 at 4 points, 48 against 73 at 16, 78
+# against 87 or 86 against 81 at 32).
 _SCALAR_LANES = 16
 
 
@@ -72,22 +73,18 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     overflow): the step is then NaN, a bisection step for bracketed Newton;
     a zero sum gives an infinite step, which is one as well.
 
-    Three kernels, one recurrence, bitwise the same on the same points.
-    One matrix (v and x 1-D) at 2 to ``_SCALAR_LANES`` points runs on
-    Python floats (``_scalar_sweep``, one ``_scalar_point`` per point; one
-    matrix's bisection and Newton up to N = 16 call that kernel point by
-    point themselves, in ``_scalar_refine``).  One matrix at more points, as
-    in the multisection grid of about 32 N points or Newton above N = 16,
-    runs on numpy rows, one row per site over all points; so does one point,
-    whose ratios numpy sums pairwise.  A stack of B matrices (v of shape
+    Two layouts of numpy rows, one row per site over all points.  One
+    matrix (v and x 1-D), as in the multisection grid of about 32 N points
+    or Newton above N = 16, is swept at all its points at once.  At two or
+    more points numpy sums each point's ratios from +0 in site order, as
+    ``_scalar_point`` does, so the two give the same bits; at one point it
+    sums them pairwise from 8 sites on.  A stack of B matrices (v of shape
     (B, N), c of shape (B, N - 1)) is swept in one pass at points x of shape
     (B, K), matrix b at x[b]; counts and steps then have shape (B, K).  Each
     row takes its pivot floor and its rounding level from its own largest
     entries, so a row of a stack is its own sweep, bit for bit.
     """
     if v.ndim == 1:
-        if 2 <= x.size <= _SCALAR_LANES:
-            return _scalar_sweep(v, c, x)
         c2, weak, pivmin = _floors(v, c)
         piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
     else:
@@ -129,15 +126,6 @@ def _floors(v: np.ndarray, c: np.ndarray) -> tuple[list, float, float]:
     return c2, weak, (_TINY / _EPS) * max(1.0, scale)
 
 
-def _scalar_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_pivot_sweep`` of one matrix at the points x (1-D), one
-    ``_scalar_point`` per lane on Python floats.  Counts and steps are
-    bitwise those of the numpy rows."""
-    matrix = _scalar_matrix(v, c)
-    counts, steps = zip(*[_scalar_point(matrix, xj) for xj in x.tolist()])
-    return np.array(counts, dtype=np.intp), np.array(steps)
-
-
 def _scalar_matrix(v: np.ndarray, c: np.ndarray) -> tuple[float, list, float, float]:
     """One matrix as ``_scalar_point`` reads it: v_0, the (v_k, c_{k-1}^2)
     of the sites past the first, and the ``_floors``."""
@@ -149,14 +137,16 @@ def _scalar_matrix(v: np.ndarray, c: np.ndarray) -> tuple[float, list, float, fl
 def _scalar_point(matrix: tuple, xj: float) -> tuple[int, float]:
     """Sturm count and Newton step of the ``_scalar_matrix`` at the one
     point xj, on Python floats with the numpy rows' operations in their
-    order: the same floors, the ratios summed from the first site on (numpy
-    sums the rows of two or more lanes so), a zero sum giving a signed
-    infinite step."""
+    order: the same floors, the ratios summed in site order from +0 (as
+    numpy sums the rows of two or more lanes), so a zero sum is +0 and its
+    step +inf.  The counts and steps are bitwise those of ``_pivot_sweep``
+    at two or more points."""
     v0, sites, weak, pivmin = matrix
     d = v0 - xj
     if abs(d) < pivmin:
         d = -pivmin
-    ratio = total = -1.0 / d
+    ratio = -1.0 / d
+    total = 0.0 + ratio
     below = d < 0.0
     clear = True  # every pivot but the last above rounding level
     for vk, ck2 in sites:
@@ -171,9 +161,7 @@ def _scalar_point(matrix: tuple, xj: float) -> tuple[int, float]:
         below += d < 0.0
     if not clear:
         return below, math.nan
-    if total:
-        return below, 1.0 / total
-    return below, math.copysign(math.inf, total)
+    return below, 1.0 / total if total else math.inf
 
 
 def _floor_rows(d: np.ndarray, pivmin: np.ndarray, pivtop: float) -> None:
@@ -424,11 +412,20 @@ def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
     ||(P_0, ..., P_{N-1})|| does not, since forward-recurrence rounding
     grows with N.  A pole within rounding of an eigenvalue of a leading
     block has a pivot at rounding level and no finite step; it takes the
-    step from 8 eps * scale above instead (``_nudged_sweep``, as the
-    ``lax_integrate`` audit does).
+    step from 8 eps * scale above instead, as the ``lax_integrate`` audit
+    does.  Up to ``_SCALAR_LANES`` sites the poles go one ``_scalar_point``
+    each, above in one ``_nudged_sweep``.
     """
     top = max(1.0, float(np.max(np.abs(poles))))
-    _, step = _nudged_sweep(m.v, m.c, poles, 8.0 * _EPS * top)
+    nudge = 8.0 * _EPS * top
+    if m.n <= _SCALAR_LANES:
+        matrix = _scalar_matrix(m.v, m.c)
+        step = []
+        for x in poles.tolist():
+            s = _scalar_point(matrix, x)[1]
+            step.append(s if math.isfinite(s) else _scalar_point(matrix, x + nudge)[1] - nudge)
+    else:
+        _, step = _nudged_sweep(m.v, m.c, poles, nudge)
     return float(np.max(np.abs(step))) / top
 
 

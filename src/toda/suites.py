@@ -10,14 +10,14 @@ canonical coordinate relations, the dual-data identities, and the flow
 cross-validations.  The roundtrip and traces suites check the same seeded
 matrices: they share one memoized draw (``_samples``), with the divisors
 solved as one stack per size, so each spectrum, divisor and Weyl function
-is computed once per seed and size.  Checks run sequentially, for
+is computed once per seed and size; the roundtrip suite inverts each
+sample with its own ``lanczos_reconstruct``.  Checks run sequentially, for
 deterministic accumulation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -31,7 +31,7 @@ from .coordinates import (
     w_from_gamma,
     w_from_theta,
 )
-from .errors import Breakdown, InvalidData
+from .errors import InvalidData
 from .flows import flow_H, flow_T, lax_integrate, theta_flow
 from .jacobi_core import JacobiMatrix, _matrix_distance, moments
 from .poisson import (
@@ -69,7 +69,7 @@ from .spectral_direct import (
     weyl_from_spectral,
     weyl_solution_residual,
 )
-from .spectral_inverse import _lanczos, lanczos_reconstruct, stieltjes_reconstruct
+from .spectral_inverse import lanczos_reconstruct, stieltjes_reconstruct
 
 SUITE_NAMES = ("roundtrip", "traces", "brackets", "canonical", "dual", "flows")
 
@@ -129,8 +129,9 @@ def _samples(
     size in {2, 3, n} drawn from ``seed``, each with its spectral
     data and Weyl function.
 
-    Each matrix takes its own ``eigen``; the four Weyl functions of a size
-    take their divisors from one ``_zeros`` call and keep them
+    Each matrix takes its own ``eigen`` (and, in the roundtrip suite, its
+    own ``lanczos_reconstruct``); the four Weyl functions of a size take
+    their divisors from one ``_zeros`` call and keep them
     (``rational_weyl._keep_zeros``).  Every row of that stack is bitwise the
     ``zeros`` of its own Weyl function, and a stack that fails raises what
     its first failing function raises alone.
@@ -150,32 +151,14 @@ def _samples(
     return tuple(out)
 
 
-def _lanczos_rows(samples) -> list:
-    """The entries (v, c) that ``lanczos_reconstruct`` gives each sample,
-    from one ``_lanczos`` call per size.  A size whose stack breaks down
-    gives None for each of its samples, which then invert alone in their
-    turn, so the first to break down raises where its own call would."""
-    rows: list = []
-    for _, group in groupby(samples, key=lambda sample: sample[0].n):
-        sds = [sd for _, sd, _ in group]
-        try:
-            v, c = _lanczos(np.array([sd.lambdas for sd in sds]), np.array([sd.rhos for sd in sds]))
-        except Breakdown:
-            rows += [None] * len(sds)
-        else:
-            rows += zip(v, c)
-    return rows
-
-
 def suite_roundtrip(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Reconstruction roundtrips, normalization, interlacing, and the
     partition-of-unity identity for the quotient numerator."""
     res: dict[str, tuple[float, float]] = {}
-    samples = _samples(seed, n)
-    for (m, sd, w), lz in zip(samples, _lanczos_rows(samples)):
+    for m, sd, w in _samples(seed, n):
         pq = to_quotient(w)
         m_cf = stieltjes_reconstruct(pq)
-        m_lz = lanczos_reconstruct(sd) if lz is None else JacobiMatrix(*lz)
+        m_lz = lanczos_reconstruct(sd)
         _merge(res, "stieltjes_roundtrip", _matrix_distance(m, m_cf), 1e-8)
         _merge(res, "lanczos_roundtrip", _matrix_distance(m, m_lz), 1e-8)
         _merge(res, "methods_agree", _matrix_distance(m_cf, m_lz), 1e-8)

@@ -319,6 +319,17 @@ def test_matrix_flow_step_guards():
         lax_integrate(easy, 1.0, 1e-9)
 
 
+@pytest.mark.parametrize("v, c", [([1e200, -1e200], [1.0]), ([1e300, -1e300], [1e100])])
+def test_matrix_flow_drift_tolerance_of_huge_eigenvalues(v, c):
+    """At eigenvalues +-1e200 and beyond, eps * scale / sum_j 1/|gap| leaves
+    float64; the audit tolerance is then the quotient of the roots, with no
+    warning, and the first step diverges as it should."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooLarge, match="integration diverged; reduce the step size"):
+            lax_integrate(JacobiMatrix(v, c), 0.1)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_matrix_flow_time_must_be_finite(t):
     for m in (JacobiMatrix([1.0, 1.0], [1.0]), JacobiMatrix([1.0], [])):

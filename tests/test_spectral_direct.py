@@ -214,6 +214,46 @@ def test_gluing_pole_half_on_leading_block_eigenvalues():
         assert gluing_check(m, w) <= 1e-14
 
 
+def _nudged_pole_residual(m, poles):
+    """The pole check as one ``_nudged_sweep`` over all poles, the route it
+    takes above N = 16."""
+    top = max(1.0, float(np.max(np.abs(poles))))
+    _, step = spectral_direct._nudged_sweep(m.v, m.c, poles, 8.0 * _EPS * top)
+    return float(np.max(np.abs(step))) / top
+
+
+def _assert_pole_residual_is_the_nudged_sweep(m, poles):
+    got = spectral_direct._pole_residual(m, poles)
+    want = _nudged_pole_residual(m, poles)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
+
+def test_pole_residual_is_the_nudged_sweep_bitwise():
+    """Up to N = 16 the poles go one ``_scalar_point`` each, a retake from
+    beside the pole included, bitwise the one-sweep route: on random draws
+    at N = 2..24, on the same draws scaled by 2^-600 and 2^600 (where the
+    squared couplings underflow or overflow), on the exact families at
+    their eigenvalues and on the eigenvalues of every leading block of two
+    or more sites (rounding-level pivots).  A single pole is left out:
+    numpy sums the ratios of one point pairwise from N = 8 on."""
+    rng = np.random.default_rng(62)
+    retaken = 0
+    for n in range(2, 25):
+        for m in (random_jacobi(rng, n), random_matrix(rng, n)):
+            lam = eigen(m).lambdas
+            _assert_pole_residual_is_the_nudged_sweep(m, lam)
+            for e in (-600, 600):
+                scaled = JacobiMatrix(np.ldexp(m.v, e), np.ldexp(m.c, e))
+                _assert_pole_residual_is_the_nudged_sweep(scaled, np.ldexp(lam, e))
+            for j in range(2, n):
+                block = eigen(truncate(m, 0, j - 1)).lambdas
+                _assert_pole_residual_is_the_nudged_sweep(m, block)
+                retaken += int((~np.isfinite(spectral_direct._pivot_sweep(m.v, m.c, block)[1])).sum())
+        for v, c, lam, _ in (krawtchouk(n, 0.3), krawtchouk(n, 0.5), hahn(n, 0.5, 1.5)):
+            _assert_pole_residual_is_the_nudged_sweep(JacobiMatrix(v, c), lam)
+    assert retaken > 100
+
+
 def test_nudged_sweep_retakes_only_the_steps_that_are_not_finite():
     """At 0, an eigenvalue of the leading 1x1 block, the first pivot
     vanishes: that step is retaken from 0 + nudge and moved back, the other
@@ -583,9 +623,9 @@ def test_eigen_brackets_from_one_multisection_sweep(monkeypatch):
 
 
 def _numpy_rows_sweep(v, c, x):
-    """``_pivot_sweep`` of one matrix as it was before ``_scalar_sweep``:
-    the LDL^T recurrence on numpy rows, one row per site over all points.
-    Kept frozen as the oracle of the scalar kernel."""
+    """``_pivot_sweep`` of one matrix on numpy rows: the LDL^T recurrence,
+    one row per site over all points.  Kept frozen as the oracle of the
+    scalar kernel."""
     with np.errstate(over="ignore"):
         c2 = (c * c).tolist()
     scale = max(c2, default=1.0)
@@ -606,15 +646,19 @@ def _numpy_rows_sweep(v, c, x):
 
 
 def _assert_scalar_sweep_is_the_numpy_rows(v, c, x):
-    """Counts and steps equal in dtype, value and sign (zeros and
+    """One ``_scalar_point`` per lane, and the live ``_pivot_sweep``, give
+    the frozen rows' counts and steps in value and sign (zeros and
     infinities included); NaN where the rows give NaN."""
-    got = spectral_direct._scalar_sweep(v, c, x)
+    matrix = spectral_direct._scalar_matrix(v, c)
+    cnt, step = zip(*[spectral_direct._scalar_point(matrix, xj) for xj in x.tolist()])
+    got = np.array(cnt, dtype=np.intp), np.array(step)
     want = _numpy_rows_sweep(v, c, x)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert np.array_equal(g, w, equal_nan=True), (g, w)
-        signed = ~np.isnan(w)
-        assert np.array_equal(np.signbit(g[signed]), np.signbit(w[signed]))
+    for g in (got, spectral_direct._pivot_sweep(v, c, x)):
+        for gk, wk in zip(g, want):
+            assert gk.dtype == wk.dtype and gk.shape == wk.shape
+            assert np.array_equal(gk, wk, equal_nan=True), (gk, wk)
+            signed = ~np.isnan(wk)
+            assert np.array_equal(np.signbit(gk[signed]), np.signbit(wk[signed]))
     return got
 
 
@@ -659,9 +703,11 @@ def test_scalar_sweep_is_the_numpy_rows_on_exact_zero_pivots():
 
 
 def test_scalar_sweep_is_the_numpy_rows_on_nan_and_rounding_level_pivots():
-    """NaN points give NaN lanes beside finite ones; a point one ulp from
-    an eigenvalue of a leading block puts an interior pivot at rounding
-    level, and both kernels give that lane a NaN step."""
+    """NaN points give NaN lanes beside finite ones; at -inf and +inf every
+    ratio is a zero, which numpy sums to +0, so both kernels step +inf
+    there.  A point one ulp from an eigenvalue of a leading block puts an
+    interior pivot at rounding level, and both kernels give that lane a NaN
+    step."""
     rng = np.random.default_rng(57)
     nan_steps = 0
     for n in range(3, 17):
@@ -670,6 +716,9 @@ def test_scalar_sweep_is_the_numpy_rows_on_nan_and_rounding_level_pivots():
         x[2] = np.nan
         cnt, step = _assert_scalar_sweep_is_the_numpy_rows(m.v, m.c, x)
         assert np.isnan(step[2]) and np.isfinite(step[[0, 1, 3, 4, 5]]).all()
+        x[[0, 3]] = -np.inf, np.inf
+        cnt, step = _assert_scalar_sweep_is_the_numpy_rows(m.v, m.c, x)
+        assert list(cnt[[0, 3]]) == [0, n] and list(step[[0, 3]]) == [np.inf, np.inf]
         for j in range(1, n):
             block = eigen(truncate(m, 0, j - 1)).lambdas
             for toward in (-np.inf, np.inf):
@@ -680,14 +729,17 @@ def test_scalar_sweep_is_the_numpy_rows_on_nan_and_rounding_level_pivots():
 
 
 def test_newton_and_bisection_take_the_scalar_kernel(monkeypatch):
-    """Selection guard: at N = 8 and 12 ``eigen`` makes one pivot sweep, the
+    """Selection guard: only the matrix size picks the Python-float kernel.
+    ``_pivot_sweep`` never calls ``_scalar_point``, at 1, 2, 16 or 17
+    points.  At N = 8 and 12 ``eigen`` makes one pivot sweep, the
     multisection grid (about 32 N points, on numpy rows), and bisects and
     takes its Newton steps lane by lane (``_scalar_refine``) without
-    ``bracketed_newton``; at N = 17 Newton runs in lockstep again.  Sweeps
-    at one point and at 17 stay on numpy rows."""
-    sweeps, newton, scalar = [], [], []
-    sweep, kernel = spectral_direct._pivot_sweep, spectral_direct._scalar_sweep
-    lockstep = spectral_direct.bracketed_newton
+    ``bracketed_newton``; at N = 17 Newton runs in lockstep again.
+    ``gluing_check`` takes one ``_scalar_point`` per pole (and none of
+    ``_nudged_sweep``) at N = 16, and ``_nudged_sweep`` at N = 17."""
+    sweeps, newton, scalar, nudged = [], [], [], []
+    sweep, kernel = spectral_direct._pivot_sweep, spectral_direct._scalar_point
+    lockstep, retaking = spectral_direct.bracketed_newton, spectral_direct._nudged_sweep
 
     def recording(v, c, x):
         sweeps.append(x.size)
@@ -697,26 +749,40 @@ def test_newton_and_bisection_take_the_scalar_kernel(monkeypatch):
         newton.append(1)
         return lockstep(*args, **kwargs)
 
-    def scalar_sweep(v, c, x):
-        scalar.append(x.size)
-        return kernel(v, c, x)
+    def scalar_point(matrix, xj):
+        scalar.append(xj)
+        return kernel(matrix, xj)
 
-    monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
-    monkeypatch.setattr(spectral_direct, "bracketed_newton", counting)
-    monkeypatch.setattr(spectral_direct, "_scalar_sweep", scalar_sweep)
+    def nudged_sweep(*args):
+        nudged.append(1)
+        return retaking(*args)
+
+    monkeypatch.setattr(spectral_direct, "_scalar_point", scalar_point)
     rng = np.random.default_rng(51)
-    for n in (8, 12):
-        for _ in range(10):
-            del sweeps[:], newton[:]
-            eigen(random_jacobi(rng, n))
-            assert len(sweeps) == 1 and sweeps[0] >= 31 and not newton
-    eigen(random_jacobi(rng, 17))
-    assert newton
     m = random_jacobi(rng, 12)
-    del scalar[:]
-    for lanes in (1, 17):
+    for lanes in (1, 2, 16, 17):
         spectral_direct._pivot_sweep(m.v, m.c, np.linspace(-1.0, 1.0, lanes))
     assert not scalar
+    monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
+    monkeypatch.setattr(spectral_direct, "bracketed_newton", counting)
+    monkeypatch.setattr(spectral_direct, "_nudged_sweep", nudged_sweep)
+    for n in (8, 12):
+        for _ in range(10):
+            del sweeps[:], newton[:], scalar[:]
+            eigen(random_jacobi(rng, n))
+            assert len(sweeps) == 1 and sweeps[0] >= 31 and not newton and scalar
+    del scalar[:]
+    eigen(random_jacobi(rng, 17))
+    assert newton and not scalar
+    for n in (16, 17):
+        m = random_jacobi(rng, n)
+        w = weyl(m)
+        del sweeps[:], scalar[:], nudged[:]
+        gluing_check(m, w)
+        if n == 16:
+            assert len(scalar) >= n and not nudged and not sweeps
+        else:
+            assert not scalar and len(nudged) == 1
 
 
 def _outcome(solve, v, c):

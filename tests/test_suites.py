@@ -9,6 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from toda import (
     CHART_RESTRICTED,
     CHART_UNRESTRICTED,
+    Breakdown,
     InvalidData,
     SUITE_NAMES,
     cli,
@@ -262,10 +263,10 @@ def test_stacked_samples_report_what_the_per_sample_suites_reported(monkeypatch,
 
 def test_each_size_is_one_eigen_zeros_and_lanczos_stack(monkeypatch):
     """Performance guard: the roundtrip and traces suites make one ``eigen``
-    call per matrix and one ``_zeros`` and one ``_lanczos`` call per size
+    and one ``_lanczos`` call per matrix and one ``_zeros`` call per size
     (three sizes of four matrices at N = 4, two at N = 2); neither suite
-    solves a spectrum or a divisor again.  Before the stacks they made one
-    ``_zeros`` and one ``_lanczos`` call per matrix, 12 each at N = 4."""
+    solves a spectrum, a divisor or an inversion again.  Before the stack
+    they made one ``_zeros`` call per matrix, 12 at N = 4."""
     rational_weyl.zeros(suites._e1_weyl())  # solved once per process
     counts = [
         _count_calls(monkeypatch, fn)
@@ -276,31 +277,34 @@ def test_each_size_is_one_eigen_zeros_and_lanczos_stack(monkeypatch):
         for calls in counts:
             calls.clear()
         run_suites(("roundtrip", "traces"), seed, n)
-        assert [len(calls) for calls in counts] == [4 * sizes, sizes, sizes], (seed, n)
+        assert [len(calls) for calls in counts] == [4 * sizes, sizes, 4 * sizes], (seed, n)
 
 
-def test_a_size_whose_lanczos_stack_breaks_down_inverts_sample_by_sample():
-    """``_lanczos_rows`` gives each sample of a size the bitwise row of its
-    ``lanczos_reconstruct``; a size whose stack breaks down gives None for
-    each of its samples, which then invert alone in the suite's order, and
-    the other sizes keep their rows."""
-    fine = [
-        spectral_direct.eigen(random_jacobi(np.random.default_rng(s), 3)) for s in range(3)
-    ]
+def test_roundtrip_raises_the_breakdown_of_the_sample_alone(monkeypatch):
+    """A sample whose Lanczos inversion breaks down (weights 1e-12 on
+    eigenvalues 1e-8 apart) stops the roundtrip suite in its turn, with the
+    ``Breakdown`` message that ``lanczos_reconstruct`` gives it alone; the
+    samples before it are inverted, the ones after it are not."""
+    fine = [random_jacobi(np.random.default_rng(s), 3) for s in range(3)]
+    two = [random_jacobi(np.random.default_rng(s), 2) for s in range(2)]
     early = spectral_direct.SpectralData(
         np.array([0.0, 1e-8, 2e-8]), np.array([1 - 2e-12, 1e-12, 1e-12])
     )
-    two = [spectral_direct.eigen(random_jacobi(np.random.default_rng(s), 2)) for s in range(2)]
-    samples = [(suites.JacobiMatrix(np.zeros(sd.n), np.ones(sd.n - 1)), sd, None)
-               for sd in [*two, fine[0], early, *fine[1:]]]
-    rows = suites._lanczos_rows(samples)
-    assert rows[2:] == [None] * 4
-    for (v, c), sd in zip(rows[:2], two):
-        m = spectral_inverse.lanczos_reconstruct(sd)
-        np.testing.assert_array_equal(v, m.v)
-        np.testing.assert_array_equal(c, m.c)
-    samples = [sample for sample in samples if sample[1] is not early]
-    for (v, c), (_, sd, _) in zip(suites._lanczos_rows(samples), samples):
-        m = spectral_inverse.lanczos_reconstruct(sd)
-        np.testing.assert_array_equal(v, m.v)
-        np.testing.assert_array_equal(c, m.c)
+    with pytest.raises(Breakdown) as alone:
+        spectral_inverse.lanczos_reconstruct(early)
+    samples = [(m, spectral_direct.eigen(m)) for m in [*two, fine[0]]]
+    samples += [(suites.JacobiMatrix(np.zeros(3), np.ones(2)), early)]
+    samples += [(m, spectral_direct.eigen(m)) for m in fine[1:]]
+    samples = tuple((m, sd, spectral_direct.weyl_from_spectral(sd)) for m, sd in samples)
+    monkeypatch.setattr(suites, "_samples", lambda seed, n: samples)
+    inverted = []
+
+    def recording(sd):
+        inverted.append(sd)
+        return spectral_inverse.lanczos_reconstruct(sd)
+
+    monkeypatch.setattr(suites, "lanczos_reconstruct", recording)
+    with pytest.raises(Breakdown) as raised:
+        suites.suite_roundtrip(0, 3)
+    assert str(raised.value) == str(alone.value) != ""
+    assert inverted == [sd for _, sd, _ in samples[:4]]
