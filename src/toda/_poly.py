@@ -8,8 +8,9 @@ finds the roots of a coefficient array: the quotient form is read through
 its continued fraction (``spectral_inverse``).
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
-record type in the package; this module imports only ``errors``, so any
-layer can import it without an import cycle.
+record type in the package, and ``_index`` for every integer argument (a
+flow index, a series or moment order); this module imports only ``errors``,
+so any layer can import it without an import cycle.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, InvalidData
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_NEWTON_TOL = 4.0 * _EPS  # a root is done within _NEWTON_TOL * max(scale, |x|)
 
 # offspectrum_samples: the samples span the avoided set padded by _SAMPLE_PAD
 # of its width on each side, and keep _SAMPLE_CLEARANCE of that width from
@@ -34,6 +36,14 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int; ``InvalidData`` unless it is an int or a numpy
+    integer (a bool is not one), so a fractional index is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidData(f"{what} must be an integer")
+    return int(value)
 
 
 def bracketed_newton(
@@ -62,7 +72,7 @@ def bracketed_newton(
         step, below = step_side(x)
         lo = np.where(active & ~below, x, lo)
         hi = np.where(active & below, x, hi)
-        tol = 4.0 * _EPS * np.maximum(scale, np.abs(x))
+        tol = _NEWTON_TOL * np.maximum(scale, np.abs(x))
         small = np.abs(step) <= tol
         nxt = x - step
         # A step below the rounding of x may land on the bracket end it just set.

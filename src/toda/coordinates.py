@@ -281,6 +281,7 @@ def abel_period_check(lambdas: np.ndarray, k: int, p: int) -> complex:
     lam = np.asarray(lambdas, dtype=float)
     if lam.size < 2 or not np.all(np.diff(lam) > 0.0):
         raise InvalidData("need at least two increasing poles")
+    k, p = _poly._index(k, "differential index"), _poly._index(p, "contour index")
     if not (1 <= k < lam.size) or not (0 <= p < lam.size):
         raise InvalidData("differential or contour index out of range")
     radius = 0.5 * float(np.min(np.abs(np.delete(lam, p) - lam[p])))

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from . import _poly
-from ._poly import _EPS
+from ._poly import _EPS, _NEWTON_TOL
 from .coordinates import (
     ActionAngle,
     DivisorQuasimomentum,
@@ -48,7 +48,7 @@ from .coordinates import (
 from .errors import InvalidData, Overflow, StepTooLarge
 from .jacobi_core import JacobiMatrix
 from .rational_weyl import _NORMALIZATION_TOL, RationalHerglotz
-from .spectral_direct import _distinct_eigenvalues, _eigenvalues, _nudged_sweep
+from .spectral_direct import _NUDGE, _SPLIT, _distinct_eigenvalues, _eigenvalues, _nudged_sweep
 from .spectral_inverse import _lanczos
 
 _EXP_LIMIT = 700.0
@@ -83,7 +83,7 @@ def flow_H(w0: RationalHerglotz, j: int, t: float) -> RationalHerglotz:
 def _flow_H_rows(w0: RationalHerglotz, j: int, times: np.ndarray) -> np.ndarray:
     """Residue rows (S, N) of ``flow_H`` at each of the S ``times``; raises
     what the lowest failing sample raises on its own."""
-    j = int(j)
+    j = _poly._index(j, "flow index")
     if not w0.normalized:
         raise InvalidData("tangent flows act on normalized pole sums")
     if not 1 <= j <= w0.n:
@@ -113,7 +113,7 @@ def theta_flow(thetas: np.ndarray, lambdas: np.ndarray, j: int, t: float) -> np.
     checked as an ``ActionAngle`` chart point."""
     t = _flow_time(t)
     point = ActionAngle(lambdas, thetas)
-    j = int(j)
+    j = _poly._index(j, "flow index")
     if not 1 <= j <= point.n:
         raise InvalidData("flow index must lie in 1..N")
     speed = point.lambdas ** (j - 1)
@@ -131,7 +131,7 @@ def flow_T(dq0: DivisorQuasimomentum, j: int, t: float) -> DivisorQuasimomentum:
 def _flow_T_rows(dq0: DivisorQuasimomentum, j: int, times: np.ndarray) -> np.ndarray:
     """Quasimomentum rows (S, N - 1) of ``flow_T`` at each of the S
     ``times``; raises what the lowest failing sample raises on its own."""
-    j = int(j)
+    j = _poly._index(j, "flow index")
     if not 1 <= j <= dq0.gammas.size:
         raise InvalidData("flow index must lie in 1..N-1")
     # inf * 0 at a time that is not finite; past float64 at a large one.
@@ -202,19 +202,20 @@ def lax_integrate(
     |delta| <= sqrt(eps * scale / sum_j 1/|lambda_k - lambda_j|) what is
     left is below one rounding unit of the scale.  The pivots resolve no
     step below their own rounding, so that tolerance never goes under
-    4 eps * scale, the stopping rule of ``bracketed_newton``.  The drift of
-    an accurate integration is far below the tolerance, so one pivot sweep
-    per block is the rule.
+    ``_NEWTON_TOL`` (4 eps) * scale, the stopping rule of
+    ``bracketed_newton``.  The drift of an accurate integration is far below
+    the tolerance, so one pivot sweep per block is the rule.
 
-    ``eigen`` does not split eigenvalues closer than 1e-14 * scale; chains
-    of such gaps form clusters, inside which Newton steps are rounding noise
-    and the Sturm counts cannot order the lanes.  A cluster's lanes stop at
-    a 1e-14 * scale tolerance, may count any eigenvalue of their cluster,
-    and are compared with the spectrum in sorted order.  A pivot at
-    rounding level (x_k within rounding of an eigenvalue of a leading
-    block) gives no finite step at x_k; that lane takes the Newton step
-    from 8 eps * scale above instead, which lifts the pivot clear of
-    rounding since every pivot falls with slope at least one in x.
+    ``eigen`` does not split eigenvalues closer than ``_SPLIT`` (1e-14) *
+    scale; chains of such gaps form clusters, inside which Newton steps are
+    rounding noise and the Sturm counts cannot order the lanes.  A cluster's
+    lanes stop at a ``_SPLIT`` * scale tolerance, may count any eigenvalue
+    of their cluster, and are compared with the spectrum in sorted order.
+    A pivot at rounding level (x_k within rounding of an eigenvalue of a
+    leading block) gives no finite step at x_k; that lane takes the Newton
+    step from ``_NUDGE`` (8 eps) * scale above instead, which lifts the
+    pivot clear of rounding since every pivot falls with slope at least one
+    in x.
 
     Where Newton still cannot vouch for a step (no finite step from above
     either, a Sturm count outside x_k's cluster, or no convergence within
@@ -235,7 +236,7 @@ def lax_integrate(
     stepper = (_ScalarLaxStepper if n <= _SCALAR_SITES else _LaxStepper)(m, t / nsteps)
     lam = _distinct_eigenvalues(m)
     scale = max(1.0, float(np.max(np.abs(lam))))
-    floor = 4.0 * _EPS * scale
+    floor = _NEWTON_TOL * scale
     gaps = np.maximum(np.abs(np.subtract.outer(lam, lam)), floor)
     np.fill_diagonal(gaps, np.inf)
     sums = (1.0 / gaps).sum(axis=1)
@@ -247,7 +248,7 @@ def lax_integrate(
     tol = np.maximum(tol, floor)
     # Lane k may see any count from the first to one past the last index of
     # its cluster; a lone eigenvalue is a cluster of one (k or k + 1).
-    split = 1e-14 * scale
+    split = _SPLIT * scale
     first = np.flatnonzero(np.diff(lam, prepend=-np.inf) > split)
     size = np.diff(first, append=n)
     ranks = np.repeat(first, size), np.repeat(first + size, size)
@@ -266,7 +267,7 @@ def lax_integrate(
         bad = np.flatnonzero(~finite | (c <= 0.0).any(axis=1))
         good = bad[0] if bad.size else ys.shape[0]
         if good:
-            drift = _block_drift(v[:good], c[:good], lam, tol, ranks, 2.0 * floor)
+            drift = _block_drift(v[:good], c[:good], lam, tol, ranks, _NUDGE * scale)
             scaled = drift / scale
             worst = max(worst, scaled)
             if scaled > 1e-6:

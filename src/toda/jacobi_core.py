@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import _readonly
+from ._poly import _index, _readonly
 from .errors import InvalidData
 
 
@@ -101,6 +101,7 @@ def truncate(m: JacobiMatrix, k: int, p: int) -> JacobiMatrix:
 def moments(m: JacobiMatrix, k_max: int) -> np.ndarray:
     """Moments of the spectral measure at the first coordinate vector:
     entry k is the (0, 0) element of the k-th matrix power, k = 0..k_max."""
+    k_max = _index(k_max, "moment order")
     if k_max < 0:
         raise InvalidData("moment order must be nonnegative")
     u = np.zeros(m.n)

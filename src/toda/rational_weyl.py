@@ -339,18 +339,12 @@ def krein(w: RationalHerglotz) -> KreinData:
     return KreinData(lambdas0=lam0, gammas=gam0, f=f, shift=shift, exp_residual=resid)
 
 
-def _series_order(n_max) -> None:
-    """Raise unless ``n_max`` is a nonnegative integer (a bool is not one)."""
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise InvalidData("series order must be an integer")
-    if n_max < 0:
-        raise InvalidData("series order must be nonnegative")
-
-
 def trace_moments(w: RationalHerglotz, n_max: int) -> np.ndarray:
     """Power sums s_n = sum_k residue_k * pole_k^n for n = 0..n_max, the
     series of w at infinity: w(z) = -sum_n s_n z^(-n-1)."""
-    _series_order(n_max)
+    n_max = _poly._index(n_max, "series order")
+    if n_max < 0:
+        raise InvalidData("series order must be nonnegative")
     n = np.arange(n_max + 1)
     return (w.residues[None, :] * w.poles[None, :] ** n[:, None]).sum(axis=1)
 
@@ -363,7 +357,9 @@ def trace_via_delta(kd: KreinData, n_max: int) -> np.ndarray:
     product of those series.  The order is capped: the convolution count and
     conditioning both grow with n.
     """
-    _series_order(n_max)
+    n_max = _poly._index(n_max, "series order")
+    if n_max < 0:
+        raise InvalidData("series order must be nonnegative")
     if n_max > 12:
         raise InvalidData("series order capped at 12")
     lam = kd.lambdas0[1:]

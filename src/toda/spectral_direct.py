@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi_core
-from ._poly import _EPS, _TINY, _readonly, bracketed_newton, offspectrum_samples
+from ._poly import _EPS, _NEWTON_TOL, _TINY, _readonly, bracketed_newton, offspectrum_samples
 from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
 from .jacobi_core import JacobiMatrix, truncate
 from .rational_weyl import Divisor, RationalHerglotz, _values, evaluate
@@ -62,6 +62,8 @@ class SpectralData:
 # 2-vCPU VM: 14 us against numpy's 86 at 4 points, 48 against 73 at 16, 78
 # against 87 or 86 against 81 at 32).
 _SCALAR_LANES = 16
+_SPLIT = 1e-14  # bisection leaves eigenvalues within _SPLIT * max(1, |x|) unsplit
+_NUDGE = 8.0 * _EPS  # a step not finite at x is retaken from x + _NUDGE * scale
 
 
 def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,48 +84,51 @@ def _pivot_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     (B, N), c of shape (B, N - 1)) is swept in one pass at points x of shape
     (B, K), matrix b at x[b]; counts and steps then have shape (B, K).  Each
     row takes its pivot floor and its rounding level from its own largest
-    entries, so a row of a stack is its own sweep, bit for bit.
+    entries (``_floors``), so a row of a stack is its own sweep, bit for bit.
     """
+    c2, weak, pivmin = _floors(v, c)
     if v.ndim == 1:
-        c2, weak, pivmin = _floors(v, c)
         piv = np.subtract.outer(v, x)  # row k: v_k - x, turned into d_k in place
     else:
-        with np.errstate(over="ignore"):
-            c2 = c * c
-        top = c2.max(1, keepdims=True, initial=0.0)
-        weak = _EPS * (np.abs(v).max(1, keepdims=True) + 2.0 * np.sqrt(top))
-        pivmin = (_TINY / _EPS) * np.maximum(1.0, top)  # row b's floor
         pivtop = float(pivmin.max())
         c2 = c2.T[:, :, None]  # c2[k]: column of c_k^2 over the stack
         piv = v.T[:, :, None] - x  # piv[k, b]: v_bk - x[b]
-    # A pivot below the floor becomes -pivmin.
     ratio = np.empty_like(piv)  # row k: d_k'/d_k
-    if v.ndim == 1:
-        piv[0][np.abs(piv[0]) < pivmin] = -pivmin
-    else:
-        _floor_rows(piv[0], pivmin, pivtop)
-    np.divide(-1.0, piv[0], out=ratio[0])
+    r = last = 0.0  # row 0 has no coupling above it: its ratio is -1/d_0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(1, v.shape[-1]):
-            r = c2[k - 1] / piv[k - 1]
-            piv[k] -= r
+        for k in range(v.shape[-1]):
+            d = piv[k]
+            if k:
+                r = c2[k - 1] / piv[k - 1]
+                d -= r
+            # A pivot below the floor becomes -pivmin; a stack compares with
+            # its largest floor first and reads the rows' own only if any is below.
             if v.ndim == 1:
-                piv[k][np.abs(piv[k]) < pivmin] = -pivmin
+                d[np.abs(d) < pivmin] = -pivmin
             else:
-                _floor_rows(piv[k], pivmin, pivtop)
-            np.divide(r * ratio[k - 1] - 1.0, piv[k], out=ratio[k])
+                low = np.abs(d) < pivtop
+                if low.any():
+                    np.copyto(d, -pivmin, where=low & (np.abs(d) < pivmin))
+            last = np.divide(r * last - 1.0, d, out=ratio[k])
         step = np.where((np.abs(piv[:-1]) > weak).all(0), 1.0 / ratio.sum(0), np.nan)
     return (piv < 0.0).sum(0), step
 
 
-def _floors(v: np.ndarray, c: np.ndarray) -> tuple[list, float, float]:
-    """Of one matrix: the squared couplings (Python floats keep the site
-    loops cheap, and an overflow there is inf without a warning), the
-    rounding level of an interior pivot and the pivot floor."""
-    c2 = [ck * ck for ck in c.tolist()]
-    scale = max(c2, default=1.0)
-    weak = _EPS * (max(map(abs, v.tolist())) + 2.0 * math.sqrt(scale))
-    return c2, weak, (_TINY / _EPS) * max(1.0, scale)
+def _floors(v: np.ndarray, c: np.ndarray) -> tuple:
+    """The squared couplings, the rounding level of an interior pivot and the
+    pivot floor (tiny / eps) * max(1, max c^2): Python floats for one matrix
+    (cheap in the site loops; an overflow is inf without a warning), (B, 1)
+    columns (the squares (B, N - 1)) for a stack, each row's from its own."""
+    if v.ndim == 1:
+        c2 = [ck * ck for ck in c.tolist()]
+        top, vtop = max(c2, default=0.0), max(map(abs, v.tolist()))
+        sqrt, maximum = math.sqrt, max
+    else:
+        with np.errstate(over="ignore"):
+            c2 = c * c
+        top, vtop = c2.max(1, keepdims=True, initial=0.0), np.abs(v).max(1, keepdims=True)
+        sqrt, maximum = np.sqrt, np.maximum
+    return c2, _EPS * (vtop + 2.0 * sqrt(top)), (_TINY / _EPS) * maximum(1.0, top)
 
 
 def _scalar_matrix(v: np.ndarray, c: np.ndarray) -> tuple[float, list, float, float]:
@@ -164,16 +169,6 @@ def _scalar_point(matrix: tuple, xj: float) -> tuple[int, float]:
     return below, 1.0 / total if total else math.inf
 
 
-def _floor_rows(d: np.ndarray, pivmin: np.ndarray, pivtop: float) -> None:
-    """Set each pivot of the stack d (B, K) below its row's floor (pivmin,
-    shape (B, 1)) in magnitude to minus that floor.  One compare with the
-    largest floor ``pivtop``, a scalar, finds the candidates; the rows' own
-    floors are read only when there are any, which is rare."""
-    low = np.abs(d) < pivtop
-    if low.any():
-        np.copyto(d, -pivmin, where=low & (np.abs(d) < pivmin))
-
-
 def _nudged_sweep(v: np.ndarray, c: np.ndarray, x: np.ndarray, nudge: float) -> tuple:
     """``_pivot_sweep`` at x, with each step that is not finite (a pivot at
     rounding level: x within rounding of an eigenvalue of a leading block)
@@ -199,8 +194,8 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     and N / 2..N cells above (the sweep's pivot table then stays within the
     N x N of one bisection step).  Each eigenvalue takes its cell from the
     counts; eigenvalues still sharing a cell bisect on Sturm counts until
-    each is alone (or to 1e-14 * max(1, |lambda|) for a pair too close to
-    split).  Bracketed Newton then takes its side from the count and its
+    each is alone (or to ``_SPLIT`` * max(1, |lambda|) for a pair too close
+    to split).  Bracketed Newton then takes its side from the count and its
     step from the pivots.  Bisection and Newton step all eigenvalues in
     lockstep, one sweep per step, except up to ``_SCALAR_LANES`` sites:
     there they take them eigenvalue by eigenvalue on Python floats
@@ -219,11 +214,11 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     # cannot be bisected: its cell widths or midpoints overflow.
     if not all(map(math.isfinite, (a, b, b - a, a + b))):
         raise PrecisionLimit("diagonal beyond float64: the eigenvalue bracket overflows")
-    # No level may reach bisection's 1e-14 floor below (twice it covers the
+    # No level may reach bisection's split floor below (twice it covers the
     # rounding of the midpoints): a cluster then bisects on from the bracket
     # that bisection from [a, b] would have reached.
     levels = min((32 * n).bit_length(), 10) if n <= 32 else n.bit_length() - 1
-    while levels and (b - a) * 0.5**levels <= 2e-14 * max(1.0, abs(a), abs(b)):
+    while levels and (b - a) * 0.5**levels <= 2.0 * _SPLIT * max(1.0, abs(a), abs(b)):
         levels -= 1
     grid = np.array([a, b])
     for _ in range(levels):
@@ -244,7 +239,7 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
         return _scalar_refine(v, c, (lo, hi, clo, chi), scale)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        floor = (hi - lo) <= 1e-14 * np.maximum(1.0, np.abs(mid))
+        floor = (hi - lo) <= _SPLIT * np.maximum(1.0, np.abs(mid))
         todo = (chi - clo > 1) & ~floor
         if not np.any(todo):
             break
@@ -281,7 +276,7 @@ def _scalar_refine(v: np.ndarray, c: np.ndarray, cells: tuple, scale: float) -> 
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             mag = abs(mid)
-            if chi - clo <= 1 or hi - lo <= 1e-14 * (1.0 if 1.0 >= mag else mag):
+            if chi - clo <= 1 or hi - lo <= _SPLIT * (1.0 if 1.0 >= mag else mag):
                 break
             cnt = _scalar_point(matrix, mid)[0]
             if cnt >= want:
@@ -303,7 +298,7 @@ def _scalar_refine(v: np.ndarray, c: np.ndarray, cells: tuple, scale: float) -> 
                 else:
                     lo = x
                 mag = abs(x)
-                tol = 4.0 * _EPS * (scale if scale >= mag else mag)
+                tol = _NEWTON_TOL * (scale if scale >= mag else mag)
                 small = abs(step) <= tol
                 nxt = x - step
                 if not (small or (lo < nxt < hi and 2.0 * abs(step) <= older)):
@@ -412,12 +407,12 @@ def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
     ||(P_0, ..., P_{N-1})|| does not, since forward-recurrence rounding
     grows with N.  A pole within rounding of an eigenvalue of a leading
     block has a pivot at rounding level and no finite step; it takes the
-    step from 8 eps * scale above instead, as the ``lax_integrate`` audit
-    does.  Up to ``_SCALAR_LANES`` sites the poles go one ``_scalar_point``
-    each, above in one ``_nudged_sweep``.
+    step from ``_NUDGE`` (8 eps) * scale above instead, as the
+    ``lax_integrate`` audit does.  Up to ``_SCALAR_LANES`` sites the poles
+    go one ``_scalar_point`` each, above in one ``_nudged_sweep``.
     """
     top = max(1.0, float(np.max(np.abs(poles))))
-    nudge = 8.0 * _EPS * top
+    nudge = _NUDGE * top
     if m.n <= _SCALAR_LANES:
         matrix = _scalar_matrix(m.v, m.c)
         step = []

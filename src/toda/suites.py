@@ -18,6 +18,7 @@ deterministic accumulation.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -216,35 +217,28 @@ def suite_brackets(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     health, the constrained reduction, and the leading-entry bracket."""
     rng = np.random.default_rng(seed)
     res: dict[str, tuple[float, float]] = {}
-    size = min(n, 6)
     for chart in (CHART_RESTRICTED, CHART_UNRESTRICTED):
-        pt = random_chart_point(rng, size, chart)
-        pts = offspectrum_samples(pt.lambdas, 4)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                gap = verify_formula_vs_tensor(pt, float(pts[i]), float(pts[j]))
-                _merge(res, "formula_vs_tensor", gap, 1e-6)
+        pt = random_chart_point(rng, n, chart)
+        for lamx, mux in combinations(offspectrum_samples(pt.lambdas, 4).tolist(), 2):
+            _merge(res, "formula_vs_tensor", verify_formula_vs_tensor(pt, lamx, mux), 1e-6)
         _merge(res, "jacobi_identity", jacobi_residual(pt), 1e-10)
         _merge(res, "antisymmetry", antisymmetry_residual(pt), 0.0)
     # Constrained reduction: a unit-total-residue point seen from the full
     # chart must reproduce the restricted tensor's brackets.
-    pt_r = random_chart_point(rng, size, CHART_RESTRICTED)
+    pt_r = random_chart_point(rng, n, CHART_RESTRICTED)
     pt_u = ChartPoint(pt_r.lambdas, pt_r.rhos, CHART_UNRESTRICTED)
-    pts = offspectrum_samples(pt_r.lambdas, 3)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            f, g = weyl_value(float(pts[i])), weyl_value(float(pts[j]))
-            gap = abs(dirac_reduce(pt_u, f, g) - bracket(f, g, pt_r))
-            _merge(res, "dirac_vs_restricted", gap, 1e-6)
+    pairs = list(combinations(offspectrum_samples(pt_r.lambdas, 3).tolist(), 2))
+    for lamx, mux in pairs:
+        f, g = weyl_value(lamx), weyl_value(mux)
+        gap = abs(dirac_reduce(pt_u, f, g) - bracket(f, g, pt_r))
+        _merge(res, "dirac_vs_restricted", gap, 1e-6)
     # Exponent-form bracket against the pole-sum closed form.
     w = RationalHerglotz(pt_r.lambdas, pt_r.rhos)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            lamx, mux = float(pts[i]), float(pts[j])
-            wl, wm = evaluate(w, lamx), evaluate(w, mux)
-            xi = ah_formula_xi(w, lamx, mux) * wl * wm
-            gap = abs(xi - ah_formula(w, lamx, mux, restricted=True)) / max(1.0, abs(xi))
-            _merge(res, "exponent_form", gap, 1e-8)
+    for lamx, mux in pairs:
+        wl, wm = evaluate(w, lamx), evaluate(w, mux)
+        xi = ah_formula_xi(w, lamx, mux) * wl * wm
+        gap = abs(xi - ah_formula(w, lamx, mux, restricted=True)) / max(1.0, abs(xi))
+        _merge(res, "exponent_form", gap, 1e-8)
     _merge(res, "entry_bracket", entry_bracket_residual(pt_r), 1e-6)
     # Fixed two-pole spot value: poles (0, 2) with equal residues, bracket of
     # the values at -1 and 3 equals 4/27 restricted and -4/9 unrestricted.
@@ -297,9 +291,8 @@ def suite_dual(seed: int = 7, n: int = 4) -> dict[str, tuple[float, float]]:
     """Bracket identities of the dual (divisor-side) data."""
     rng = np.random.default_rng(seed)
     res: dict[str, tuple[float, float]] = {}
-    size = min(n, 4)
     for _ in range(2):
-        pt = random_chart_point(rng, size, CHART_UNRESTRICTED)
+        pt = random_chart_point(rng, n, CHART_UNRESTRICTED)
         for name, value in dual_identities(pt).items():
             _merge(res, name, value, 1e-5)
     return res

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from toda import ConvergenceFailure
+from toda import (
+    ConvergenceFailure,
+    InvalidData,
+    abel_period_check,
+    flow_H,
+    flow_T,
+    moments,
+    pi_from,
+    random_jacobi,
+    theta_flow,
+    theta_from,
+    weyl,
+)
 from toda._poly import _SAMPLE_CLEARANCE, _SAMPLE_PAD, bracketed_newton, offspectrum_samples
 
 
@@ -135,3 +147,34 @@ def test_offspectrum_samples_guard():
         _offspectrum_loop(avoid, 16)
     with pytest.raises(ConvergenceFailure):
         offspectrum_samples(avoid, 16)
+
+
+_M = random_jacobi(np.random.default_rng(3), 4)
+_W = weyl(_M)
+# Each function with an integer argument, as a call of that argument alone.
+# A fractional index truncated by int() would silently run a neighbouring
+# flow or order, so anything but an int or numpy integer is refused.
+_INDEXED = {
+    "flow_H": lambda j: flow_H(_W, j, 0.3).residues,
+    "flow_T": lambda j: flow_T(pi_from(_W), j, 0.3).pis,
+    "theta_flow": lambda j: theta_flow(theta_from(_W).thetas, _W.poles, j, 0.3),
+    "moments": lambda k: moments(_M, k),
+    "abel_period_k": lambda k: abel_period_check(_W.poles, k, 0),
+    "abel_period_p": lambda p: abel_period_check(_W.poles, 1, p),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.7, 2.0, True, "2", None])
+@pytest.mark.parametrize("name", sorted(_INDEXED))
+def test_a_non_integer_or_bool_index_raises_invalid_data(name, bad):
+    with pytest.raises(InvalidData, match="must be an integer"):
+        _INDEXED[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(_INDEXED))
+def test_a_numpy_integer_index_is_the_int(name):
+    call = _INDEXED[name]
+    want = call(1)
+    for j in (np.int64(1), np.int32(1), np.uint8(1)):
+        got = call(j)
+        assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype

@@ -424,24 +424,36 @@ def test_eigen_sweep_count(monkeypatch):
     assert len(calls) / 50 <= 25
 
 
+def _assert_stack_is_its_rows(v, c, x):
+    """The stack's counts and steps are each row's own sweep, bitwise: the
+    live one-matrix sweep and the frozen numpy rows."""
+    cnt, step = spectral_direct._pivot_sweep(v, c, x)
+    assert cnt.shape == step.shape == x.shape
+    for b in range(v.shape[0]):
+        for want_cnt, want_step in (spectral_direct._pivot_sweep(v[b], c[b], x[b]),
+                                    _numpy_rows_sweep(v[b], c[b], x[b])):
+            np.testing.assert_array_equal(cnt[b], want_cnt)
+            np.testing.assert_array_equal(step[b], want_step)
+    return cnt
+
+
 def test_stacked_sweep_matches_row_by_row_sweeps():
     """A stack of matrices swept at once gives each matrix's own counts and
     Newton steps, bitwise, including a point on a rounding-level pivot and
-    one on a small pivot well above rounding."""
+    one on a small pivot well above rounding; up to 64 sites, scaled by
+    2^-600 (squared couplings underflow), 2^300 and 2^600 (they overflow),
+    and at one point per row."""
     rng = np.random.default_rng(52)
-    for n in (2, 3, 5, 9):
+    for n in (2, 3, 5, 9, 17, 33, 64):
         ms = [random_jacobi(rng, n) for _ in range(6)]
         v = np.array([m.v for m in ms])
         c = np.array([m.c for m in ms])
         x = np.array([eigen(m).lambdas + rng.uniform(-1e-3, 1e-3, n) for m in ms])
         x[0, 0] = ms[0].v[0]
         x[1, 0] = ms[1].v[0] + 1e-9
-        cnt, step = spectral_direct._pivot_sweep(v, c, x)
-        assert cnt.shape == step.shape == (6, n)
-        for b in range(6):
-            want_cnt, want_step = spectral_direct._pivot_sweep(v[b], c[b], x[b])
-            np.testing.assert_array_equal(cnt[b], want_cnt)
-            np.testing.assert_array_equal(step[b], want_step)
+        for scale in (1.0, 2.0**-600, 2.0**300, 2.0**600):
+            _assert_stack_is_its_rows(scale * v, scale * c, scale * x)
+            _assert_stack_is_its_rows(scale * v, scale * c, scale * x[:, :1])
 
 
 def test_stacked_sweep_floors_each_row_by_its_own_couplings():
@@ -449,16 +461,26 @@ def test_stacked_sweep_floors_each_row_by_its_own_couplings():
     1e-292 and 1e-286; the last pivot of the first row at x = 0 is about
     1e-289, between them.  Each row keeps its own floor, so the stack counts
     and steps as the rows do alone (under the larger floor that pivot would
-    turn negative and count an eigenvalue below 0)."""
+    turn negative and count an eigenvalue below 0).  Likewise up to 64
+    sites, with couplings of order 1 to 1e120 by row (floors of about
+    1e-292 to 1e-52) and the first row's last pivot at x = 0 about 1e-100,
+    also scaled by 2^+-600 and at one point per row."""
     v = np.array([[2.0, 1.5, 1e-289], [0.2, 0.0, 0.1]])
     c = np.array([[1.0, 1e-150], [1e3, 2.0]])
     x = np.array([[0.0, 3.0], [0.3, -0.6]])
-    cnt, step = spectral_direct._pivot_sweep(v, c, x)
-    for b in range(2):
-        want_cnt, want_step = spectral_direct._pivot_sweep(v[b], c[b], x[b])
-        np.testing.assert_array_equal(cnt[b], want_cnt)
-        np.testing.assert_array_equal(step[b], want_step)
+    cnt = _assert_stack_is_its_rows(v, c, x)
     assert cnt[0, 0] == 0
+    rng = np.random.default_rng(53)
+    for n in (2, 5, 17, 64):
+        ms = [random_jacobi(rng, n) for _ in range(4)]
+        v = np.array([m.v for m in ms])
+        c = np.array([m.c * 1e40**b for b, m in enumerate(ms)])
+        v[0, -1], c[0, -1] = 1e-100, 1e-150
+        x = np.array([rng.uniform(-3.0, 3.0, n) for _ in ms])
+        x[0, 0] = 0.0
+        for scale in (1.0, 2.0**-600, 2.0**600):
+            _assert_stack_is_its_rows(scale * v, scale * c, scale * x)
+            _assert_stack_is_its_rows(scale * v, scale * c, scale * x[:, :1])
 
 
 def test_eigen_weights_are_the_recurrence_table_weights_bitwise():

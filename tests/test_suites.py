@@ -69,6 +69,31 @@ def test_a_nan_sample_fails_its_looped_check(monkeypatch):
         assert len(calls) > 2 and np.isnan(residuals[check]), check
 
 
+@pytest.mark.parametrize(
+    "suite, reports",
+    [
+        ("brackets", ("verify_formula_vs_tensor", "jacobi_residual", "antisymmetry_residual",
+                      "dirac_reduce", "entry_bracket_residual")),
+        ("dual", ("dual_identities",)),
+    ],
+)
+def test_brackets_and_dual_check_the_size_asked_for(monkeypatch, suite, reports):
+    """At N = 8 every random point the suite reports on has 8 poles: the
+    suite checks the size it is asked for."""
+    sizes = {}
+    for fn in reports:
+        real = getattr(suites, fn)
+
+        def recording(pt, *args, real=real, fn=fn):
+            sizes.setdefault(fn, set()).add(pt.lambdas.size)
+            return real(pt, *args)
+
+        monkeypatch.setattr(suites, fn, recording)
+    residuals, thresholds = run_suite(suite, seed=0, n=8)
+    assert sizes == {fn: {8} for fn in reports}
+    assert all(residuals[k] <= thresholds[k] for k in residuals)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(InvalidData):
         run_suite("frobnicate")
