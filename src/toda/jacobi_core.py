@@ -1,12 +1,8 @@
-"""Finite symmetric tridiagonal matrices and their polynomial recurrences.
+"""Finite symmetric tridiagonal matrices, their principal blocks and the
+moments of their spectral measure.
 
 A matrix is stored by its diagonal ``v`` (length N) and positive
-off-diagonal ``c`` (length N-1).  The three-term recurrence additionally
-uses a closing coefficient for the final step, fixed as the reciprocal of
-the product of the stored off-diagonals.  With that normalization the last
-first-kind polynomial is exactly the monic characteristic polynomial, and
-the last second-kind polynomial is the monic characteristic polynomial of
-the matrix with its first row and column removed.
+off-diagonal ``c`` (length N-1).
 """
 
 from __future__ import annotations
@@ -42,11 +38,6 @@ class JacobiMatrix:
     def n(self) -> int:
         return self.v.size
 
-    @property
-    def closing_c(self) -> float:
-        """Coefficient closing the recurrence; never stored as a matrix entry."""
-        return float(1.0 / np.prod(self.c)) if self.c.size else 1.0
-
     def as_dense(self) -> np.ndarray:
         m = np.diag(self.v)
         if self.c.size:
@@ -70,31 +61,11 @@ def _matrix_distance(a: JacobiMatrix, b: JacobiMatrix) -> float:
     )
 
 
-def _recurrence_table(m: JacobiMatrix, lam, first_kind: bool) -> np.ndarray:
-    """Table of polynomial values, shape (N+1,) + shape(lam).
-
-    First kind starts (1, ...), second kind starts (0, 1/c_0, ...); both obey
-    c_{n-1} y_{n-1} + v_n y_n + c_n y_{n+1} = lam * y_n with the closing
-    coefficient supplying c_{N-1}.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = m.n
-    out = np.zeros((n + 1,) + lam.shape)
-    c = np.concatenate((m.c, [m.closing_c]))
-    if first_kind:
-        out[0] = 1.0
-        out[1] = (lam - m.v[0]) / c[0]
-    else:
-        out[1] = 1.0 / c[0]
-    for k in range(1, n):
-        out[k + 1] = ((lam - m.v[k]) * out[k] - c[k - 1] * out[k - 1]) / c[k]
-    return out
-
-
 def truncate(m: JacobiMatrix, k: int, p: int) -> JacobiMatrix:
     """Principal block on rows/columns k..p inclusive."""
+    k, p = _index(k, "window start"), _index(p, "window end")
     if not (0 <= k <= p < m.n):
-        raise IndexError("truncation window out of range")
+        raise InvalidData("truncation window out of range")
     return JacobiMatrix(m.v[k : p + 1], m.c[k:p])
 
 

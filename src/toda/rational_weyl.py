@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -292,6 +292,21 @@ def _cf_division(p: list, q: list, m: int):
         q_next[-1] = Decimal(1)
         p, q = q, q_next
     return v, csq
+
+
+def _residue_sum(pq: PolyQuotient, roots: np.ndarray) -> float:
+    """sum_k q(root_k) / p'(root_k) on the decimal payload of a
+    ``to_quotient`` record, by Horner's rule at ``_DEC_DIGITS`` digits: the
+    total residue when the roots are the poles.  The rounded float
+    coefficients lose a small residue's term, as they would in the division."""
+    total = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = _DEC_DIGITS
+        dp = [k * a for k, a in enumerate(pq.p_dec)][1:]
+        for x in map(Decimal, roots.tolist()):
+            qx, dpx = (reduce(lambda acc, a: acc * x + a, reversed(c)) for c in (pq.q_dec, dp))
+            total += qx / dpx
+    return float(total)
 
 
 def to_quotient(w: RationalHerglotz) -> PolyQuotient:

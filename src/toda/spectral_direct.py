@@ -10,7 +10,9 @@ lockstep over all its eigenvalues above N = 16; up to N = 16 they take them
 eigenvalue by eigenvalue on Python floats (``_scalar_refine``), bitwise the
 lockstep loops, and so does the pole check of ``gluing_check``.  The matrix
 with its first row and column removed supplies the divisor, whose points
-interlace the eigenvalues.
+interlace the eigenvalues.  The two gate-4 checks hold a pole sum against
+the matrix: at its poles by the Newton step, elsewhere against
+((T - x)^-1)_00 from the backward pivot sweep (``_resolvent_gap``).
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jacobi_core
 from ._poly import _EPS, _NEWTON_TOL, _TINY, _readonly, bracketed_newton, offspectrum_samples
 from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
 from .jacobi_core import JacobiMatrix, truncate
-from .rational_weyl import Divisor, RationalHerglotz, _values, evaluate
+from .rational_weyl import Divisor, RationalHerglotz, _values
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,21 +382,40 @@ def spectral_from_weyl(w: RationalHerglotz) -> SpectralData:
 
 
 def weyl_solution_residual(m: JacobiMatrix, w: RationalHerglotz, lam: float) -> float:
-    """Max-norm residual of (L - lam) u = e_0 for the Weyl solution
-    u_n = Q_n + w(lam) P_n, built purely from recurrences and the pole sum
-    w; at rounding level exactly when w is the Weyl function of m."""
+    """Gap between the pole sum w and u_0 = ((T - lam)^-1)_00, the first
+    entry of the Weyl solution of (T - lam) u = e_0, over w's rounding
+    bound: ``_resolvent_gap`` at lam.  At rounding level exactly when w
+    takes the value of the Weyl function of m at lam."""
     lam = float(lam)
     if np.min(np.abs(lam - w.poles)) < 1e-12:
         raise AtPole("the Weyl solution has a pole on the spectrum")
-    wv = evaluate(w, lam)
-    n = m.n
-    u = (
-        jacobi_core._recurrence_table(m, lam, first_kind=False)[:n]
-        + wv * jacobi_core._recurrence_table(m, lam, first_kind=True)[:n]
-    )
-    r = m.matvec(u) - lam * u
-    r[0] -= 1.0
-    return float(np.max(np.abs(r)))
+    return _resolvent_gap(m, w, np.array([lam]))
+
+
+def _resolvent_gap(m: JacobiMatrix, w: RationalHerglotz, pts: np.ndarray) -> float:
+    """Worst |u_0(x) - w(x)| / sum_k rho_k / |lambda_k - x| over the points
+    x, where u_0(x) = ((T - x)^-1)_00 and w(x) is the pole sum (``_values``).
+
+    u_0(x) is the reciprocal of the last pivot of T - x swept from the last
+    site up: Stieltjes' continued fraction of the Weyl function, backward
+    stable at every N.  Each pivot is floored at -pivmin (``_floors``), as
+    in ``_scalar_point``.  A pivot that vanishes, where x is an eigenvalue
+    of a trailing block, so makes the next one about c^2 / pivmin and the
+    one after it v - x, the limit of the exact continued fraction.
+    """
+    v0, sites, _, pivmin = _scalar_matrix(m.v[::-1], m.c[::-1])
+    u0 = []
+    for x in pts.tolist():
+        d = v0 - x
+        if abs(d) < pivmin:
+            d = -pivmin
+        for vk, ck2 in sites:
+            d = (vk - x) - ck2 / d
+            if abs(d) < pivmin:
+                d = -pivmin
+        u0.append(1.0 / d)
+    bound = np.abs(w.residues / (w.poles - pts[:, None])).sum(axis=-1)
+    return float(np.max(np.abs(np.array(u0) - _values(w.poles, w.residues, pts)) / bound))
 
 
 def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
@@ -425,24 +445,15 @@ def _pole_residual(m: JacobiMatrix, poles: np.ndarray) -> float:
 
 
 def gluing_check(m: JacobiMatrix, w: RationalHerglotz) -> float:
-    """Consistency of the pole sum w with the recurrence polynomials of m.
+    """Consistency of the pole sum w with the matrix m.
 
-    If w is the Weyl function of m, each pole is an eigenvalue, so P_N
-    must vanish there: the pole check is ``_pole_residual``.  Off the
-    spectrum the defining identity Q_N + w P_N = 0 is sampled at 16
-    points, with the deviation taken relative to the larger participating
-    term (the recurrence values grow rapidly off the spectrum, so an
-    absolute deviation would only measure their float64 magnitude).
-    Returns the worst deviation over both checks; 0.0 for a 1x1 matrix.
+    If w is the Weyl function of m, each pole is an eigenvalue: the pole
+    check is ``_pole_residual``.  Off the spectrum w must be the (0, 0)
+    entry of (T - x)^-1: ``_resolvent_gap`` at 16 points
+    (``offspectrum_samples``), relative to w's rounding bound.  Returns the
+    worst deviation over both checks; 0.0 for a 1x1 matrix.
     """
-    n = m.n
-    if n == 1:
+    if m.n == 1:
         return 0.0
     resid = _pole_residual(m, w.poles)
-    pts = offspectrum_samples(w.poles, 16)
-    wv = _values(w.poles, w.residues, pts)
-    pn = jacobi_core._recurrence_table(m, pts, first_kind=True)[n]
-    qn = jacobi_core._recurrence_table(m, pts, first_kind=False)[n]
-    scale = np.maximum(1.0, np.maximum(np.abs(qn), np.abs(wv * pn)))
-    resid = max(resid, float(np.max(np.abs(qn + wv * pn) / scale)))
-    return resid
+    return max(resid, _resolvent_gap(m, w, offspectrum_samples(w.poles, 16)))

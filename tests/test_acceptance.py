@@ -144,17 +144,19 @@ def test_criterion_03_trace_formulas():
 
 def test_criterion_04_weyl_solution_and_gluing():
     """weyl_solution_residual at the interior gap midpoints and
-    gluing_check, both on w = weyl(m), within 1e-9 for N up to 10."""
-    rng = np.random.default_rng(2029)
+    gluing_check, both on w = weyl(m), within 1e-9: 30 draws for N up to
+    10, then 30 at N = 16 and 30 at N = 24, each pass from the same seed."""
     worst = 0.0
-    for i in range(30):
-        m = random_jacobi(rng, 2 + i % 9)
-        w = weyl(m)
-        worst = max(worst, gluing_check(m, w))
-        lam = w.poles
-        for k in range(lam.size - 1):
-            if lam[k + 1] - lam[k] > 2e-3:
-                worst = max(worst, weyl_solution_residual(m, w, 0.5 * (lam[k] + lam[k + 1])))
+    for sizes in ([2 + i % 9 for i in range(30)], [16] * 30, [24] * 30):
+        rng = np.random.default_rng(2029)
+        for n in sizes:
+            m = random_jacobi(rng, n)
+            w = weyl(m)
+            worst = max(worst, gluing_check(m, w))
+            lam = w.poles
+            for k in range(lam.size - 1):
+                if lam[k + 1] - lam[k] > 2e-3:
+                    worst = max(worst, weyl_solution_residual(m, w, 0.5 * (lam[k] + lam[k + 1])))
     assert worst <= 1e-9
     report("04 weyl-solution-gluing", worst, 1e-9)
 

@@ -31,9 +31,8 @@ from toda import (
     weyl_solution_residual,
     zeros,
 )
-from families import hahn, krawtchouk
+from families import dual_hahn, hahn, krawtchouk
 from toda._poly import _EPS, _TINY, bracketed_newton, offspectrum_samples
-from toda.jacobi_core import _recurrence_table
 
 
 def random_matrix(rng, n):
@@ -152,12 +151,9 @@ def test_spectral_from_weyl_requires_normalization():
 
 
 def test_weyl_solution_solves_the_jacobi_equation():
-    """(L - lam) u = e_0 for u_n = Q_n + w(lam) P_n.
-
-    The u_n formula cancels catastrophically far outside the spectral hull,
-    so the contract is checked at interior gap midpoints (tight bound) and
-    just beyond the edges (loose bound).
-    """
+    """w(lam) is the first entry u_0 of the solution of (L - lam) u = e_0,
+    at interior gap midpoints (tight bound) and just beyond the edges
+    (loose bound)."""
     rng = np.random.default_rng(46)
     for n in (2, 4, 8, 10):
         m = random_matrix(rng, n)
@@ -196,7 +192,7 @@ def test_gluing_check_is_small():
 def test_gluing_pole_half_stays_at_rounding_level():
     """The pole half of gluing_check reads the Newton correction at each
     pole: at most 2.6e-16 over 300 matrices per size, N = 4 to 64, no growth
-    in N.  (The off-spectrum half grows with N on its own.)"""
+    in N."""
     rng = np.random.default_rng(49)
     for n in (14, 16, 18, 20, 32, 64):
         for _ in range(10):
@@ -290,8 +286,8 @@ def test_gluing_check_catches_a_moved_pole():
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_both_checks_catch_a_moved_residue(seed):
     """Moving one residue by 1e-6 (then renormalizing) keeps every pole
-    exact, so only the off-spectrum identity Q_N + w P_N = 0 can see it;
-    both checks do, at the suite's sample point."""
+    exact, so only the off-spectrum identity w = ((L - x)^-1)_00 can see
+    it; both checks do, at the suite's sample point."""
     m = random_jacobi(np.random.default_rng(seed), 6)
     w = weyl(m)
     x = offspectrum_samples(w.poles, 3)[1]
@@ -303,34 +299,46 @@ def test_both_checks_catch_a_moved_residue(seed):
         assert weyl_solution_residual(m, moved, x) > 1e-9
 
 
-def _krawtchouk_half(n):
-    v, c, lam, logw = krawtchouk(n, 0.5)
+_EXACT_FAMILIES = {
+    "krawtchouk": (krawtchouk, 0.5),
+    "hahn": (hahn, 0.5, 2.0),
+    "dual_hahn": (dual_hahn, 0.5, 2.0),
+}
+
+
+def _exact_pole_sum(family, n):
+    """Krawtchouk(1/2), Hahn(1/2, 2) or dual Hahn(1/2, 2) at n sites, with
+    its closed-form pole sum."""
+    build, *args = _EXACT_FAMILIES[family]
+    v, c, lam, logw = build(n, *args)
     return JacobiMatrix(v, c), RationalHerglotz(lam, np.exp(logw))
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 64])
-def test_gluing_check_on_exact_krawtchouk_data(n):
-    """The closed-form pole sum of Krawtchouk(1/2), not one computed from
-    the matrix, passes the gate-4 bar."""
-    m, w = _krawtchouk_half(n)
+def _exact_cases(krawtchouk_sizes):
+    """Krawtchouk(1/2) at the given sizes, Hahn(1/2, 2) at 16, 36 and 60
+    sites and dual Hahn(1/2, 2) at 16 and 64."""
+    return (
+        [pytest.param("krawtchouk", n, id=str(n)) for n in krawtchouk_sizes]
+        + [pytest.param("hahn", n, id=f"hahn-{n}") for n in (16, 36, 60)]
+        + [pytest.param("dual_hahn", n, id=f"dual_hahn-{n}") for n in (16, 64)]
+    )
+
+
+@pytest.mark.parametrize("family, n", _exact_cases((8, 16, 32, 64, 128, 256, 1024)))
+def test_gluing_check_on_exact_krawtchouk_data(family, n):
+    """The closed-form pole sum, not one computed from the matrix, passes
+    the gate-4 bar."""
+    m, w = _exact_pole_sum(family, n)
     assert gluing_check(m, w) <= 1e-9
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        8,
-        16,
-        24,
-        pytest.param(32, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
-        pytest.param(64, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
-    ],
-)
-def test_weyl_solution_on_exact_krawtchouk_data(n):
-    """The residual at the suite's point on the closed-form pole sum.  From
-    32 sites the forward recurrence of the minimal solution loses it on
-    exact data (ROADMAP item 5): the check, not the pole sum, is at fault."""
-    m, w = _krawtchouk_half(n)
+@pytest.mark.parametrize("family, n", _exact_cases((8, 16, 24, 32, 64, 128, 256, 1024)))
+def test_weyl_solution_on_exact_krawtchouk_data(family, n):
+    """The residual at the suite's point on the closed-form pole sum.  On
+    zero-diagonal Krawtchouk data at 8 and 16 sites that point is 0, an
+    eigenvalue of every odd-size trailing block: a backward pivot vanishes
+    there and is floored."""
+    m, w = _exact_pole_sum(family, n)
     assert weyl_solution_residual(m, w, offspectrum_samples(w.poles, 3)[1]) <= 1e-9
 
 
@@ -483,6 +491,19 @@ def test_stacked_sweep_floors_each_row_by_its_own_couplings():
             _assert_stack_is_its_rows(scale * v, scale * c, scale * x[:, :1])
 
 
+def _first_kind_table(m, lam):
+    """P_0..P_{N-1} at each of the points ``lam`` by the forward three-term
+    recurrence, as the recurrence table the weights kernel replaced built
+    them.  Kept frozen as the oracle of ``eigen``'s weights."""
+    p = np.zeros((m.n,) + lam.shape)
+    p[0] = 1.0
+    if m.n > 1:
+        p[1] = (lam - m.v[0]) / m.c[0]
+    for k in range(1, m.n - 1):
+        p[k + 1] = ((lam - m.v[k]) * p[k] - m.c[k - 1] * p[k - 1]) / m.c[k]
+    return p
+
+
 def test_eigen_weights_are_the_recurrence_table_weights_bitwise():
     """``eigen``'s weights kernel is the first-kind recurrence table route it
     replaced, bit for bit, on sizes 1 to 64."""
@@ -491,8 +512,8 @@ def test_eigen_weights_are_the_recurrence_table_weights_bitwise():
         m = random_jacobi(rng, n)
         sd = eigen(m)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            table = _recurrence_table(m, sd.lambdas, first_kind=True)
-        rho = 1.0 / (table[:-1] ** 2).sum(axis=0)
+            table = _first_kind_table(m, sd.lambdas)
+        rho = 1.0 / (table**2).sum(axis=0)
         np.testing.assert_array_equal(sd.rhos, rho / float(np.sum(rho)))
 
 
