@@ -7,6 +7,11 @@ divisor inversion through one secular solve (``secular_roots``).  No layer
 finds the roots of a coefficient array: the quotient form is read through
 its continued fraction (``spectral_inverse``).
 
+``secular_roots`` runs small problems lane by lane on Python floats and
+large ones in numpy lockstep, bitwise each other.  Both add every sum over
+the poles in numpy's pairwise order, never through a matmul, so the
+divisor and the poles from it do not depend on the BLAS build.
+
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package, and ``_index`` for every integer argument (a
 flow index, a series or moment order); this module imports only ``errors``,
@@ -15,6 +20,8 @@ so any layer can import it without an import cycle.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -24,6 +31,18 @@ from .errors import ConvergenceFailure, InvalidData
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _NEWTON_TOL = 4.0 * _EPS  # a root is done within _NEWTON_TOL * max(scale, |x|)
+# secular_roots solves up to _SCALAR_TERMS lane-terms (brackets times poles,
+# over the whole stack) lane by lane on Python floats (``_secular_lanes``):
+# there numpy's fixed cost per call outweighs the arithmetic.  400 is the
+# measured crossover (zeros of random_jacobi Weyl functions at N sites,
+# rows x N (N - 1) lane-terms; us per call, best of 7 on a 2-vCPU VM, numpy
+# against per lane: 1 row 232/34 at N = 4, 472/250 at 16, 519/354 at 20,
+# 579/584 at 24, 687/1095 at 32; 4 rows 262/86 at 4, 470/374 at 10,
+# 754/607 at 12, 602/958 at 16; 11 rows 286/208 at 4, 403/426 at 6,
+# 606/692 at 8).  The divisor inversion breaks even at the same sizes.
+# Compiling one M's sums takes 0.2 ms at M = 4 and about 0.6 ms at 16,
+# once per process.
+_SCALAR_TERMS = 400
 
 # offspectrum_samples: the samples span the avoided set padded by _SAMPLE_PAD
 # of its width on each side, and keep _SAMPLE_CLEARANCE of that width from
@@ -88,18 +107,123 @@ def bracketed_newton(
 
 def secular_roots(d: np.ndarray, a: np.ndarray, beta: float, alpha, lo, hi, scale) -> np.ndarray:
     """Roots of h(x) = beta x + alpha + sum_k a_k / (d_k - x), a > 0, one per
-    bracket [lo, hi] (..., K) of poles d and weights a (..., M), alpha and
-    ``scale`` broadcasting against lo: ``bracketed_newton`` on h prod (d - x),
-    the side from the sign of h, which increases in x."""
-    d, a = d[..., None, :], a[..., :, None]
+    bracket [lo, hi] (..., K) of poles d and weights a (..., M) with the
+    leading shape of lo, alpha and ``scale`` broadcasting against lo:
+    ``bracketed_newton`` on h prod (d - x), the side from the sign of h,
+    which increases in x.
+
+    Up to ``_SCALAR_TERMS`` lane-terms (K M times the stack's rows) the
+    lanes go one by one on Python floats (``_secular_lanes``), above it in
+    numpy lockstep (``_secular_lockstep``); the two are bitwise equal."""
+    solve = _secular_lanes if np.size(lo) * d.shape[-1] <= _SCALAR_TERMS else _secular_lockstep
+    return solve(d, a, beta, alpha, lo, hi, scale)
+
+
+def _secular_lockstep(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
+    """``secular_roots`` with every lane in one ``bracketed_newton``.  Each
+    sum over the poles is numpy's last-axis sum, in numpy's fixed pairwise
+    order (no BLAS), which ``_secular_sums`` writes out."""
+    d, a = d[..., None, :], a[..., None, :]
 
     def step_side(x):
         t = 1.0 / (d - x[..., None])
-        h = beta * x + alpha + (t @ a)[..., 0]
-        return h / (beta + ((t * t) @ a)[..., 0] - h * t.sum(axis=-1)), h > 0.0
+        h = beta * x + alpha + (t * a).sum(axis=-1)
+        return h / (beta + (t * t * a).sum(axis=-1) - h * t.sum(axis=-1)), h > 0.0
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return bracketed_newton(step_side, lo, hi, scale=scale)
+
+
+def _secular_lanes(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
+    """``_secular_lockstep`` one lane at a time, on Python floats.
+
+    A lane of the lockstep never reads another: it keeps its own bracket,
+    step history and stopping test.  So each lane here takes
+    ``bracketed_newton``'s rules in its order, its three sums come from
+    ``_secular_sums``, and a division by zero gives what numpy gives under
+    ``errstate(ignore)``: p / ±0 is p * (±inf).  The result is bitwise the
+    lockstep's, and a lane past the cap raises what the lockstep raises."""
+    shape = np.shape(lo)
+    rows, m = math.prod(shape[:-1]), d.shape[-1]
+    sums = _secular_sums(m)
+    per_lane = [np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(rows, shape[-1]).tolist()
+                for v in (alpha, scale, lo, hi)]
+    roots = []
+    for dr, ar, *lanes in zip(d.reshape(rows, m).tolist(), a.reshape(rows, m).tolist(), *per_lane):
+        for shift, floor, left, right in zip(*lanes):
+            x = 0.5 * (left + right)
+            if left != right:  # bracketed_newton, one lane
+                last = older = right - left
+                for _ in range(200):
+                    s, s2, s1 = sums(dr, ar, x)
+                    h = beta * x + shift + s
+                    den = beta + s2 - h * s1
+                    step = h / den if den else h * math.copysign(math.inf, den)
+                    if h > 0.0:
+                        right = x
+                    else:
+                        left = x
+                    mag = abs(x)
+                    tol = _NEWTON_TOL * (floor if floor >= mag else mag)
+                    small = abs(step) <= tol
+                    nxt = x - step
+                    if not (small or (left < nxt < right and 2.0 * abs(step) <= older)):
+                        nxt = 0.5 * (left + right)
+                    older, last = last, abs(nxt - x)
+                    x = nxt
+                    if small or right - left <= tol:
+                        break
+                else:
+                    raise ConvergenceFailure("bracketed Newton hit the iteration cap")
+            roots.append(x)
+    return np.array(roots, dtype=float).reshape(shape)
+
+
+@functools.cache
+def _secular_sums(m: int):
+    """``sums(d, a, x)``: the three sums over m poles of ``_secular_lockstep``,
+    sum t a, sum t t a and sum t with t = 1 / (d - x), on Python floats,
+    compiled once per m from ``_sums_source(m)``."""
+    namespace = {"copysign": math.copysign, "inf": math.inf}
+    exec(compile(_sums_source(m), f"<secular sums, M = {m}>", "exec"), namespace)
+    return namespace["sums"]
+
+
+def _sums_source(m: int) -> str:
+    """Source of ``sums(d, a, x)`` for m poles: straight-line code that adds
+    each sum's terms in the order of numpy's pairwise last-axis sum."""
+    poles = range(m)
+    lines = [
+        "def sums(d, a, x):",
+        "    (" + "".join(f"d{k}, " for k in poles) + ") = d",
+        "    (" + "".join(f"a{k}, " for k in poles) + ") = a",
+    ]
+    for k in poles:
+        lines += [f"    e{k} = d{k} - x", f"    t{k} = 1.0 / e{k} if e{k} else copysign(inf, e{k})"]
+    totals = []
+    for term in "t{k} * a{k}", "t{k} * t{k} * a{k}", "t{k}":
+        totals.append("0.0 + " + _pairwise_source([term.format(k=k) for k in poles]))
+    lines.append("    return " + ", ".join(totals))
+    return "\n".join(lines)
+
+
+def _pairwise_source(terms: list) -> str:
+    """The sum of ``terms`` (expressions) as numpy adds a row of doubles
+    (``pairwise_sum``): in order below 8 terms; up to 128, 8 accumulators
+    over the terms strided by 8, combined as ((0 + 1) + (2 + 3)) + ((4 + 5)
+    + (6 + 7)), then the leftover terms in order; above, the two halves
+    (the first a multiple of 8 long) apart.  The reduction starts from +0,
+    which the caller adds."""
+    n = len(terms)
+    if n < 8:
+        return "(" + " + ".join(["0.0", *terms]) + ")"
+    if n <= 128:
+        whole = n - n % 8
+        r = ["(" + " + ".join(terms[j:whole:8]) + ")" for j in range(8)]
+        blocks = "(({} + {}) + ({} + {})) + (({} + {}) + ({} + {}))".format(*r)
+        return "(" + " + ".join([blocks, *terms[whole:]]) + ")"
+    half = n // 2 - n // 2 % 8
+    return f"({_pairwise_source(terms[:half])} + {_pairwise_source(terms[half:])})"
 
 
 def _raise_lowest(*checks) -> None:

@@ -16,7 +16,21 @@ from toda import (
     theta_from,
     weyl,
 )
-from toda._poly import _SAMPLE_CLEARANCE, _SAMPLE_PAD, bracketed_newton, offspectrum_samples
+from test_stacks import _divisor_problem, _zero_brackets, extreme_charts, pole_sums, stack
+from toda import _poly
+from toda._poly import (
+    _EPS,
+    _SAMPLE_CLEARANCE,
+    _SAMPLE_PAD,
+    _SCALAR_TERMS,
+    _secular_lanes,
+    _secular_lockstep,
+    bracketed_newton,
+    offspectrum_samples,
+    secular_roots,
+)
+from toda.coordinates import _poles_from_divisor, _quasimomenta
+from toda.rational_weyl import _zeros
 
 
 def test_bracketed_newton_takes_newton_steps_inside_the_bracket():
@@ -108,6 +122,110 @@ def test_bracketed_newton_returns_zero_width_brackets_unchanged():
     root = bracketed_newton(step_side, [0.0, 0.7], [1.0, 0.7])
     assert root[1] == 0.7
     assert root[0] == pytest.approx(0.3, abs=1e-15)
+
+
+def _secular_problems(n, rows):
+    """``secular_roots`` arguments: the zeros (beta = 0) and the divisor
+    inversion (beta = 1) of ``rows`` pole sums at n sites, the pi = +-30
+    charts, and integer poles with brackets centred on them, so the first
+    step lands exactly on a pole (one weight zero, where t a is inf * 0)."""
+    lam, rho = (v[:rows] for v in stack(pole_sums(n) + pole_sums(n, seed=2)))
+    lo, hi = _zero_brackets(lam, rho)
+    scale = np.abs(lam).max(-1, keepdims=True)
+    yield lam, rho, 0.0, 0.0, lo, hi, scale
+    gam, pis = _quasimomenta(lam, rho)
+    for chart in (gam, pis, lam.sum(axis=1)), extreme_charts(n):
+        a, alpha, lo, hi = _divisor_problem(*chart)
+        yield chart[0], a, 1.0, alpha, lo, hi, np.abs(chart[0]).max(axis=1, keepdims=True)
+    d = np.tile(np.arange(n, dtype=float), (rows, 1))
+    a = np.tile(np.linspace(0.0, 1.0, n), (rows, 1))
+    for beta in 0.0, 1.0:
+        yield d, a, beta, 0.5, d - 0.5, d + 0.5, 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 4, 11])
+@pytest.mark.parametrize("n", [2, 4, 8, 9, 12, 17, 24])
+def test_secular_lanes_are_bitwise_the_lockstep(n, rows):
+    """The per-lane path and the numpy lockstep give the same bits, with no
+    warning, at M poles on both sides of numpy's 8-term pairwise block and
+    at lane-terms on both sides of ``_SCALAR_TERMS``; each row of a stack
+    is its own solve."""
+    for args in _secular_problems(n, rows):
+        lockstep = _secular_lockstep(*args)
+        np.testing.assert_array_equal(_secular_lanes(*args), lockstep)
+        np.testing.assert_array_equal(secular_roots(*args), lockstep)
+        for i in range(len(lockstep)):
+            row = [v[i : i + 1] if np.ndim(v) == 2 else v for v in args]
+            np.testing.assert_array_equal(_secular_lanes(*row)[0], lockstep[i])
+    d, a, beta, alpha, lo, hi, scale = args  # the integer poles, beta = 1
+    # Zero-width brackets, one of them on a pole, are their own roots.
+    lo[:, ::2] = hi[:, ::2] = d[:, ::2] + 0.25
+    lo[:, 1] = hi[:, 1] = d[:, 1]
+    np.testing.assert_array_equal(_secular_lanes(*args), _secular_lockstep(*args))
+    np.testing.assert_array_equal(_secular_lanes(*args)[:, ::2], d[:, ::2] + 0.25)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [_secular_lanes, _secular_lockstep])
+def test_both_secular_paths_raise_at_the_cap(solve):
+    """With zero weights h is 0 everywhere: every step is 0 / 0 and the root
+    reads as above x, so the lane bisects up toward hi = 0, and its floor
+    4 eps |x| shrinks as fast as the bracket."""
+    d, a = np.array([[1.0, 2.0]]), np.zeros((1, 2))
+    with pytest.raises(ConvergenceFailure, match="iteration cap"):
+        solve(d, a, 0.0, 0.0, np.array([[-1e300]]), np.array([[0.0]]), 1e-300)
+
+
+def test_the_crossover_sends_small_problems_lane_by_lane(monkeypatch):
+    """Performance guard: up to ``_SCALAR_TERMS`` lane-terms (brackets
+    times poles over the stack) ``secular_roots`` takes the per-lane path,
+    and the numpy lockstep above."""
+    taken = []
+    for name in ("_secular_lanes", "_secular_lockstep"):
+        monkeypatch.setattr(_poly, name, lambda *args, name=name: taken.append(name))
+    d = np.zeros((1, 20))
+    for k in _SCALAR_TERMS // 20, _SCALAR_TERMS // 20 + 1:
+        secular_roots(d, d, 0.0, 0.0, np.zeros((1, k)), np.zeros((1, k)), 1.0)
+    assert taken == ["_secular_lanes", "_secular_lockstep"]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_secular_roots_match_60_digit_roots(n):
+    """The zeros and the divisor inversion against mpmath's roots of the same
+    secular equation at 60 digits, within 8 eps max(scale, |x|).  A zero
+    pinned to its bracket edge, where the zero hugs its pole, is not solved
+    and not compared."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+
+    def root(d, a, beta, alpha, lo, hi):
+        d, a, alpha = [mpmath.mpf(v) for v in d], [mpmath.mpf(v) for v in a], mpmath.mpf(alpha)
+
+        def h(x):
+            return beta * x + alpha + mpmath.fsum(ak / (dk - x) for dk, ak in zip(d, a))
+
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        inset = (hi - lo) * mpmath.mpf(10) ** -45  # brackets may end on a pole
+        lo, hi = lo + inset, hi - inset
+        assert h(lo) < 0 < h(hi)
+        return mpmath.findroot(h, (lo, hi), solver="anderson")
+
+    lam, rho = stack(pole_sums(n))
+    gam, pis = _quasimomenta(lam, rho)
+    chart = gam, pis, lam.sum(axis=1)
+    a, alpha, lo_p, hi_p = _divisor_problem(*chart)
+    lo_z, hi_z = _zero_brackets(lam, rho)
+    problems = (
+        (_zeros(lam, rho), lam, rho, 0, np.zeros(len(lam)), lo_z, hi_z),
+        (_poles_from_divisor(*chart)[0], gam, a, 1, alpha[:, 0], lo_p, hi_p),
+    )
+    for roots, d, a, beta, alpha, lo, hi in problems:
+        for i in range(len(roots)):
+            scale = np.abs(d[i]).max()
+            for k in np.flatnonzero(lo[i] < hi[i]):
+                x = root(d[i], a[i], beta, alpha[i], lo[i, k], hi[i, k])
+                assert abs(roots[i, k] - x) <= 8 * _EPS * max(scale, abs(x)), (i, k)
 
 
 def _offspectrum_loop(avoid, n):

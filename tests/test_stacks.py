@@ -126,12 +126,12 @@ def _zero_brackets(lam, rho):
 def _closure_zeros(lam, rho, lo, hi):
     """The zero solve before the secular kernel: Newton on w p by its own
     closure."""
-    poles = lam[..., None, :]
+    poles, residues = lam[..., None, :], rho[..., None, :]
 
     def step_side(x):
         t = 1.0 / (poles - x[..., None])
-        val = (t @ rho[..., None])[..., 0]
-        return val / (((t * t) @ rho[..., None])[..., 0] - val * t.sum(axis=-1)), val > 0.0
+        val = (t * residues).sum(axis=-1)
+        return val / ((t * t * residues).sum(axis=-1) - val * t.sum(axis=-1)), val > 0.0
 
     return bracketed_newton(step_side, lo, hi, scale=np.abs(lam).max(-1, keepdims=True))
 
@@ -151,13 +151,13 @@ def _divisor_problem(gam, pis, casimir):
 def _closure_poles(gam, a, alpha, lo, hi):
     """The divisor inversion before the secular kernel: Newton on p = g Omega
     by its own closure."""
-    a = a[:, :, None]
+    a = a[:, None, :]
 
     def step_side(x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = 1.0 / (x[:, :, None] - gam[:, None, :])
-            g = x + alpha - (t @ a)[..., 0]
-            return g / (1.0 + ((t * t) @ a)[..., 0] + g * t.sum(axis=-1)), g > 0.0
+            g = x + alpha - (t * a).sum(axis=-1)
+            return g / (1.0 + (t * t * a).sum(axis=-1) + g * t.sum(axis=-1)), g > 0.0
 
     return bracketed_newton(step_side, lo, hi, scale=np.abs(gam).max(axis=1, keepdims=True))
 
@@ -174,7 +174,9 @@ def extreme_charts(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_secular_kernel_is_bitwise_the_two_closures_it_replaced(n):
     """beta = 0 reproduces the zero solve and beta = 1 the divisor inversion
-    bit for bit, on the same brackets, and so do their callers."""
+    bit for bit, on the same brackets, and so do their callers.  The closures
+    sum over the poles as the kernel does, by numpy's last-axis sum: a matmul
+    sums in the BLAS build's order, which no scalar loop can reproduce."""
     lam, rho = stack(pole_sums(n) + pole_sums(n, seed=2))
     lo, hi = _zero_brackets(lam, rho)
     gam = secular_roots(lam, rho, 0.0, 0.0, lo, hi, np.abs(lam).max(-1, keepdims=True))
