@@ -153,25 +153,28 @@ def cmd_bracket(args) -> tuple[str, int]:
 
 
 def cmd_flow(args) -> tuple[str, int]:
+    """The sampled flow as JSON lines, one record per sample time, or with
+    --emit-csv as a CSV table.  Both are written from one table of the
+    stacked samples, through one row template built from the stacks'
+    widths (``serialize._dump_rows``), after one finiteness check."""
     obj = _load_document(args)
     if args.family == "H":
         start = _as_weyl(obj)
     else:
         start = obj if isinstance(obj, DivisorQuasimomentum) else pi_from(_as_weyl(obj))
     stacks = _trajectory(start, args.j, args.t0, args.t1, args.samples)
+    table = np.column_stack(stacks)
+    widths = [stack.shape[1] for stack in stacks[1:]]
     if args.emit_csv:
         names = zip(("v", "c", "lambda", "rho", "theta", "gamma", "pi"), (0, 0, 0, 0, 1, 1, 1),
-                    stacks[1:])
-        cols = ["t"] + ["%s%d" % (name, first + i) for name, first, stack in names
-                        for i in range(stack.shape[1])]
-        rows = np.column_stack(stacks).tolist()
-        return "\n".join([",".join(cols)] + [",".join(map(serialize.dumps, r)) for r in rows]), 0
+                    widths)
+        cols = ["t"] + ["%s%d" % (name, first + i) for name, first, width in names
+                        for i in range(width)]
+        return "\n".join([",".join(cols), *serialize._dump_rows(table)]), 0
+    v, c, *chart = widths
     fields = ("lambdas", "rhos", "thetas", "gammas", "pis")
-    records = (
-        {"t": float(t), "matrix": {"v": v, "c": c}, **dict(zip(fields, chart))}
-        for t, v, c, *chart in zip(*stacks)
-    )
-    return "\n".join(serialize.dumps(rec) for rec in records), 0
+    layout = {"t": None, "matrix": {"v": v, "c": c}, **dict(zip(fields, chart))}
+    return "\n".join(serialize._dump_rows(table, layout)), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:

@@ -2,6 +2,9 @@
 
 Floats are rendered with the ``.17g`` format (full double round-trip
 precision) so identical inputs always produce byte-identical output.
+``dumps`` writes any document; ``_dump_rows`` writes a table of floats a
+row at a time, each row through one ``%`` template of the record that
+``dumps`` would write, after one finiteness check of the whole table.
 One table, ``_KINDS``, names every document kind with the record type it
 reads as and its keys, the record's field names; ``detect`` recognizes a
 document by its exact key set, and ``from_dict``/``to_dict`` read and write
@@ -24,11 +27,16 @@ from .rational_weyl import Divisor, PolyQuotient, RationalHerglotz
 from .spectral_direct import SpectralData
 
 
+# The one float format, and what writing a NaN or an infinity raises.
+_FLOAT = "%.17g"
+_NON_FINITE = "cannot serialize a non-finite number"
+
+
 def _fmt_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
-        raise InvalidData("cannot serialize a non-finite number")
-    return format(x, ".17g")
+        raise InvalidData(_NON_FINITE)
+    return _FLOAT % x
 
 
 def dumps(obj) -> str:
@@ -56,6 +64,32 @@ def dumps(obj) -> str:
     if obj is None:
         return "null"
     raise InvalidData("cannot serialize objects of type %s" % type(obj).__name__)
+
+
+def _row_format(layout) -> str:
+    """The ``%`` template under which ``dumps`` writes one float (layout
+    None), a list of k floats (a count k) or a record (a dict that maps each
+    key, in order, to the layout of its value)."""
+    if layout is None:
+        return _FLOAT
+    if isinstance(layout, dict):
+        return "{%s}" % ", ".join(
+            "%s: %s" % (json.dumps(str(k)).replace("%", "%%"), _row_format(v))
+            for k, v in layout.items()
+        )
+    return "[%s]" % ", ".join([_FLOAT] * layout)
+
+
+def _dump_rows(table: np.ndarray, layout=None) -> list[str]:
+    """Each row of the 2-D float ``table`` as text, in one ``%`` a row: as
+    ``dumps`` writes the record that ``layout`` describes, filled with the
+    row's values in column order, or with no layout as comma-separated
+    values.  The template is built once for the table, and a NaN or an
+    infinity anywhere in it raises what ``dumps`` raises."""
+    if not np.isfinite(table).all():
+        raise InvalidData(_NON_FINITE)
+    row = ",".join([_FLOAT] * table.shape[1]) if layout is None else _row_format(layout)
+    return [row % tuple(values) for values in table.tolist()]
 
 
 def _vector(raw, name: str) -> np.ndarray:

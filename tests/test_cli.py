@@ -504,12 +504,57 @@ def test_stacked_flow_is_byte_identical_to_the_per_sample_oracle(capsys, monkeyp
     ]
     if n == 4:
         calls += [argv for argv, _ in _FAILING_FLOWS] + list(_BAD_FLOW_ARGUMENTS)
-    stacked = [run(capsys, *argv) for argv in calls]
-    monkeypatch.setattr(cli, "build_parser", _PerSampleParser)
-    oracle = [run(capsys, *argv) for argv in calls]
+    stacked, oracle = _stacked_and_oracle(capsys, monkeypatch, calls)
     for argv, got, want in zip(calls, stacked, oracle):
         assert got == want, argv
     assert sum(rc == 0 for rc, _, _ in stacked) >= 10
+
+
+def _stacked_and_oracle(capsys, monkeypatch, calls):
+    """(exit code, stdout, stderr) of each call, from ``toda flow`` and
+    then from the per-sample oracle."""
+    stacked = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", _PerSampleParser)
+    oracle = [run(capsys, *argv) for argv in calls]
+    return stacked, oracle
+
+
+@pytest.mark.parametrize("n,seeds,samples", [(4, range(10), ("1", "101")), (17, range(3), ("11",))],
+                         ids=["N4-samples-1-and-101", "N17"])
+def test_stacked_flow_matches_the_oracle_at_more_samples_and_sites(capsys, monkeypatch, n,
+                                                                    seeds, samples):
+    """Byte-identical to the per-sample oracle with one sample and with 101,
+    and at N = 17, where the secular solves of ``_trajectory`` leave the
+    per-lane kernel for the numpy lockstep; JSON lines and CSV, H and T."""
+    calls = [
+        ("flow", "--seed", str(seed), "--N", str(n), "--family", family, "--j", str(j),
+         "--t1", "0.5", "--samples", count, *fmt)
+        for seed in seeds
+        for family, js in (("H", (1, 2, n)), ("T", (1, n - 1)))
+        for j in sorted(set(js))
+        for count in samples
+        for fmt in ((), ("--emit-csv",))
+    ]
+    stacked, oracle = _stacked_and_oracle(capsys, monkeypatch, calls)
+    for argv, got, want in zip(calls, stacked, oracle):
+        assert got == want, argv
+    assert sum(rc == 0 for rc, _, _ in stacked) >= len(calls) // 2
+
+
+def test_a_non_finite_sample_exits_two_as_dumps_does(capsys, monkeypatch):
+    """A NaN or an infinity that reaches the table fails the whole call with
+    the message of ``dumps`` and prints nothing, in both formats."""
+    def spoiled(*args):
+        stacks = list(trajectory(*args))
+        stacks[4] = stacks[4].copy()
+        stacks[4][-1, 0] = math.inf
+        return tuple(stacks)
+
+    trajectory = cli._trajectory
+    monkeypatch.setattr(cli, "_trajectory", spoiled)
+    for fmt in ((), ("--emit-csv",)):
+        rc, out, err = run(capsys, "flow", "--seed", "0", "--N", "3", *fmt)
+        assert (rc, out, err) == (2, "", "error: cannot serialize a non-finite number\n")
 
 
 def test_one_parser_serves_successive_calls(capsys):

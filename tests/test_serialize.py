@@ -28,7 +28,7 @@ from toda import (
     to_dict,
 )
 from toda.cli import main
-from toda.serialize import _KINDS
+from toda.serialize import _KINDS, _dump_rows
 
 SAMPLES = [
     JacobiMatrix([0.1, -0.7, 2.0], [0.3, 1.0 / 3.0]),
@@ -212,3 +212,79 @@ def test_dumps_matches_the_recursive_form(obj):
 def test_dumps_rejects_non_finite_values(bad, wrap):
     with pytest.raises(InvalidData, match="non-finite"):
         dumps(wrap(bad))
+
+
+ROW_FLOATS = [-0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, 1.0, 1e16]
+
+
+def _flow_layout(n: int) -> dict:
+    """The record layout of ``toda flow`` at size n: its angle and divisor
+    columns have width n - 1, which is 0 at n = 1."""
+    return {"t": None, "matrix": {"v": n, "c": n - 1}, "lambdas": n, "rhos": n,
+            "thetas": n - 1, "gammas": n - 1, "pis": n - 1}
+
+
+def _width(layout) -> int:
+    if layout is None:
+        return 1
+    if isinstance(layout, dict):
+        return sum(map(_width, layout.values()))
+    return layout
+
+
+def _record(layout, values):
+    """The record that ``layout`` describes, filled from the iterator ``values``."""
+    if layout is None:
+        return next(values)
+    if isinstance(layout, dict):
+        return {k: _record(v, values) for k, v in layout.items()}
+    return [next(values) for _ in range(layout)]
+
+
+def _row_table(rows: int, cols: int) -> np.ndarray:
+    """Random magnitudes, with the edge values shifted through the first
+    rows so that each column of a table of 9 rows or more holds them all."""
+    rng = np.random.default_rng(rows * 1000 + cols)
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    for i in range(min(rows, len(ROW_FLOATS))):
+        table[i] = np.roll(np.resize(ROW_FLOATS, max(cols, len(ROW_FLOATS))), i)[:cols]
+    return table
+
+
+_LAYOUTS = [_flow_layout(1), _flow_layout(2), _flow_layout(4), {"a%d": 1, "%s": {"b": 0}},
+            {"x": None}, {"xs": 0, "ys": 1}]
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("layout", _LAYOUTS, ids=["flow-N1", "flow-N2", "flow-N4", "percent-keys",
+                                                  "one-float", "widths-0-1"])
+def test_row_template_writes_what_dumps_writes(layout, rows):
+    """Each row reads, to the byte, as ``dumps`` of its record, and with no
+    layout as the values joined by commas; keys holding ``%`` stay literal."""
+    table = _row_table(rows, _width(layout))
+    want = [dumps(_record(layout, iter(row))) for row in table.tolist()]
+    assert _dump_rows(table, layout) == want
+    assert _dump_rows(table) == [",".join(map(dumps, row)) for row in table.tolist()]
+
+
+def test_row_template_of_every_edge_value_alone():
+    table = np.array(ROW_FLOATS)[:, None]
+    assert _dump_rows(table, {"x": None}) == ['{"x": %s}' % dumps(x) for x in ROW_FLOATS]
+    assert _dump_rows(table) == [format(x, ".17g") for x in ROW_FLOATS]
+    assert _dump_rows(table)[:1] + _dump_rows(table)[-2:] == ["-0", "1", "10000000000000000"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_row_template_rejects_non_finite_values_in_any_column(bad):
+    layout = _flow_layout(3)
+    table = _row_table(4, _width(layout))
+    with pytest.raises(InvalidData) as want:
+        dumps(bad)
+    for col in range(table.shape[1]):
+        spoiled = table.copy()
+        spoiled[2, col] = bad
+        for args in ((spoiled, layout), (spoiled,)):
+            with pytest.raises(InvalidData) as got:
+                _dump_rows(*args)
+            assert str(got.value) == str(want.value) == "cannot serialize a non-finite number"
