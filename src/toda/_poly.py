@@ -7,10 +7,11 @@ divisor inversion through one secular solve (``secular_roots``).  No layer
 finds the roots of a coefficient array: the quotient form is read through
 its continued fraction (``spectral_inverse``).
 
-``secular_roots`` runs small problems lane by lane on Python floats and
-large ones in numpy lockstep, bitwise each other.  Both add every sum over
-the poles in numpy's pairwise order, never through a matmul, so the
-divisor and the poles from it do not depend on the BLAS build.
+``bracketed_newton`` steps its brackets in numpy lockstep, ``_newton_lane``
+one bracket on Python floats, bitwise each lane; small eigenvalue and
+secular solves take the lane.  Both secular paths add every sum over the
+poles in numpy's pairwise order, never through a matmul, so the divisor
+and the poles from it do not depend on the BLAS build.
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package, and ``_index`` for every integer argument (a
@@ -105,6 +106,35 @@ def bracketed_newton(
     raise ConvergenceFailure("bracketed Newton hit the iteration cap")
 
 
+def _newton_lane(point: Callable, want, lo: float, hi: float, scale: float) -> float:
+    """``bracketed_newton`` for one bracket on Python floats.  ``point(x)``
+    returns a key and the Newton correction at x; the root lies below x when
+    key >= want.  The lanes of the lockstep never mix, so this takes the same
+    IEEE operations in its order, with NaN read as ``np.maximum`` reads it,
+    and returns the lockstep's bits or raises its message at the cap."""
+    x = 0.5 * (lo + hi)
+    if lo == hi:
+        return x
+    last = older = hi - lo
+    for _ in range(200):
+        key, step = point(x)
+        if key >= want:
+            hi = x
+        else:
+            lo = x
+        mag = abs(x)
+        tol = _NEWTON_TOL * (scale if scale >= mag else mag)
+        small = abs(step) <= tol
+        nxt = x - step
+        if not (small or (lo < nxt < hi and 2.0 * abs(step) <= older)):
+            nxt = 0.5 * (lo + hi)
+        older, last = last, abs(nxt - x)
+        x = nxt
+        if small or hi - lo <= tol:
+            return x
+    raise ConvergenceFailure("bracketed Newton hit the iteration cap")
+
+
 def secular_roots(d: np.ndarray, a: np.ndarray, beta: float, alpha, lo, hi, scale) -> np.ndarray:
     """Roots of h(x) = beta x + alpha + sum_k a_k / (d_k - x), a > 0, one per
     bracket [lo, hi] (..., K) of poles d and weights a (..., M) with the
@@ -135,75 +165,52 @@ def _secular_lockstep(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
 
 
 def _secular_lanes(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
-    """``_secular_lockstep`` one lane at a time, on Python floats.
-
-    A lane of the lockstep never reads another: it keeps its own bracket,
-    step history and stopping test.  So each lane here takes
-    ``bracketed_newton``'s rules in its order, its three sums come from
-    ``_secular_sums``, and a division by zero gives what numpy gives under
-    ``errstate(ignore)``: p / ±0 is p * (±inf).  The result is bitwise the
-    lockstep's, and a lane past the cap raises what the lockstep raises."""
+    """``_secular_lockstep`` on Python floats: one ``_newton_lane`` per
+    bracket, its point ``_secular_sums`` on that bracket's row, so bitwise
+    the lockstep, and a lane past the cap raises what the lockstep raises."""
     shape = np.shape(lo)
     rows, m = math.prod(shape[:-1]), d.shape[-1]
     sums = _secular_sums(m)
     per_lane = [np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(rows, shape[-1]).tolist()
                 for v in (alpha, scale, lo, hi)]
-    roots = []
-    for dr, ar, *lanes in zip(d.reshape(rows, m).tolist(), a.reshape(rows, m).tolist(), *per_lane):
-        for shift, floor, left, right in zip(*lanes):
-            x = 0.5 * (left + right)
-            if left != right:  # bracketed_newton, one lane
-                last = older = right - left
-                for _ in range(200):
-                    s, s2, s1 = sums(dr, ar, x)
-                    h = beta * x + shift + s
-                    den = beta + s2 - h * s1
-                    step = h / den if den else h * math.copysign(math.inf, den)
-                    if h > 0.0:
-                        right = x
-                    else:
-                        left = x
-                    mag = abs(x)
-                    tol = _NEWTON_TOL * (floor if floor >= mag else mag)
-                    small = abs(step) <= tol
-                    nxt = x - step
-                    if not (small or (left < nxt < right and 2.0 * abs(step) <= older)):
-                        nxt = 0.5 * (left + right)
-                    older, last = last, abs(nxt - x)
-                    x = nxt
-                    if small or right - left <= tol:
-                        break
-                else:
-                    raise ConvergenceFailure("bracketed Newton hit the iteration cap")
-            roots.append(x)
+    roots = [
+        _newton_lane(functools.partial(sums, dr, ar, beta, shift), True, left, right, floor)
+        for dr, ar, *lanes in zip(d.reshape(rows, m).tolist(), a.reshape(rows, m).tolist(), *per_lane)
+        for shift, floor, left, right in zip(*lanes)
+    ]
     return np.array(roots, dtype=float).reshape(shape)
 
 
 @functools.cache
 def _secular_sums(m: int):
-    """``sums(d, a, x)``: the three sums over m poles of ``_secular_lockstep``,
-    sum t a, sum t t a and sum t with t = 1 / (d - x), on Python floats,
-    compiled once per m from ``_sums_source(m)``."""
+    """``sums(d, a, beta, alpha, x)``: whether h(x) > 0 and the Newton step
+    of ``_secular_lockstep`` at x, for m poles on Python floats, compiled
+    once per m from ``_sums_source(m)``.  A division by zero gives what
+    numpy gives under ``errstate(ignore)``: p / +-0 is p * (+-inf)."""
     namespace = {"copysign": math.copysign, "inf": math.inf}
     exec(compile(_sums_source(m), f"<secular sums, M = {m}>", "exec"), namespace)
     return namespace["sums"]
 
 
 def _sums_source(m: int) -> str:
-    """Source of ``sums(d, a, x)`` for m poles: straight-line code that adds
-    each sum's terms in the order of numpy's pairwise last-axis sum."""
+    """Source of ``sums(d, a, beta, alpha, x)`` for m poles: straight-line
+    code that adds each of the sums t a, t t a and t over the poles, t = 1 /
+    (d - x), in the order of numpy's pairwise last-axis sum."""
     poles = range(m)
     lines = [
-        "def sums(d, a, x):",
+        "def sums(d, a, beta, alpha, x):",
         "    (" + "".join(f"d{k}, " for k in poles) + ") = d",
         "    (" + "".join(f"a{k}, " for k in poles) + ") = a",
     ]
     for k in poles:
         lines += [f"    e{k} = d{k} - x", f"    t{k} = 1.0 / e{k} if e{k} else copysign(inf, e{k})"]
-    totals = []
-    for term in "t{k} * a{k}", "t{k} * t{k} * a{k}", "t{k}":
-        totals.append("0.0 + " + _pairwise_source([term.format(k=k) for k in poles]))
-    lines.append("    return " + ", ".join(totals))
+    s, s2, s1 = ("(0.0 + " + _pairwise_source([term.format(k=k) for k in poles]) + ")"
+                 for term in ("t{k} * a{k}", "t{k} * t{k} * a{k}", "t{k}"))
+    lines += [
+        f"    h = beta * x + alpha + {s}",
+        f"    den = beta + {s2} - h * {s1}",
+        "    return h > 0.0, h / den if den else h * copysign(inf, den)",
+    ]
     return "\n".join(lines)
 
 

@@ -6,13 +6,16 @@ argument starts with ``{``) or, where it makes sense, from a seeded random
 instance via ``--seed``/``--N``.  Identical seed and configuration produce
 byte-identical output: floats are printed with 17 significant digits and
 all iteration orders are fixed.  Exit codes: 0 success, 1 runtime or
-verification failure, 2 invalid input, 3 positivity (Herglotz) violation.
+verification failure (or a reader that closed stdout early, quietly), 2
+invalid input (an unreadable --in or unwritable --out too), 3 positivity
+(Herglotz) violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from pathlib import Path
@@ -62,9 +65,12 @@ def _load_document(args) -> object:
             text = raw
         else:
             path = Path(raw)
-            if not path.exists():
-                raise InvalidData("input file %s does not exist" % path)
-            text = path.read_text()
+            try:
+                text = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise InvalidData("cannot read input file %s: %s" % (path, exc.strerror)) from exc
+            except UnicodeDecodeError as exc:
+                raise InvalidData("input file %s is not UTF-8 text" % path) from exc
         return serialize.loads(text)
     seed = getattr(args, "seed", None)
     if seed is not None:
@@ -291,9 +297,21 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
-    else:
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+            return 2
+        return code
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (say, ``| head``).  Point stdout at
+        # the null device, so the flush at interpreter shutdown cannot raise
+        # again, and exit 1 quietly, as Python's docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -159,4 +159,6 @@ def loads(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidData("invalid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise InvalidData("invalid JSON: nested too deeply") from exc
     return from_dict(doc)

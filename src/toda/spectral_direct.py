@@ -5,10 +5,10 @@ factorization): one sweep at the top nodes of the bisection tree brackets
 every eigenvalue at once (multisection), bisection goes on only where
 eigenvalues still share a cell, and bracketed Newton on the same pivots
 finishes; weights are reciprocal sums of squared first-kind polynomial
-values.  Both kernels solve one matrix.  Bisection and Newton run in
-lockstep over all its eigenvalues above N = 16; up to N = 16 they take them
-eigenvalue by eigenvalue on Python floats (``_scalar_refine``), bitwise the
-lockstep loops, and so does the pole check of ``gluing_check``.  The matrix
+values.  Both kernels solve one matrix.  Bisection runs in lockstep over
+its eigenvalues at every N, Newton above N = 16; up to N = 16 Newton takes
+one ``_newton_lane`` per eigenvalue on Python floats, bitwise the lockstep,
+and the pole check of ``gluing_check`` goes pole by pole.  The matrix
 with its first row and column removed supplies the divisor, whose points
 interlace the eigenvalues.  The two gate-4 checks hold a pole sum against
 the matrix: at its poles by the Newton step, elsewhere against
@@ -17,12 +17,13 @@ the matrix: at its poles by the Newton step, elsewhere against
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import _EPS, _NEWTON_TOL, _TINY, _readonly, bracketed_newton, offspectrum_samples
+from ._poly import _EPS, _TINY, _newton_lane, _readonly, bracketed_newton, offspectrum_samples
 from .errors import AtPole, ConvergenceFailure, InvalidData, PrecisionLimit
 from .jacobi_core import JacobiMatrix, truncate
 from .rational_weyl import Divisor, RationalHerglotz, _values
@@ -55,11 +56,11 @@ class SpectralData:
         return self.lambdas.size
 
 
-# A matrix of at most _SCALAR_LANES sites goes lane by lane on Python
-# floats, one ``_scalar_point`` per point: its bisection and Newton
-# (``_scalar_refine``) and its pole check (``_pole_residual``).  There
-# numpy's cost per call, about eight calls per site, outweighs the
-# arithmetic.  16 is the measured crossover (per sweep at N = 12 on a
+# A matrix of at most _SCALAR_LANES sites takes its Newton steps
+# (``_newton_lane``) and its pole check (``_pole_residual``) lane by lane on
+# Python floats, one ``_scalar_point`` per point; the constant picks nothing
+# else.  There numpy's cost per call, about eight calls per site, outweighs
+# the arithmetic.  16 is the measured crossover (per sweep at N = 12 on a
 # 2-vCPU VM: 14 us against numpy's 86 at 4 points, 48 against 73 at 16, 78
 # against 87 or 86 against 81 at 32).
 _SCALAR_LANES = 16
@@ -196,11 +197,11 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     N x N of one bisection step).  Each eigenvalue takes its cell from the
     counts; eigenvalues still sharing a cell bisect on Sturm counts until
     each is alone (or to ``_SPLIT`` * max(1, |lambda|) for a pair too close
-    to split).  Bracketed Newton then takes its side from the count and its
-    step from the pivots.  Bisection and Newton step all eigenvalues in
-    lockstep, one sweep per step, except up to ``_SCALAR_LANES`` sites:
-    there they take them eigenvalue by eigenvalue on Python floats
-    (``_scalar_refine``), bitwise the same.
+    to split), in lockstep, one sweep per step; the loop is skipped where no
+    cell is shared, as for most small matrices.  Bracketed Newton then takes
+    its side from the count and its step from the pivots: in lockstep, or up
+    to ``_SCALAR_LANES`` sites one ``_newton_lane`` per eigenvalue, bitwise
+    the same.  Every eigenvalue bisects before any takes a Newton step.
 
     A diagonal whose bracket leaves float64 raises ``PrecisionLimit``
     before any sweep.
@@ -235,14 +236,12 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     want = np.arange(1, n + 1)
     cell = np.searchsorted(counts, want)
     lo, hi, clo, chi = grid[cell - 1], grid[cell], counts[cell - 1], counts[cell]
-    scale = max(abs(lo0), abs(hi0))
-    if n <= _SCALAR_LANES:
-        return _scalar_refine(v, c, (lo, hi, clo, chi), scale)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        floor = (hi - lo) <= _SPLIT * np.maximum(1.0, np.abs(mid))
-        todo = (chi - clo > 1) & ~floor
-        if not np.any(todo):
+        todo = chi - clo > 1  # most cells of a small matrix hold one eigenvalue
+        if todo.any():
+            mid = 0.5 * (lo + hi)
+            todo &= ~((hi - lo) <= _SPLIT * np.maximum(1.0, np.abs(mid)))
+        if not todo.any():
             break
         cnt, _ = _pivot_sweep(v, c, mid)
         upper = todo & (cnt >= want)
@@ -251,67 +250,17 @@ def _eigenvalues(v: np.ndarray, c: np.ndarray) -> np.ndarray:
         lo, clo = np.where(lower, mid, lo), np.where(lower, cnt, clo)
     else:
         raise ConvergenceFailure("eigenvalue bisection hit the iteration cap")
+    scale = max(abs(lo0), abs(hi0))
+    if n <= _SCALAR_LANES:
+        point = functools.partial(_scalar_point, _scalar_matrix(v, c))
+        return np.array([_newton_lane(point, k, *cell, scale)
+                         for k, cell in enumerate(zip(lo.tolist(), hi.tolist()), 1)])
 
     def step_side(x):
         cnt, step = _pivot_sweep(v, c, x)
         return step, cnt >= want
 
     return bracketed_newton(step_side, lo, hi, scale=scale)
-
-
-def _scalar_refine(v: np.ndarray, c: np.ndarray, cells: tuple, scale: float) -> np.ndarray:
-    """The bisection and bracketed Newton of ``_eigenvalues`` for one
-    matrix, eigenvalue by eigenvalue on Python floats, one ``_scalar_point``
-    per step, from the ``cells`` (lo, hi, count(lo), count(hi)), arrays over
-    the eigenvalues.
-
-    The lanes of the lockstep loops never mix: each sweeps at its own
-    point, stops on its own test and keeps its own iteration count.  So
-    each lane here takes the same IEEE operations in the same order, with
-    NaN read as ``np.maximum`` reads it, and the result is bitwise theirs.
-    Every lane bisects before any takes a Newton step, so a capped solve
-    raises what the lockstep loops raise."""
-    matrix = _scalar_matrix(v, c)
-    isolated = []
-    for want, (lo, hi, clo, chi) in enumerate(zip(*(a.tolist() for a in cells)), 1):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            mag = abs(mid)
-            if chi - clo <= 1 or hi - lo <= _SPLIT * (1.0 if 1.0 >= mag else mag):
-                break
-            cnt = _scalar_point(matrix, mid)[0]
-            if cnt >= want:
-                hi, chi = mid, cnt
-            else:
-                lo, clo = mid, cnt
-        else:
-            raise ConvergenceFailure("eigenvalue bisection hit the iteration cap")
-        isolated.append((lo, hi))
-    lam = []
-    for want, (lo, hi) in enumerate(isolated, 1):
-        x = 0.5 * (lo + hi)
-        if lo != hi:  # bracketed_newton, one lane
-            last = older = hi - lo
-            for _ in range(200):
-                cnt, step = _scalar_point(matrix, x)
-                if cnt >= want:
-                    hi = x
-                else:
-                    lo = x
-                mag = abs(x)
-                tol = _NEWTON_TOL * (scale if scale >= mag else mag)
-                small = abs(step) <= tol
-                nxt = x - step
-                if not (small or (lo < nxt < hi and 2.0 * abs(step) <= older)):
-                    nxt = 0.5 * (lo + hi)
-                older, last = last, abs(nxt - x)
-                x = nxt
-                if small or hi - lo <= tol:
-                    break
-            else:
-                raise ConvergenceFailure("bracketed Newton hit the iteration cap")
-        lam.append(x)
-    return np.array(lam)
 
 
 def _weights(v: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.ndarray:

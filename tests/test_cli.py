@@ -666,6 +666,50 @@ def test_exit_code_two_on_bad_input(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_unreadable_input_and_unwritable_output_exit_two(capsys, tmp_path):
+    """An --in that names a directory, holds bytes that are not UTF-8 or
+    nests its JSON past the parser's recursion limit, and an --out into a
+    directory or a missing one, each print one error line naming the cause
+    (the path, where there is one) and exit 2, never a traceback."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    cases = (
+        (("spectrum", "--in", str(tmp_path)), str(tmp_path)),
+        (("spectrum", "--in", str(binary)), str(binary)),
+        (("spectrum", "--in", str(deep)), "nested too deeply"),
+        (("spectrum", "--in", '{"v": ' + "[" * 100_000 + "]" * 100_000 + "}"), "nested too deeply"),
+        (("spectrum", "--seed", "0", "--out", str(tmp_path)), str(tmp_path)),
+        (("verify", "--suite", "dual", "--out", str(tmp_path / "no" / "r.json")), "no"),
+    )
+    for argv, named in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("error: "), argv
+        assert err.count("\n") == 1 and named in err, argv
+    assert not (tmp_path / "no").exists()
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    """A reader that closes stdout before the output ends (``| head``) makes
+    the command exit 1 with nothing on stderr: a long output breaks while it
+    is written, a short one, buffered, when it is flushed before shutdown
+    (so stdout is left buffered, as it is on a pipe by default)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    for command, read in (
+        ("flow --seed 0 --N 4 --samples 2000", 100),
+        ("spectrum --seed 0 --N 2", 0),
+    ):
+        argv = [sys.executable, "-m", "toda.cli", *command.split()]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b""), command
+
+
 def test_negative_seed_and_zero_size_exit_two(capsys):
     """Argument errors exit 2 with a message, never a traceback; only an
     absent --N defaults to 4."""

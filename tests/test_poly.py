@@ -23,6 +23,7 @@ from toda._poly import (
     _SAMPLE_CLEARANCE,
     _SAMPLE_PAD,
     _SCALAR_TERMS,
+    _newton_lane,
     _secular_lanes,
     _secular_lockstep,
     bracketed_newton,
@@ -33,51 +34,89 @@ from toda.coordinates import _poles_from_divisor, _quasimomenta
 from toda.rational_weyl import _zeros
 
 
+def _newton_lanes(step_side, lo, hi, *, scale=1.0):
+    """``bracketed_newton``'s problem solved one bracket at a time by
+    ``_newton_lane``, on Python floats, its point ``step_side`` at that one
+    lane: the root lies below x when the side is True."""
+    lo, hi, scale = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, scale)))
+
+    def point(x):
+        step, below = step_side(np.array([x]))
+        return bool(below[0]), float(step[0])
+
+    lanes = zip(lo.ravel().tolist(), hi.ravel().tolist(), scale.ravel().tolist())
+    return np.array([_newton_lane(point, True, *lane) for lane in lanes]).reshape(lo.shape)
+
+
+# Each bracketed_newton test runs the numpy lockstep and the lane by lane.
+_SOLVES = (bracketed_newton, _newton_lanes)
+
+
 def test_bracketed_newton_takes_newton_steps_inside_the_bracket():
-    calls = []
+    for solve in _SOLVES:
+        calls = []
 
-    def step_side(x):
-        calls.append(x.copy())
-        return (x * x - 2.0) / (2.0 * x), x * x > 2.0
+        def step_side(x):
+            calls.append(x.copy())
+            return (x * x - 2.0) / (2.0 * x), x * x > 2.0
 
-    root = bracketed_newton(step_side, [1.0], [2.0])
-    assert root[0] == pytest.approx(np.sqrt(2.0), abs=4e-16)
-    assert len(calls) <= 6
+        root = solve(step_side, [1.0], [2.0])
+        assert root[0] == pytest.approx(np.sqrt(2.0), abs=4e-16)
+        assert len(calls) <= 6
 
 
 def test_bracketed_newton_bisects_when_a_step_leaves_the_bracket():
     """Every step overshoots upward, so every iterate is a bracket midpoint."""
-    xs = []
+    for solve in _SOLVES:
+        xs = []
 
-    def step_side(x):
-        xs.append(float(x[0]))
-        return np.full_like(x, -10.0), x > 0.3
+        def step_side(x):
+            xs.append(float(x[0]))
+            return np.full_like(x, -10.0), x > 0.3
 
-    root = bracketed_newton(step_side, [0.0], [1.0])
-    assert xs[:5] == [0.5, 0.25, 0.375, 0.3125, 0.28125]
-    assert root[0] == pytest.approx(0.3, abs=1e-15)
+        root = solve(step_side, [0.0], [1.0])
+        assert xs[:5] == [0.5, 0.25, 0.375, 0.3125, 0.28125]
+        assert root[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_bracketed_newton_bisects_when_newton_crawls():
     """Newton on x**40 - 2 from far above gains 1/40 per step; bisection
     steps take over so the root comes well inside the iteration cap."""
-    calls = []
+    for solve in _SOLVES:
+        calls = []
 
-    def step_side(x):
-        calls.append(1)
-        return (x**40 - 2.0) / (40.0 * x**39), x**40 > 2.0
+        def step_side(x):
+            calls.append(1)
+            return (x**40 - 2.0) / (40.0 * x**39), x**40 > 2.0
 
-    root = bracketed_newton(step_side, [0.5], [100.0])
-    assert root[0] == pytest.approx(2.0 ** (1 / 40), abs=4e-16)
-    assert len(calls) <= 60
+        root = solve(step_side, [0.5], [100.0])
+        assert root[0] == pytest.approx(2.0 ** (1 / 40), abs=4e-16)
+        assert len(calls) <= 60
+
+
+def test_bracketed_newton_takes_a_step_of_half_the_move_before_last():
+    """The crawl rule's boundary: the third step, 1/16, is exactly half the
+    move before last, 1/8, and is taken, not replaced by the midpoint."""
+    for solve in _SOLVES:
+        xs = []
+
+        def step_side(x):
+            xs.append(float(x[0]))
+            step = np.where(x == 0.5, 0.125, np.where((x == 0.375) | (x == 0.3125), 0.0625, x - 0.2))
+            return step, x > 0.2
+
+        root = solve(step_side, [0.0], [1.0])
+        assert xs[:4] == [0.5, 0.375, 0.3125, 0.25]
+        assert root[0] == pytest.approx(0.2, abs=1e-16)
 
 
 def test_bracketed_newton_replaces_nonfinite_steps_by_midpoints():
     def step_side(x):
         return np.full_like(x, np.nan), x > 0.7
 
-    root = bracketed_newton(step_side, [0.0, 0.0], [1.0, 1.0])
-    np.testing.assert_allclose(root, [0.7, 0.7], atol=1e-15, rtol=0)
+    for solve in _SOLVES:
+        root = solve(step_side, [0.0, 0.0], [1.0, 1.0])
+        np.testing.assert_allclose(root, [0.7, 0.7], atol=1e-15, rtol=0)
 
 
 def test_bracketed_newton_raises_at_its_cap():
@@ -86,8 +125,9 @@ def test_bracketed_newton_raises_at_its_cap():
     def step_side(x):
         return np.full_like(x, np.nan), x > 0.3
 
-    with pytest.raises(ConvergenceFailure):
-        bracketed_newton(step_side, [0.0], [1e60])
+    for solve in _SOLVES:
+        with pytest.raises(ConvergenceFailure):
+            solve(step_side, [0.0], [1e60])
 
 
 def test_bracketed_newton_floor_follows_scale():
@@ -96,10 +136,11 @@ def test_bracketed_newton_floor_follows_scale():
     def step_side(x):
         return np.full_like(x, np.nan), x > 1e-9
 
-    coarse = bracketed_newton(step_side, [0.0], [1e-8])[0]
-    fine = bracketed_newton(step_side, [0.0], [1e-8], scale=1e-8)[0]
-    assert abs(fine - 1e-9) <= 4e-24
-    assert abs(coarse - 1e-9) <= 1e-15
+    for solve in _SOLVES:
+        coarse = solve(step_side, [0.0], [1e-8])[0]
+        fine = solve(step_side, [0.0], [1e-8], scale=1e-8)[0]
+        assert abs(fine - 1e-9) <= 4e-24
+        assert abs(coarse - 1e-9) <= 1e-15
 
 
 def test_bracketed_newton_takes_a_scale_per_row():
@@ -110,18 +151,60 @@ def test_bracketed_newton_takes_a_scale_per_row():
         return np.full_like(x, np.nan), x > 1e-9
 
     lo, hi = np.zeros((2, 1)), np.full((2, 1), 1e-8)
-    both = bracketed_newton(step_side, lo, hi, scale=np.array([[1.0], [1e-8]]))
-    assert both[0, 0] == bracketed_newton(step_side, [0.0], [1e-8])[0]
-    assert both[1, 0] == bracketed_newton(step_side, [0.0], [1e-8], scale=1e-8)[0]
+    for solve in _SOLVES:
+        both = solve(step_side, lo, hi, scale=np.array([[1.0], [1e-8]]))
+        assert both[0, 0] == solve(step_side, [0.0], [1e-8])[0]
+        assert both[1, 0] == solve(step_side, [0.0], [1e-8], scale=1e-8)[0]
 
 
 def test_bracketed_newton_returns_zero_width_brackets_unchanged():
     def step_side(x):
         return x - 0.3, x > 0.3
 
-    root = bracketed_newton(step_side, [0.0, 0.7], [1.0, 0.7])
-    assert root[1] == 0.7
-    assert root[0] == pytest.approx(0.3, abs=1e-15)
+    for solve in _SOLVES:
+        root = solve(step_side, [0.0, 0.7], [1.0, 0.7])
+        assert root[1] == 0.7
+        assert root[0] == pytest.approx(0.3, abs=1e-15)
+
+
+# Every bracketed_newton case above, unrecorded, and steps that are infinite
+# or land exactly on a bracket end: (step_side, lo, hi, scale).
+_NEWTON_CASES = {
+    "newton": (lambda x: ((x * x - 2.0) / (2.0 * x), x * x > 2.0), [1.0], [2.0], 1.0),
+    "overshoot": (lambda x: (np.full_like(x, -10.0), x > 0.3), [0.0], [1.0], 1.0),
+    "crawl": (lambda x: ((x**40 - 2.0) / (40.0 * x**39), x**40 > 2.0), [0.5], [100.0], 1.0),
+    "nonfinite": (lambda x: (np.full_like(x, np.nan), x > 0.7), [0.0, 0.0], [1.0, 1.0], 1.0),
+    "infinite": (lambda x: (np.where(x > 0.4, np.inf, -np.inf), x > 0.4), [0.0], [1.0], 1.0),
+    "bracket ends": (lambda x: (x - np.where(x > 0.6, 0.5, 1.0), x > 0.6), [0.0], [1.0], 1.0),
+    "cap": (lambda x: (np.full_like(x, np.nan), x > 0.3), [0.0], [1e60], 1.0),
+    "scale floor": (
+        lambda x: (np.full_like(x, np.nan), x > 1e-9), np.zeros((3, 1)),
+        np.full((3, 1), 1e-8), np.array([[1.0], [1e-8], [0.0]]),
+    ),
+    "zero width": (  # the last bracket's step is small enough to be taken
+        lambda x: (x - 0.3, x > 0.3), [0.0, 0.7, 0.2, np.nextafter(0.3, 1.0)],
+        [1.0, 0.7, 0.2, np.nextafter(0.3, 1.0)], 1.0,
+    ),
+}
+
+
+def _newton_outcome(solve, step_side, lo, hi, scale):
+    try:
+        return solve(step_side, lo, hi, scale=scale)
+    except ConvergenceFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", _NEWTON_CASES)
+def test_newton_lane_is_bitwise_bracketed_newton(case):
+    """Lane by lane, ``_newton_lane`` gives ``bracketed_newton``'s roots bit
+    for bit, or raises its message at the cap."""
+    lockstep = _newton_outcome(bracketed_newton, *_NEWTON_CASES[case])
+    lanes = _newton_outcome(_newton_lanes, *_NEWTON_CASES[case])
+    if isinstance(lockstep, str) or isinstance(lanes, str):
+        assert lanes == lockstep == "bracketed Newton hit the iteration cap"
+    else:
+        assert lanes.tobytes() == lockstep.tobytes()
 
 
 def _secular_problems(n, rows):

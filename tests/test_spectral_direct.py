@@ -775,9 +775,11 @@ def test_newton_and_bisection_take_the_scalar_kernel(monkeypatch):
     """Selection guard: only the matrix size picks the Python-float kernel.
     ``_pivot_sweep`` never calls ``_scalar_point``, at 1, 2, 16 or 17
     points.  At N = 8 and 12 ``eigen`` makes one pivot sweep, the
-    multisection grid (about 32 N points, on numpy rows), and bisects and
-    takes its Newton steps lane by lane (``_scalar_refine``) without
-    ``bracketed_newton``; at N = 17 Newton runs in lockstep again.
+    multisection grid (about 32 N points, on numpy rows): bisection sweeps
+    in lockstep only where the grid leaves a cell shared, which none of
+    these draws does.  It takes its Newton steps lane by lane
+    (``_newton_lane`` on ``_scalar_point``) without ``bracketed_newton``;
+    at N = 17 Newton runs in lockstep again.
     ``gluing_check`` takes one ``_scalar_point`` per pole (and none of
     ``_nudged_sweep``) at N = 16, and ``_nudged_sweep`` at N = 17."""
     sweeps, newton, scalar, nudged = [], [], [], []

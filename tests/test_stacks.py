@@ -394,13 +394,16 @@ def test_stacked_eigen_rows_of_mixed_grid_depths(monkeypatch):
     would reach bisection's floor): each matrix takes the depth of its own
     bracket, so the unshifted draws take the full tree and the shifted ones
     two shorter depths, and every row is still
-    its own solve and its own sweep."""
-    grids = []
+    its own solve and its own sweep.  Past its grid sweep a solve of N = 6
+    bisects in lockstep, one sweep at its N eigenvalues per step, exactly
+    when the grid left two or more eigenvalues in one cell."""
+    solves = []
     sweep = spectral_direct._pivot_sweep
 
     def recording(v, c, x):
-        grids.append(x.size)
-        return sweep(v, c, x)
+        cnt, step = sweep(v, c, x)
+        solves[-1].append((x.size, cnt))
+        return cnt, step
 
     rng = np.random.default_rng(61)
     ms = []
@@ -409,11 +412,16 @@ def test_stacked_eigen_rows_of_mixed_grid_depths(monkeypatch):
         ms.append(JacobiMatrix(m.v + offset, m.c))
     monkeypatch.setattr(spectral_direct, "_pivot_sweep", recording)
     for m in ms:
+        solves.append([])
         _eigenvalues(m.v, m.c)
     monkeypatch.undo()
-    # N = 6 refines lane by lane, so the grid is each solve's only sweep.
-    assert len(grids) == len(ms)
+    grids = [sweeps[0][0] for sweeps in solves]
     assert grids[0] == grids[3] == max(grids) and len(set(grids)) == 3
+    for m, ((_, counts), *bisection) in zip(ms, solves):
+        shared = np.diff(np.r_[0, counts, m.n]).max() > 1
+        assert bool(bisection) == shared
+        assert all(size == m.n for size, _ in bisection)
+    assert any(len(sweeps) > 1 for sweeps in solves)
     assert_stacked_eigen_is_single_eigen(ms)
 
 
