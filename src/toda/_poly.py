@@ -10,8 +10,9 @@ its continued fraction (``spectral_inverse``).
 ``bracketed_newton`` steps its brackets in numpy lockstep, ``_newton_lane``
 one bracket on Python floats, bitwise each lane; small eigenvalue and
 secular solves take the lane.  Both secular paths add every sum over the
-poles in numpy's pairwise order, never through a matmul, so the divisor
-and the poles from it do not depend on the BLAS build.
+poles in pole order from +0, never through a matmul or numpy's pairwise
+last-axis sum, so the divisor and the poles from it do not depend on the
+BLAS build.
 
 ``_readonly`` (a float copy with writes disabled) lives here for every frozen
 record type in the package, and ``_index`` for every integer argument (a
@@ -37,12 +38,11 @@ _NEWTON_TOL = 4.0 * _EPS  # a root is done within _NEWTON_TOL * max(scale, |x|)
 # there numpy's fixed cost per call outweighs the arithmetic.  400 is the
 # measured crossover (zeros of random_jacobi Weyl functions at N sites,
 # rows x N (N - 1) lane-terms; us per call, best of 7 on a 2-vCPU VM, numpy
-# against per lane: 1 row 232/34 at N = 4, 472/250 at 16, 519/354 at 20,
-# 579/584 at 24, 687/1095 at 32; 4 rows 262/86 at 4, 470/374 at 10,
-# 754/607 at 12, 602/958 at 16; 11 rows 286/208 at 4, 403/426 at 6,
-# 606/692 at 8).  The divisor inversion breaks even at the same sizes.
-# Compiling one M's sums takes 0.2 ms at M = 4 and about 0.6 ms at 16,
-# once per process.
+# against per lane: 1 row 207/40 at N = 4, 400/259 at 16, 593/381 at 20,
+# 684/602 at 24, 693/752 at 28, 690/1073 at 32; 4 rows 309/103 at 4,
+# 551/439 at 10, 615/740 at 12; 11 rows 337/237 at 4, 397/492 at 6).  The
+# divisor inversion breaks even at about the same sizes (1 row 504/369 at
+# N = 20, 551/634 at 24; 4 rows 489/523 at 10; 11 rows 346/305 at 4).
 _SCALAR_TERMS = 400
 
 # offspectrum_samples: the samples span the avoided set padded by _SAMPLE_PAD
@@ -144,21 +144,25 @@ def secular_roots(d: np.ndarray, a: np.ndarray, beta: float, alpha, lo, hi, scal
 
     Up to ``_SCALAR_TERMS`` lane-terms (K M times the stack's rows) the
     lanes go one by one on Python floats (``_secular_lanes``), above it in
-    numpy lockstep (``_secular_lockstep``); the two are bitwise equal."""
+    numpy lockstep (``_secular_lockstep``); both sum over the poles in pole
+    order from +0, so the two are bitwise equal."""
     solve = _secular_lanes if np.size(lo) * d.shape[-1] <= _SCALAR_TERMS else _secular_lockstep
     return solve(d, a, beta, alpha, lo, hi, scale)
 
 
 def _secular_lockstep(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
-    """``secular_roots`` with every lane in one ``bracketed_newton``.  Each
-    sum over the poles is numpy's last-axis sum, in numpy's fixed pairwise
-    order (no BLAS), which ``_secular_sums`` writes out."""
-    d, a = d[..., None, :], a[..., None, :]
+    """``secular_roots`` with every lane in one ``bracketed_newton``.  The
+    poles lie along the leading axis of each term, and numpy adds that axis
+    in pole order from +0 (no BLAS, no pairwise blocks) whenever a sum has
+    more than one lane; a lone lane, which numpy would add pairwise from 8
+    poles on, has at most 2 poles in either caller (K = M - 1 or M + 1)."""
+    d, a = np.moveaxis(d, -1, 0)[..., None], np.moveaxis(a, -1, 0)[..., None]
 
     def step_side(x):
-        t = 1.0 / (d - x[..., None])
-        h = beta * x + alpha + (t * a).sum(axis=-1)
-        return h / (beta + (t * t * a).sum(axis=-1) - h * t.sum(axis=-1)), h > 0.0
+        t = 1.0 / (d - x)
+        h = beta * x + alpha + np.add.reduce(t * a, 0, initial=0.0)
+        den = beta + np.add.reduce(t * t * a, 0, initial=0.0) - h * np.add.reduce(t, 0, initial=0.0)
+        return h / den, h > 0.0
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return bracketed_newton(step_side, lo, hi, scale=scale)
@@ -166,71 +170,36 @@ def _secular_lockstep(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
 
 def _secular_lanes(d, a, beta, alpha, lo, hi, scale) -> np.ndarray:
     """``_secular_lockstep`` on Python floats: one ``_newton_lane`` per
-    bracket, its point ``_secular_sums`` on that bracket's row, so bitwise
-    the lockstep, and a lane past the cap raises what the lockstep raises."""
+    bracket, its point ``_secular_point`` on that bracket's row of poles,
+    so bitwise the lockstep, and a lane past the cap raises what the
+    lockstep raises."""
     shape = np.shape(lo)
     rows, m = math.prod(shape[:-1]), d.shape[-1]
-    sums = _secular_sums(m)
     per_lane = [np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(rows, shape[-1]).tolist()
                 for v in (alpha, scale, lo, hi)]
     roots = [
-        _newton_lane(functools.partial(sums, dr, ar, beta, shift), True, left, right, floor)
-        for dr, ar, *lanes in zip(d.reshape(rows, m).tolist(), a.reshape(rows, m).tolist(), *per_lane)
+        _newton_lane(functools.partial(_secular_point, poles, beta, shift), True, left, right, floor)
+        for poles, *lanes in zip(np.stack((d, a), -1).reshape(rows, m, 2).tolist(), *per_lane)
         for shift, floor, left, right in zip(*lanes)
     ]
     return np.array(roots, dtype=float).reshape(shape)
 
 
-@functools.cache
-def _secular_sums(m: int):
-    """``sums(d, a, beta, alpha, x)``: whether h(x) > 0 and the Newton step
-    of ``_secular_lockstep`` at x, for m poles on Python floats, compiled
-    once per m from ``_sums_source(m)``.  A division by zero gives what
-    numpy gives under ``errstate(ignore)``: p / +-0 is p * (+-inf)."""
-    namespace = {"copysign": math.copysign, "inf": math.inf}
-    exec(compile(_sums_source(m), f"<secular sums, M = {m}>", "exec"), namespace)
-    return namespace["sums"]
-
-
-def _sums_source(m: int) -> str:
-    """Source of ``sums(d, a, beta, alpha, x)`` for m poles: straight-line
-    code that adds each of the sums t a, t t a and t over the poles, t = 1 /
-    (d - x), in the order of numpy's pairwise last-axis sum."""
-    poles = range(m)
-    lines = [
-        "def sums(d, a, beta, alpha, x):",
-        "    (" + "".join(f"d{k}, " for k in poles) + ") = d",
-        "    (" + "".join(f"a{k}, " for k in poles) + ") = a",
-    ]
-    for k in poles:
-        lines += [f"    e{k} = d{k} - x", f"    t{k} = 1.0 / e{k} if e{k} else copysign(inf, e{k})"]
-    s, s2, s1 = ("(0.0 + " + _pairwise_source([term.format(k=k) for k in poles]) + ")"
-                 for term in ("t{k} * a{k}", "t{k} * t{k} * a{k}", "t{k}"))
-    lines += [
-        f"    h = beta * x + alpha + {s}",
-        f"    den = beta + {s2} - h * {s1}",
-        "    return h > 0.0, h / den if den else h * copysign(inf, den)",
-    ]
-    return "\n".join(lines)
-
-
-def _pairwise_source(terms: list) -> str:
-    """The sum of ``terms`` (expressions) as numpy adds a row of doubles
-    (``pairwise_sum``): in order below 8 terms; up to 128, 8 accumulators
-    over the terms strided by 8, combined as ((0 + 1) + (2 + 3)) + ((4 + 5)
-    + (6 + 7)), then the leftover terms in order; above, the two halves
-    (the first a multiple of 8 long) apart.  The reduction starts from +0,
-    which the caller adds."""
-    n = len(terms)
-    if n < 8:
-        return "(" + " + ".join(["0.0", *terms]) + ")"
-    if n <= 128:
-        whole = n - n % 8
-        r = ["(" + " + ".join(terms[j:whole:8]) + ")" for j in range(8)]
-        blocks = "(({} + {}) + ({} + {})) + (({} + {}) + ({} + {}))".format(*r)
-        return "(" + " + ".join([blocks, *terms[whole:]]) + ")"
-    half = n // 2 - n // 2 % 8
-    return f"({_pairwise_source(terms[:half])} + {_pairwise_source(terms[half:])})"
+def _secular_point(poles: list, beta: float, alpha: float, x: float) -> tuple:
+    """Whether h(x) > 0 and the Newton step of ``_secular_lockstep`` at x,
+    summed in pole order from +0 over ``poles``, one row's (d_k, a_k) pairs,
+    built once per row.  A division by zero gives what numpy gives under
+    ``errstate(ignore)``: p / +-0 is p * (+-inf)."""
+    s = s2 = s1 = 0.0
+    for dk, ak in poles:
+        e = dk - x
+        t = 1.0 / e if e else math.copysign(math.inf, e)
+        s += t * ak
+        s2 += t * t * ak
+        s1 += t
+    h = beta * x + alpha + s
+    den = beta + s2 - h * s1
+    return h > 0.0, h / den if den else h * math.copysign(math.inf, den)
 
 
 def _raise_lowest(*checks) -> None:

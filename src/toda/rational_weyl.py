@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _poly
 from ._poly import _readonly
-from .errors import AtPole, InvalidData, NotHerglotz, Overflow, TodaError
+from .errors import AtPole, InvalidData, NotHerglotz, Overflow, PrecisionLimit, TodaError
 from .jacobi_core import JacobiMatrix
 
 _NORMALIZATION_TOL = 1e-12
@@ -212,6 +212,9 @@ def zeros(w: RationalHerglotz) -> Divisor:
     is the root of the secular equation w = 0 (``_poly.secular_roots``,
     beta = alpha = 0) in its gap; when a residue is so small that the zero is
     not resolvable away from its pole, the pole-side gap endpoint is returned.
+    A gap narrower than its two edge margins (each at least 8 eps max(1,
+    |pole|)) raises ``PrecisionLimit``: no float64 point in it is resolvable
+    from both poles, so no zero is returned outside its gap.
     ``_zeros`` solves a stack of pole sums at once.
 
     The divisor is solved once per record and kept on it: ``w`` is frozen
@@ -227,6 +230,8 @@ def _zeros(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
     eps_edge = 8 * _poly._EPS * np.maximum(1.0, np.abs(lam))
     lo = lam[..., :-1] + np.maximum(1e-13 * gaps, eps_edge[..., :-1])
     hi = lam[..., 1:] - np.maximum(1e-13 * gaps, eps_edge[..., 1:])
+    if (lo > hi).any():  # the edge margins overlap: no point of the gap is resolvable
+        raise PrecisionLimit("poles closer than float64 can place a zero between them")
     # Degenerate sides: the zero hugs the pole closer than the edge offset.
     poles, residues = lam[..., None, :], rho[..., None, :]
     left_stuck = _values(poles, residues, lo) >= 0.0

@@ -227,13 +227,14 @@ def _secular_problems(n, rows):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rows", [1, 4, 11])
-@pytest.mark.parametrize("n", [2, 4, 8, 9, 12, 17, 24])
+@pytest.mark.parametrize(
+    "n, rows", [*((n, rows) for n in (2, 4, 8, 9, 12, 17, 24) for rows in (1, 4, 11)), (33, 1), (130, 1)]
+)
 def test_secular_lanes_are_bitwise_the_lockstep(n, rows):
     """The per-lane path and the numpy lockstep give the same bits, with no
-    warning, at M poles on both sides of numpy's 8-term pairwise block and
-    at lane-terms on both sides of ``_SCALAR_TERMS``; each row of a stack
-    is its own solve."""
+    warning, at M poles below and past 8 and 128 (where numpy's last-axis
+    sum would leave pole order for pairwise blocks) and at lane-terms on
+    both sides of ``_SCALAR_TERMS``; each row of a stack is its own solve."""
     for args in _secular_problems(n, rows):
         lockstep = _secular_lockstep(*args)
         np.testing.assert_array_equal(_secular_lanes(*args), lockstep)

@@ -17,6 +17,7 @@ from toda import (
     JacobiMatrix,
     KreinData,
     NotHerglotz,
+    PrecisionLimit,
     RationalHerglotz,
     ah_formula_xi,
     evaluate,
@@ -98,6 +99,32 @@ def test_zeros_with_vanishing_residue_stick_to_the_pole():
     w = RationalHerglotz(np.array([0.0, 1.0]), np.array([1e-300, 1.0]))
     g = zeros(w).gammas
     assert 0.0 < g[0] < 1e-10
+
+
+@pytest.mark.parametrize("poles", [[0.0, 1e-20], [0.0, 1e-300]])
+def test_zeros_of_a_gap_narrower_than_its_edge_margins_raise(poles):
+    """Each edge margin is at least 8 eps max(1, |pole|), so these gaps
+    hold no point resolvable from both poles; a margin returned as the zero
+    (about 8.9e-16) would lie far outside the gap."""
+    w = RationalHerglotz(np.array(poles), np.array([0.5, 0.5]))
+    with pytest.raises(PrecisionLimit, match="poles closer than float64 can place a zero"):
+        zeros(w)
+    with pytest.raises(PrecisionLimit):
+        pi_from(w)
+
+
+@pytest.mark.parametrize("v", [[0.0, 1e-20], [0.0, 0.0]])
+def test_divisor_of_a_matrix_with_a_too_narrow_gap_raises(v):
+    """Its eigenvalues are about -6.2e-21 and 1.6e-20 (or +-1e-20), and the
+    true divisor point 1e-20 (or 0); a returned -8.9e-16 would be silent."""
+    with pytest.raises(PrecisionLimit):
+        zeros(weyl(JacobiMatrix(np.array(v), np.array([1e-20]))))
+
+
+def test_zeros_of_a_gap_just_wider_than_its_edge_margins_stay_inside():
+    w = RationalHerglotz(np.array([0.0, 4e-15]), np.array([0.5, 0.5]))
+    g = zeros(w).gammas
+    assert 0.0 < g[0] < 4e-15
 
 
 def test_quotient_satisfies_residue_identity():

@@ -123,6 +123,14 @@ def _zero_brackets(lam, rho):
     return np.where(stuck, edge, lo), np.where(stuck, edge, hi)
 
 
+def _in_pole_order(terms):
+    """The sum over the last (pole) axis, one pole at a time from +0."""
+    total = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        total = total + terms[..., k]
+    return total
+
+
 def _closure_zeros(lam, rho, lo, hi):
     """The zero solve before the secular kernel: Newton on w p by its own
     closure."""
@@ -130,8 +138,8 @@ def _closure_zeros(lam, rho, lo, hi):
 
     def step_side(x):
         t = 1.0 / (poles - x[..., None])
-        val = (t * residues).sum(axis=-1)
-        return val / ((t * t * residues).sum(axis=-1) - val * t.sum(axis=-1)), val > 0.0
+        val = _in_pole_order(t * residues)
+        return val / (_in_pole_order(t * t * residues) - val * _in_pole_order(t)), val > 0.0
 
     return bracketed_newton(step_side, lo, hi, scale=np.abs(lam).max(-1, keepdims=True))
 
@@ -156,8 +164,8 @@ def _closure_poles(gam, a, alpha, lo, hi):
     def step_side(x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = 1.0 / (x[:, :, None] - gam[:, None, :])
-            g = x + alpha - (t * a).sum(axis=-1)
-            return g / (1.0 + (t * t * a).sum(axis=-1) + g * t.sum(axis=-1)), g > 0.0
+            g = x + alpha - _in_pole_order(t * a)
+            return g / (1.0 + _in_pole_order(t * t * a) + g * _in_pole_order(t)), g > 0.0
 
     return bracketed_newton(step_side, lo, hi, scale=np.abs(gam).max(axis=1, keepdims=True))
 
@@ -175,8 +183,9 @@ def extreme_charts(n):
 def test_secular_kernel_is_bitwise_the_two_closures_it_replaced(n):
     """beta = 0 reproduces the zero solve and beta = 1 the divisor inversion
     bit for bit, on the same brackets, and so do their callers.  The closures
-    sum over the poles as the kernel does, by numpy's last-axis sum: a matmul
-    sums in the BLAS build's order, which no scalar loop can reproduce."""
+    sum over the poles as the kernel does, one pole at a time from +0, not
+    by a matmul (the BLAS build's order) or numpy's last-axis sum (pairwise
+    blocks from 8 terms on)."""
     lam, rho = stack(pole_sums(n) + pole_sums(n, seed=2))
     lo, hi = _zero_brackets(lam, rho)
     gam = secular_roots(lam, rho, 0.0, 0.0, lo, hi, np.abs(lam).max(-1, keepdims=True))
